@@ -88,15 +88,14 @@ class ServiceBatch(NamedTuple):
 
 
 class _Entry:
-    __slots__ = ("row_id", "byte_id", "rep_count", "is_wb", "wb_value", "arrival")
+    __slots__ = ("row_id", "byte_id", "rep_count", "is_wb", "wb_value")
 
-    def __init__(self, row_id, byte_id, is_wb, wb_value, arrival):
+    def __init__(self, row_id, byte_id, is_wb, wb_value):
         self.row_id = row_id
         self.byte_id = byte_id
         self.rep_count = 0
         self.is_wb = is_wb
         self.wb_value = wb_value
-        self.arrival = arrival
 
 
 class RequestBuffer:
@@ -153,6 +152,11 @@ class _BufferedBase(RequestBuffer):
     Entries are kept per row as {(byte_id, is_wb): entry}; ``_capacity``
     None means no shared pool (per-row design).  ``_full_rows`` holds
     rows at M entries whose service had to be deferred.
+
+    Both dict levels stay in arrival order: a row enters ``_rows`` with
+    its first entry and leaves only whole, and entries are never removed
+    from a row on their own.  So the first row of ``_rows`` holds the
+    oldest buffered entry, and a row's entries iterate oldest first.
     """
 
     _capacity: Optional[int]
@@ -161,7 +165,6 @@ class _BufferedBase(RequestBuffer):
         super().__init__(bank, config)
         self._rows: Dict[int, Dict[tuple, _Entry]] = {}
         self._total = 0
-        self._arrival = 0
         self._full_rows = set()
         self._capacity = config.capacity
         # Pending updates at which an entry forces a row flush.
@@ -246,10 +249,7 @@ class _BufferedBase(RequestBuffer):
         entries = self._rows.get(row_id)
         if entries is None:
             entries = self._rows[row_id] = {}
-        entries[(byte_id, is_wb)] = _Entry(
-            row_id, byte_id, is_wb, wb_value, self._arrival
-        )
-        self._arrival += 1
+        entries[(byte_id, is_wb)] = _Entry(row_id, byte_id, is_wb, wb_value)
         self._total += 1
         if len(entries) >= self.config.m_batch:
             self._full_rows.add(row_id)
@@ -284,38 +284,25 @@ class _BufferedBase(RequestBuffer):
     def _reset_metadata(self) -> None:
         pass
 
-    def _oldest_entry(self) -> Optional[_Entry]:
-        best = None
-        for entries in self._rows.values():
-            for entry in entries.values():
-                if best is None or entry.arrival < best.arrival:
-                    best = entry
-        return best
-
 
 def _merge_items(entries: Dict[tuple, _Entry]) -> List[BatchItem]:
-    """Collapse a row's entries into batch items, oldest first.
+    """Collapse a row's entries, given in arrival order, into batch items.
 
     An increment entry carries rep_count + 1 pending updates.  A
     writeback and an increment entry for the same byte merge into one
-    item keyed at the earlier arrival.
+    item placed at the earlier arrival, so items come oldest first.
     """
     by_byte: Dict[int, list] = {}
-    for entry in sorted(entries.values(), key=lambda e: e.arrival):
+    for entry in entries.values():
         pending = 0 if entry.is_wb else entry.rep_count + 1
         slot = by_byte.get(entry.byte_id)
         if slot is None:
-            by_byte[entry.byte_id] = [
-                entry.arrival,
-                pending,
-                entry.wb_value if entry.is_wb else None,
-            ]
+            by_byte[entry.byte_id] = [pending, entry.wb_value if entry.is_wb else None]
         else:
-            slot[1] += pending
+            slot[0] += pending
             if entry.is_wb:
-                slot[2] = entry.wb_value
-    merged = sorted(by_byte.items(), key=lambda kv: kv[1][0])
-    return [BatchItem(byte_id, inc, wb) for byte_id, (_, inc, wb) in merged]
+                slot[1] = entry.wb_value
+    return [BatchItem(byte_id, inc, wb) for byte_id, (inc, wb) in by_byte.items()]
 
 
 class PerRowBuffer(_BufferedBase):
@@ -333,7 +320,7 @@ class UnifiedFcfsBuffer(_BufferedBase):
     """Shared pool; eviction flushes the row of the oldest buffered entry."""
 
     def _victim_row(self):
-        return self._oldest_entry().row_id
+        return next(iter(self._rows))
 
 
 class UnifiedSortedBuffer(_BufferedBase):
@@ -376,9 +363,9 @@ class UnifiedApproxMaxBuffer(_BufferedBase):
         if self._total == 0:
             self._reset_metadata()
             return
-        oldest = self._oldest_entry()
-        self._meta_row = oldest.row_id
-        self._meta_count = len(self._rows[oldest.row_id])
+        oldest = next(iter(self._rows))
+        self._meta_row = oldest
+        self._meta_count = len(self._rows[oldest])
 
     def _reset_metadata(self):
         self._meta_row = None

@@ -180,6 +180,19 @@ class CounterCache:
         ways.insert(0, _Line(flat, value))
         return True
 
+    def reset(self, row_id: int, byte_id: int) -> None:
+        """Zero a cached copy, if any, whose stored counter was mitigated.
+
+        The line turns clean, so no later writeback restores the value
+        the mitigation removed.  Its LRU position is kept.
+        """
+        flat = self._flat(row_id, byte_id)
+        for line in self.sets[flat % self.num_sets]:
+            if line.flat == flat:
+                line.value = 0
+                line.dirty = False
+                return
+
     def dirty_lines(self) -> List[tuple]:
         """All dirty lines as (row_id, byte_id, value), sorted by location."""
         out = []

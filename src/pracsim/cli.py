@@ -301,6 +301,18 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _resolve(args)
+    report = None
+    if args.report:
+        with open(args.report, "r", encoding="utf-8") as f:
+            report = json.load(f)
+    cache_kinds = {cfg.cache.kind}
+    if report is not None:
+        cache_kinds.add(report.get("config", {}).get("cache.kind", "none"))
+    if cache_kinds != {"none"}:
+        raise ConfigError(
+            "cannot verify a run with a counter cache: cache hits are not in "
+            "the service log, so replay would see stored counters lag"
+        )
     events = (
         trace.load(cfg.trace_path, cfg.geometry, cfg.trace_format)
         if cfg.trace_path
@@ -308,10 +320,7 @@ def _cmd_verify(args) -> int:
     )
     with open(args.log, "r", encoding="utf-8") as f:
         batches = oracle.read_log(f)
-    reported = None
-    if args.report:
-        with open(args.report, "r", encoding="utf-8") as f:
-            reported = json.load(f)["counter_acts"]
+    reported = report["counter_acts"] if report is not None else None
     final_values = None
     if args.state:
         final_values = {}

@@ -1,7 +1,9 @@
 """Ground-truth per-row activation counters with alert-driven mitigation.
 
-Counters are 1-byte saturating values laid out as one numpy array per
-device: shape (banks, counter_rows, bytes_per_row).  Servicing a counter
+Counters are 1-byte saturating values held in one bytearray per device
+and exposed as a numpy view of shape (banks, counter_rows, bytes_per_row):
+single counters are read and written through the bytearray by flat
+index, whole-bank scans go through the view.  Servicing a counter
 request applies its pending increments in one read-modify-write; a value
 crossing the back-off threshold raises an alert, which mitigates (and
 resets) that counter.  Additional refreshes granted per alert, and the
@@ -9,7 +11,7 @@ periodic proactive refresh, always target the currently largest counter
 in the bank, modeling an ideal mitigation queue.
 """
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +28,9 @@ class CounterArray:
     ``n_bo`` is the effective back-off threshold; None disables the
     alert path entirely (counters still accumulate and saturate).
     ``slot`` is maintained by the caller so recorded events carry time.
+    ``on_mitigate(bank, row_id, byte_id)`` is told of every counter reset
+    by a mitigation, so a copy held elsewhere (a counter cache) can be
+    reset with it.
     """
 
     def __init__(
@@ -34,6 +39,7 @@ class CounterArray:
         n_bo: Optional[int] = None,
         rfms_per_alert: int = 1,
         record_events: bool = False,
+        on_mitigate: Optional[Callable[[int, int, int], None]] = None,
     ):
         if n_bo is not None and not 1 <= n_bo <= COUNTER_MAX:
             raise ConfigError(f"n_bo must be in [1, {COUNTER_MAX}], got {n_bo}")
@@ -42,13 +48,13 @@ class CounterArray:
         self.geometry = geometry
         self.n_bo = n_bo
         self.rfms_per_alert = rfms_per_alert
-        self.values = np.zeros(
-            (
-                geometry.banks,
-                geometry.counter_rows_per_bank,
-                geometry.counters_per_counter_row,
-            ),
-            dtype=np.uint8,
+        self.on_mitigate = on_mitigate
+        self._counter_rows = geometry.counter_rows_per_bank
+        self._cpc = geometry.counters_per_counter_row
+        self._cells = bytearray(geometry.banks * self._counter_rows * self._cpc)
+        # A writable view of the same bytes: writes through either show in both.
+        self.values = np.frombuffer(self._cells, dtype=np.uint8).reshape(
+            geometry.banks, self._counter_rows, self._cpc
         )
         self.alerts = 0
         self.mitigations = 0
@@ -57,15 +63,16 @@ class CounterArray:
         self._nonzero = [0] * geometry.banks
 
     def get(self, bank: int, row_id: int, byte_id: int) -> int:
-        return int(self.values[bank, row_id, byte_id])
+        return self._cells[(bank * self._counter_rows + row_id) * self._cpc + byte_id]
 
     def _set(self, bank: int, row_id: int, byte_id: int, value: int) -> None:
-        old = int(self.values[bank, row_id, byte_id])
+        i = (bank * self._counter_rows + row_id) * self._cpc + byte_id
+        old = self._cells[i]
         if old == 0 and value > 0:
             self._nonzero[bank] += 1
         elif old > 0 and value == 0:
             self._nonzero[bank] -= 1
-        self.values[bank, row_id, byte_id] = value
+        self._cells[i] = value
 
     def apply_rmw(self, bank: int, row_id: int, byte_id: int, increments: int = 1) -> int:
         """Add pending increments to one counter; returns the post-add value.
@@ -75,8 +82,14 @@ class CounterArray:
         """
         if increments < 0:
             raise ConfigError(f"increments must be non-negative, got {increments}")
-        value = min(COUNTER_MAX, int(self.values[bank, row_id, byte_id]) + increments)
-        self._set(bank, row_id, byte_id, value)
+        i = (bank * self._counter_rows + row_id) * self._cpc + byte_id
+        old = self._cells[i]
+        value = old + increments
+        if value > COUNTER_MAX:
+            value = COUNTER_MAX
+        if old == 0 and value:
+            self._nonzero[bank] += 1
+        self._cells[i] = value
         if self.n_bo is not None and value >= self.n_bo:
             self._alert(bank, row_id, byte_id, value)
         return value
@@ -109,6 +122,8 @@ class CounterArray:
 
     def _mitigate(self, bank: int, row_id: int, byte_id: int) -> None:
         self._set(bank, row_id, byte_id, 0)
+        if self.on_mitigate is not None:
+            self.on_mitigate(bank, row_id, byte_id)
         self.mitigations += 1
         if self.events is not None:
             self.events.append(("mitigation", self.slot, bank, row_id, byte_id))
@@ -122,7 +137,7 @@ class CounterArray:
         if self._nonzero[bank] == 0:
             return None
         flat = int(self.values[bank].argmax())
-        row_id, byte_id = divmod(flat, self.geometry.counters_per_counter_row)
+        row_id, byte_id = divmod(flat, self._cpc)
         self._mitigate(bank, row_id, byte_id)
         return CounterRef(bank, row_id, byte_id)
 

@@ -36,11 +36,13 @@ class Engine:
     ):
         self.config = config
         self.geometry = config.geometry
+        self._cached = config.cache.kind != "none"
         self.store = CounterArray(
             config.geometry,
             n_bo=config.n_bo,
             rfms_per_alert=config.rfms_per_alert,
             record_events=record_events,
+            on_mitigate=self._reset_cached if self._cached else None,
         )
         self.ledger = EnergyLedger()
         self.trigger_counts = {t: 0 for t in TRIGGERS}
@@ -51,6 +53,8 @@ class Engine:
         self._streams: Dict[int, List[int]] = {}
         self._footprint: Dict[tuple, int] = {}
         self._cpc = config.geometry.counters_per_counter_row
+        self._metrics = config.metrics_enabled
+        self._proactive = config.proactive_interval
         self._finalized = False
 
     def buffer(self, bank: int) -> RequestBuffer:
@@ -61,7 +65,7 @@ class Engine:
 
     def cache(self, bank: int) -> Optional[CounterCache]:
         if bank not in self._caches:
-            if self.config.cache.kind == "none":
+            if not self._cached:
                 self._caches[bank] = None
             else:
                 self._caches[bank] = CounterCache(
@@ -75,70 +79,76 @@ class Engine:
                 )
         return self._caches[bank]
 
+    def _reset_cached(self, bank: int, row_id: int, byte_id: int) -> None:
+        cache = self._caches.get(bank)
+        if cache is not None:
+            cache.reset(row_id, byte_id)
+
     def step(self, ev: ActivationEvent) -> Optional[ServiceBatch]:
         """Process one activation; returns the batch it serviced, if any."""
-        self.store.slot = ev.slot
-        row_id, byte_id = divmod(ev.data_row, self._cpc)
-        self.ledger.data_acts += 1
-        self.ledger.data_cols += 1
-        if self.config.metrics_enabled:
-            counts = self._row_counts.get(ev.bank)
+        slot, bank, data_row = ev
+        self.store.slot = slot
+        row_id, byte_id = divmod(data_row, self._cpc)
+        ledger = self.ledger
+        ledger.data_acts += 1
+        ledger.data_cols += 1
+        if self._metrics:
+            counts = self._row_counts.get(bank)
             if counts is None:
-                counts = self._row_counts[ev.bank] = (
+                counts = self._row_counts[bank] = (
                     [0] * self.geometry.counter_rows_per_bank
                 )
-                self._streams[ev.bank] = []
+                self._streams[bank] = []
             counts[row_id] += 1
-            self._streams[ev.bank].append(row_id)
-            key = (ev.bank, ev.data_row)
+            self._streams[bank].append(row_id)
+            key = (bank, data_row)
             self._footprint[key] = self._footprint.get(key, 0) + 1
 
         serviced = None
-        cache = self.cache(ev.bank)
-        if cache is None or not cache.access(row_id, byte_id):
-            batch = self.buffer(ev.bank).insert(row_id, byte_id)
+        if not self._cached or not self.cache(bank).access(row_id, byte_id):
+            buf = self._buffers.get(bank)
+            if buf is None:
+                buf = self.buffer(bank)
+            batch = buf.insert(row_id, byte_id)
             if batch is not None:
-                self._service(batch, ev.slot)
+                self._service(batch, slot)
                 serviced = batch
 
-        interval = self.config.proactive_interval
-        if interval and (ev.slot + 1) % interval == 0:
-            for bank in range(self.geometry.banks):
-                self.store.proactive_tick(bank)
+        interval = self._proactive
+        if interval and (slot + 1) % interval == 0:
+            store = self.store
+            for b in range(self.geometry.banks):
+                store.proactive_tick(b)
         return serviced
 
     def _service(self, batch: ServiceBatch, slot: int) -> None:
-        self.ledger.counter_acts += 1
-        self.trigger_counts[batch.trigger] += 1
+        bank, row_id, items, trigger = batch
+        ledger = self.ledger
+        ledger.counter_acts += 1
+        self.trigger_counts[trigger] += 1
         if self.batch_log is not None:
             self.batch_log.append(
                 LoggedBatch(
-                    slot,
-                    batch.bank,
-                    batch.row_id,
-                    batch.trigger,
-                    tuple(item.byte_id for item in batch.items),
+                    slot, bank, row_id, trigger, tuple(item.byte_id for item in items)
                 )
             )
-        cache = self._caches.get(batch.bank)
-        buf = self._buffers[batch.bank]
-        for item in batch.items:
-            if item.wb_value is not None:
-                self.store.apply_writeback(
-                    batch.bank, batch.row_id, item.byte_id, item.wb_value
-                )
-                self.ledger.rmw_bytes += 1
-            if item.increments:
-                self.store.apply_rmw(
-                    batch.bank, batch.row_id, item.byte_id, item.increments
-                )
-                self.ledger.rmw_bytes += item.increments
-                # No fills while draining: an eviction writeback enqueued
-                # after drain() would never be serviced.
-                if cache is not None and not self._finalized:
-                    value = self.store.get(batch.bank, batch.row_id, item.byte_id)
+        store = self.store
+        # No fills while draining: an eviction writeback enqueued after
+        # drain() would never be serviced.
+        cache = self._caches.get(bank) if not self._finalized else None
+        for byte_id, increments, wb_value in items:
+            if wb_value is not None:
+                store.apply_writeback(bank, row_id, byte_id, wb_value)
+                ledger.rmw_bytes += 1
+            if increments:
+                store.apply_rmw(bank, row_id, byte_id, increments)
+                ledger.rmw_bytes += increments
+                if cache is not None:
                     cache.fill_clean(
-                        batch.row_id, item.byte_id, value, buf.try_insert_writeback
+                        row_id,
+                        byte_id,
+                        store.get(bank, row_id, byte_id),
+                        self._buffers[bank].try_insert_writeback,
                     )
 
     def finalize(self) -> SimReport:
@@ -178,7 +188,7 @@ class Engine:
             footprint = footprint_percentiles(self._footprint.values())
 
         cache_stats = None
-        if self.config.cache.kind != "none":
+        if self._cached:
             totals = {
                 "hits": 0,
                 "misses": 0,
@@ -235,20 +245,29 @@ def run(config: SimConfig) -> SimReport:
 def compare(config: SimConfig, policies) -> List[SimReport]:
     """Run several buffer designs over the identical trace and settings.
 
-    The immediate-service baseline is prepended if absent so normalized
-    activation counts always have their denominator in the table.
+    The trace is materialized once and every design steps over that one
+    list.  The immediate-service baseline is prepended if absent so
+    normalized activation counts always have their denominator in the
+    table.
     """
     policies = list(policies)
     if not policies:
         raise ConfigError("no policies to compare")
     if "chronus" not in policies:
         policies = ["chronus"] + policies
+    events = None
     reports = []
     for policy in policies:
         overrides = {"buffer.design": policy}
         if policy == "chronus":
             overrides["cache.kind"] = "none"
-        reports.append(run(config.with_overrides(overrides)))
+        eng = Engine(config.with_overrides(overrides))
+        if events is None:
+            events = eng.load_events()
+        step = eng.step
+        for ev in events:
+            step(ev)
+        reports.append(eng.finalize())
     for r in reports:
         if r.policy == "chronus" and r.counter_acts != r.data_acts:
             raise ConfigError(

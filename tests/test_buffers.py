@@ -10,6 +10,10 @@ from pracsim.buffers import (
     TRIG_M_READY,
     BatchItem,
     BufferConfig,
+    ServiceBatch,
+    UnifiedApproxMaxBuffer,
+    UnifiedFcfsBuffer,
+    _merge_items,
     make_buffer,
 )
 from pracsim.errors import ConfigError
@@ -381,3 +385,127 @@ def test_approxmax_metadata_matches_true_count_on_update(ops):
             assert victim in counts
             assert counts[victim] == buf._meta_count
             assert buf._meta_count <= max(counts.values())
+
+
+class _ArrivalOrderReference:
+    """The scanning and sorting code that victim lookup and merging replaced.
+
+    Stamps each entry with an arrival number as it is allocated, finds the
+    oldest entry by scanning every entry, and merges a row's entries by
+    sorting on arrival.  Mixed in ahead of a production design, it swaps
+    in only those parts, so the two can run side by side.
+    """
+
+    def __init__(self, bank, config):
+        super().__init__(bank, config)
+        self.arrivals = {}  # id(entry) -> (arrival, entry); the entry pins its id
+
+    def _allocate(self, row_id, byte_id, is_wb=False, wb_value=None):
+        super()._allocate(row_id, byte_id, is_wb, wb_value)
+        entry = self._rows[row_id][(byte_id, is_wb)]
+        self.arrivals[id(entry)] = (len(self.arrivals), entry)
+
+    def arrival(self, entry):
+        return self.arrivals[id(entry)][0]
+
+    def oldest_entry(self):
+        best = None
+        for entries in self._rows.values():
+            for entry in entries.values():
+                if best is None or self.arrival(entry) < self.arrival(best):
+                    best = entry
+        return best
+
+    def reference_merge(self, entries):
+        by_byte = {}
+        for entry in sorted(entries.values(), key=self.arrival):
+            pending = 0 if entry.is_wb else entry.rep_count + 1
+            slot = by_byte.get(entry.byte_id)
+            if slot is None:
+                by_byte[entry.byte_id] = [
+                    self.arrival(entry),
+                    pending,
+                    entry.wb_value if entry.is_wb else None,
+                ]
+            else:
+                slot[1] += pending
+                if entry.is_wb:
+                    slot[2] = entry.wb_value
+        merged = sorted(by_byte.items(), key=lambda kv: kv[1][0])
+        return [BatchItem(byte_id, inc, wb) for byte_id, (_, inc, wb) in merged]
+
+    def _flush_row(self, row_id, trigger):
+        entries = self._rows.pop(row_id)
+        self._total -= len(entries)
+        self._full_rows.discard(row_id)
+        batch = ServiceBatch(
+            self.bank, row_id, tuple(self.reference_merge(entries)), trigger
+        )
+        self._after_flush(row_id)
+        return batch
+
+
+class _ReferenceFcfs(_ArrivalOrderReference, UnifiedFcfsBuffer):
+    def _victim_row(self):
+        return self.oldest_entry().row_id
+
+
+class _ReferenceApproxMax(_ArrivalOrderReference, UnifiedApproxMaxBuffer):
+    def _after_flush(self, row_id):
+        if row_id != self._meta_row:
+            return
+        if self._total == 0:
+            self._reset_metadata()
+            return
+        oldest = self.oldest_entry()
+        self._meta_row = oldest.row_id
+        self._meta_count = len(self._rows[oldest.row_id])
+
+
+_REFERENCES = {"unified_fcfs": _ReferenceFcfs, "unified_approxmax": _ReferenceApproxMax}
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    design=st.sampled_from(sorted(_REFERENCES)),
+    capacity=st.sampled_from((4, 6, 8)),
+    m_batch=st.sampled_from((2, 4)),
+    k_limit=st.sampled_from((1, 2, 4)),
+    ops=st.lists(
+        st.tuples(
+            st.booleans(), st.integers(0, 5), st.integers(0, 5), st.integers(0, 40)
+        ),
+        max_size=300,
+    ),
+)
+def test_victim_and_merge_match_scanning_reference(
+    design, capacity, m_batch, k_limit, ops
+):
+    """Random insert and writeback streams give the same batches, victim
+    rows, approx-max meta pairs and merged items as the arrival-scanning
+    reference, after every step and at the final drain."""
+    config = BufferConfig(
+        design=design, capacity=max(capacity, m_batch), m_batch=m_batch, k_limit=k_limit
+    )
+    buf = make_buffer(0, config)
+    ref = _REFERENCES[design](0, config)
+    for is_wb, row, byte, value in ops:
+        if is_wb:
+            got = buf.try_insert_writeback(row, byte, value)
+            assert got == ref.try_insert_writeback(row, byte, value)
+        else:
+            assert buf.insert(row, byte) == ref.insert(row, byte)
+        assert buf.entry_counts() == ref.entry_counts()
+        if len(ref):
+            assert buf.victim_row() == ref.victim_row()
+        if design == "unified_approxmax":
+            assert (buf._meta_row, buf._meta_count) == (ref._meta_row, ref._meta_count)
+        for row_id, entries in buf._rows.items():
+            assert _merge_items(entries) == ref.reference_merge(ref._rows[row_id])
+    expected = []
+    for row_id in sorted(ref._rows):
+        items = ref.reference_merge(ref._rows[row_id])
+        for start in range(0, len(items), m_batch):
+            chunk = tuple(items[start : start + m_batch])
+            expected.append(ServiceBatch(0, row_id, chunk, TRIG_DRAIN))
+    assert buf.drain() == expected

@@ -273,3 +273,21 @@ def test_analyze_window_flags(capsys):
     assert out["window"] == 32
     assert out["window_mode"] == "sliding"
     assert out["window_locality"] == 32.0
+
+
+def test_verify_refuses_cache_runs(tmp_path, capsys):
+    """Cache hits never reach the service log, so replay of a cached run
+    would report stored counters lagging; verify refuses instead."""
+    log, report = tmp_path / "c.csv", tmp_path / "c.json"
+    gen = ["--generator", "hotset", "--hot-rows", "48", "--length", "2000"]
+    run = ["run", *gen, "--cache", "lru4way", "--log", str(log), "--out", str(report)]
+    assert main(run) == EXIT_OK
+    capsys.readouterr()
+    code = main(["verify", *gen, "--log", str(log), "--report", str(report)])
+    assert code == EXIT_USAGE
+    assert "cache hits are not in the service log" in capsys.readouterr().err
+    code = main(
+        ["verify", *gen, "--log", str(log), "--set", "cache.kind=tinylfu", "--machine"]
+    )
+    assert code == EXIT_USAGE
+    assert json.loads(capsys.readouterr().err)["error"] == "config"

@@ -121,6 +121,32 @@ def test_external_alert_writes_through(toy_geometry):
     assert store.get(0, 2, 1) == 0
 
 
+def test_every_mitigation_is_reported(toy_geometry):
+    """Alerts, extra RFMs and proactive refreshes all tell ``on_mitigate``."""
+    reset = []
+    store = CounterArray(
+        toy_geometry,
+        n_bo=10,
+        rfms_per_alert=2,
+        on_mitigate=lambda *ref: reset.append(ref),
+    )
+    store.apply_rmw(0, 1, 1, increments=7)
+    store.apply_rmw(1, 2, 2, increments=3)
+    store.apply_rmw(0, 0, 0, increments=10)
+    store.proactive_tick(1)
+    assert reset == [(0, 0, 0), (0, 1, 1), (1, 2, 2)]
+    assert len(reset) == store.mitigations
+
+
+def test_values_view_shares_the_counters(toy_geometry):
+    store = CounterArray(toy_geometry)
+    store.apply_rmw(1, 3, 2, increments=5)
+    assert store.values[1, 3, 2] == 5
+    assert int(store.values.sum()) == 5
+    store.values[0, 1, 3] = 9
+    assert store.get(0, 1, 3) == 9
+
+
 def test_event_recording(toy_geometry):
     store = CounterArray(toy_geometry, n_bo=3, record_events=True)
     store.slot = 17

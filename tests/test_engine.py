@@ -2,6 +2,8 @@ import io
 
 import pytest
 
+from pracsim import engine as engine_mod
+from pracsim.buffers import DESIGNS
 from pracsim.config import resolve
 from pracsim.engine import Engine, compare, run
 from pracsim.errors import ConfigError, TraceError
@@ -157,6 +159,75 @@ def test_compare_strips_cache_from_baseline():
     assert reports[0].policy == "chronus"
     assert reports[0].cache is None
     assert reports[1].cache is not None
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {},
+        {"trace.generator": "hotset", "trace.hot_rows": "48", "cache.kind": "lru4way"},
+    ],
+)
+def test_compare_generates_the_trace_once(monkeypatch, extra):
+    """Every design steps over one materialized trace, and each report is
+    what an independent run of that design gives."""
+    calls = []
+    original = engine_mod.generate
+
+    def counting_generate(spec, geometry):
+        calls.append(spec)
+        return original(spec, geometry)
+
+    monkeypatch.setattr(engine_mod, "generate", counting_generate)
+    base = {
+        "trace.generator": "zipf",
+        "trace.banks": "64",
+        "trace.length": "3000",
+        "seed": "2",
+    }
+    config = resolve(overrides=dict(base, **extra))
+    reports = compare(config, list(DESIGNS))
+    assert len(calls) == 1
+    assert [r.policy for r in reports] == list(DESIGNS)
+    for report in reports:
+        overrides = {"buffer.design": report.policy}
+        if report.policy == "chronus":
+            overrides["cache.kind"] = "none"
+        alone = Engine(config.with_overrides(overrides)).run()
+        assert report.to_json() == alone.to_json()
+
+
+def test_mitigation_resets_the_cached_copy():
+    """A refresh or alert that zeroes a stored counter also resets a dirty
+    cached copy of it; a copy left dirty would write the removed count
+    back.  Without that reset, 59 of this run's refreshes leave one (the
+    first at slot 167, bank 0 row 2 byte 877, cached value 6)."""
+    config = resolve(
+        overrides={
+            "trace.generator": "hotset",
+            "trace.hot_rows": "48",
+            "trace.length": "20000",
+            "cache.kind": "lru4way",
+            "seed": "1",
+        }
+    )
+    engine = Engine(config, record_events=True)
+    seen = 0
+    mitigations = 0
+    left_dirty = []
+    for ev in engine.load_events():
+        engine.step(ev)
+        for event in engine.store.events[seen:]:
+            if event[0] != "mitigation":
+                continue
+            mitigations += 1
+            _, slot, bank, row_id, byte_id = event
+            dirty = {(r, c): v for r, c, v in engine.cache(bank).dirty_lines()}
+            if (row_id, byte_id) in dirty:
+                left_dirty.append((slot, bank, row_id, byte_id, dirty[row_id, byte_id]))
+        seen = len(engine.store.events)
+    assert mitigations > 0
+    assert left_dirty == []
 
 
 def test_compare_rejects_empty_policy_list():

@@ -1,0 +1,96 @@
+"""Pinned simulated statistics for the paper's headline runs.
+
+The values were recorded from the straightforward implementation
+(scanning eviction, sort-by-arrival merge, numpy-indexed counters, one
+trace generation per design).  Any change meant only to make the
+simulator faster must leave every one of them bit-identical.
+"""
+
+import pytest
+
+from pracsim.buffers import DESIGNS
+from pracsim.config import resolve
+from pracsim.engine import Engine
+
+PINNED_FIELDS = ("counter_acts", "batch_triggers", "rmw_bytes", "alerts", "mitigations")
+
+ZIPF_SWEEP = {
+    "trace.generator": "zipf",
+    "trace.zipf_exponent": "1.0",
+    "trace.banks": "64",
+    "trace.length": "20000",
+    "seed": "1",
+}
+
+HOTSET = {
+    "trace.generator": "hotset",
+    "trace.hot_rows": "48",
+    "trace.length": "20000",
+    "buffer.design": "unified_approxmax",
+    "mitigation.enabled": "false",
+    "seed": "1",
+}
+
+
+def _triggers(m_ready, buffer_full, k_limit, drain):
+    return {
+        "m_ready": m_ready,
+        "buffer_full": buffer_full,
+        "k_limit": k_limit,
+        "drain": drain,
+    }
+
+
+# design -> (counter_acts, batch_triggers, rmw_bytes, alerts, mitigations,
+#            energy overhead)
+ZIPF_GOLDEN = {
+    "chronus": (
+        20000, _triggers(20000, 0, 0, 0), 20000, 0, 7608, 0.17485066666666668
+    ),
+    "perrow": (
+        6046, _triggers(1864, 0, 906, 3276), 20000, 0, 5661, 0.10321516666666666
+    ),
+    "unified_fcfs": (7683, _triggers(974, 3393, 775, 2541), 20000, 0, 6040, 0.11257275),
+    "unified_sorted": (
+        7290, _triggers(333, 3423, 778, 2756), 20000, 0, 6040, 0.11090249999999999
+    ),
+    "unified_approxmax": (
+        7503, _triggers(537, 3581, 726, 2659), 20000, 0, 6040, 0.11180774999999998
+    ),
+}
+
+# cache kind -> same tuple; HOTSET_CACHE holds the cache's own tallies
+HOTSET_GOLDEN = {
+    "lru4way": (1658, _triggers(206, 762, 654, 36), 6396, 0, 0, 0.0203715),
+    "tinylfu": (1121, _triggers(120, 601, 363, 37), 3768, 0, 0, 0.01261425),
+}
+HOTSET_CACHE = {
+    "lru4way": {
+        "hits": 14587, "misses": 5413, "writebacks": 983,
+        "admission_rejects": 0, "fills_rejected": 19, "hit_rate": 0.72935,
+    },
+    "tinylfu": {
+        "hits": 16385, "misses": 3615, "writebacks": 153,
+        "admission_rejects": 1816, "fills_rejected": 0, "hit_rate": 0.81925,
+    },
+}  # fmt: skip
+
+
+def _observed(report):
+    return tuple(getattr(report, f) for f in PINNED_FIELDS) + (
+        report.energy["overhead"],
+    )
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+def test_zipf_sweep_statistics_are_pinned(design):
+    config = resolve(overrides=dict(ZIPF_SWEEP, **{"buffer.design": design}))
+    report = Engine(config).run()
+    assert _observed(report) == ZIPF_GOLDEN[design]
+
+
+@pytest.mark.parametrize("kind", ["lru4way", "tinylfu"])
+def test_hotset_cache_statistics_are_pinned(kind):
+    report = Engine(resolve(overrides=dict(HOTSET, **{"cache.kind": kind}))).run()
+    assert _observed(report) == HOTSET_GOLDEN[kind]
+    assert report.cache == HOTSET_CACHE[kind]
