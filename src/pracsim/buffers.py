@@ -65,6 +65,15 @@ class BufferConfig:
                 f"unknown k_trigger {self.k_trigger!r}, expected one of {K_TRIGGER_MODES}"
             )
 
+    @property
+    def pending_limit(self) -> int:
+        """Pending updates at which an entry forces a row flush.
+
+        It is also the staleness bound a replay of the service log must
+        see hold: K, or K + 1 when K counts repeats after the first.
+        """
+        return self.k_limit + 1 if self.k_trigger == "repcount" else self.k_limit
+
 
 class BatchItem(NamedTuple):
     """One serviced counter: pending increments and an optional absolute write.
@@ -113,6 +122,10 @@ class RequestBuffer:
         """Queue an absolute counter write; False if no slot can take it."""
         raise NotImplementedError
 
+    def reset_writeback(self, row_id: int, byte_id: int) -> None:
+        """A mitigation zeroed this counter: a queued writeback now writes 0."""
+        raise NotImplementedError
+
     def victim_row(self) -> int:
         """The row this design would evict next; buffer must be nonempty."""
         raise NotImplementedError
@@ -135,6 +148,9 @@ class ChronusBuffer(RequestBuffer):
 
     def try_insert_writeback(self, row_id, byte_id, value):
         raise RuntimeError("the immediate-service baseline takes no writebacks")
+
+    def reset_writeback(self, row_id, byte_id):
+        pass
 
     def victim_row(self):
         raise RuntimeError("the immediate-service baseline holds no entries")
@@ -167,11 +183,7 @@ class _BufferedBase(RequestBuffer):
         self._total = 0
         self._full_rows = set()
         self._capacity = config.capacity
-        # Pending updates at which an entry forces a row flush.
-        if config.k_trigger == "pending":
-            self._pending_limit = config.k_limit
-        else:
-            self._pending_limit = config.k_limit + 1
+        self._pending_limit = config.pending_limit
 
     def __len__(self):
         return self._total
@@ -222,6 +234,14 @@ class _BufferedBase(RequestBuffer):
         if len(self._rows[row_id]) >= self.config.m_batch:
             self._full_rows.add(row_id)
         return True
+
+    def reset_writeback(self, row_id, byte_id):
+        # The entry stays put: removing it would break arrival order.
+        entries = self._rows.get(row_id)
+        if entries is not None:
+            entry = entries.get((byte_id, True))
+            if entry is not None:
+                entry.wb_value = 0
 
     def victim_row(self):
         if self._total == 0:
@@ -330,7 +350,12 @@ class UnifiedSortedBuffer(_BufferedBase):
     """
 
     def _victim_row(self):
-        return max(self._rows.items(), key=lambda kv: (len(kv[1]), -kv[0]))[0]
+        best_row, best_count = -1, 0
+        for row_id, entries in self._rows.items():
+            count = len(entries)
+            if count > best_count or (count == best_count and row_id < best_row):
+                best_row, best_count = row_id, count
+        return best_row
 
 
 class UnifiedApproxMaxBuffer(_BufferedBase):

@@ -12,10 +12,13 @@ failure, 3 runtime error (bad trace data, unreadable log).
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from collections import defaultdict
+from typing import Dict, Optional
 
 from . import config as config_mod
 from . import engine, metrics, oracle, trace
+from .buffers import DESIGNS, K_TRIGGER_MODES
+from .cache import CACHE_KINDS
 from .errors import ConfigError, SimError, VerificationFailure
 
 EXIT_OK = 0
@@ -111,6 +114,17 @@ def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hammer-gap", type=int, help="fillers between hammer hits")
 
 
+def _add_design_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--capacity", type=int, help="shared buffer entries")
+    p.add_argument("--m-batch", type=int, help="per-row batch size M")
+    p.add_argument("--k-limit", type=int, help="staleness limit K")
+    p.add_argument("--k-trigger", choices=K_TRIGGER_MODES)
+    p.add_argument("--cache", choices=CACHE_KINDS)
+    p.add_argument("--cache-entries", type=int)
+    p.add_argument("--n-bo", help="back-off threshold, or 'auto'")
+    p.add_argument("--proactive-interval", type=int)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pracsim", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -127,17 +141,8 @@ def build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="simulate one buffer design")
     _add_common(p_run)
     _add_trace_source(p_run)
-    from .buffers import DESIGNS
-
     p_run.add_argument("--policy", choices=DESIGNS, help="buffer design to simulate")
-    p_run.add_argument("--capacity", type=int, help="shared buffer entries")
-    p_run.add_argument("--m-batch", type=int, help="per-row batch size M")
-    p_run.add_argument("--k-limit", type=int, help="staleness limit K")
-    p_run.add_argument("--k-trigger", choices=("pending", "repcount"))
-    p_run.add_argument("--cache", choices=("none", "lru4way", "tinylfu"))
-    p_run.add_argument("--cache-entries", type=int)
-    p_run.add_argument("--n-bo", help="back-off threshold, or 'auto'")
-    p_run.add_argument("--proactive-interval", type=int)
+    _add_design_flags(p_run)
     p_run.add_argument("--log", metavar="FILE", help="write the service-batch log CSV")
     p_run.add_argument(
         "--dump-state", metavar="FILE", help="write final nonzero counters as CSV"
@@ -148,17 +153,10 @@ def build_parser() -> _Parser:
     _add_trace_source(p_cmp)
     p_cmp.add_argument(
         "--policies",
-        default="chronus,perrow,unified_fcfs,unified_sorted,unified_approxmax",
+        default=",".join(DESIGNS),
         help="comma-separated designs to compare",
     )
-    p_cmp.add_argument("--capacity", type=int, help="shared buffer entries")
-    p_cmp.add_argument("--m-batch", type=int, help="per-row batch size M")
-    p_cmp.add_argument("--k-limit", type=int, help="staleness limit K")
-    p_cmp.add_argument("--k-trigger", choices=("pending", "repcount"))
-    p_cmp.add_argument("--cache", choices=("none", "lru4way", "tinylfu"))
-    p_cmp.add_argument("--cache-entries", type=int)
-    p_cmp.add_argument("--n-bo", help="back-off threshold, or 'auto'")
-    p_cmp.add_argument("--proactive-interval", type=int)
+    _add_design_flags(p_cmp)
     p_cmp.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="table format"
     )
@@ -167,7 +165,7 @@ def build_parser() -> _Parser:
     _add_common(p_ana)
     _add_trace_source(p_ana)
     p_ana.add_argument("--window", type=int, help="locality window size")
-    p_ana.add_argument("--window-mode", choices=("tumbling", "sliding"))
+    p_ana.add_argument("--window-mode", choices=metrics.WINDOW_MODES)
 
     p_ver = sub.add_parser("verify", help="replay a service log against its trace")
     _add_common(p_ver)
@@ -175,7 +173,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--log", metavar="FILE", required=True, help="service log CSV")
     p_ver.add_argument("--m-batch", type=int, help="per-row batch size M")
     p_ver.add_argument("--k-limit", type=int, help="staleness bound K")
-    p_ver.add_argument("--k-trigger", choices=("pending", "repcount"))
+    p_ver.add_argument("--k-trigger", choices=K_TRIGGER_MODES)
     p_ver.add_argument(
         "--report", metavar="FILE", help="run report JSON to cross-check totals"
     )
@@ -227,9 +225,7 @@ def _cmd_gen(args) -> int:
 def _cmd_run(args) -> int:
     cfg = _resolve(args)
     eng = engine.Engine(cfg, collect_log=args.log is not None)
-    for ev in eng.load_events():
-        eng.step(ev)
-    report = eng.finalize()
+    report = eng.run()
     if args.log:
         with open(args.log, "w", encoding="utf-8") as f:
             oracle.write_log(eng.batch_log, f)
@@ -254,46 +250,21 @@ def _cmd_compare(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = _resolve(args)
-    events = (
-        trace.load(cfg.trace_path, cfg.geometry, cfg.trace_format)
-        if cfg.trace_path
-        else trace.generate(cfg.trace_spec, cfg.geometry)
-    )
+    events = engine.load_trace(cfg)
     if not events:
         raise ConfigError("cannot analyze an empty trace")
-    cpc = cfg.geometry.counters_per_counter_row
-    row_counts: Dict[int, List[int]] = {}
-    streams: Dict[int, List[int]] = {}
-    footprint: Dict[tuple, int] = {}
-    for ev in events:
-        row_id = ev.data_row // cpc
-        counts = row_counts.get(ev.bank)
-        if counts is None:
-            counts = row_counts[ev.bank] = [0] * cfg.geometry.counter_rows_per_bank
-            streams[ev.bank] = []
-        counts[row_id] += 1
-        streams[ev.bank].append(row_id)
-        key = (ev.bank, ev.data_row)
-        footprint[key] = footprint.get(key, 0) + 1
-    skew_by_bank = {
-        bank: metrics.skew(counts) for bank, counts in sorted(row_counts.items())
-    }
-    maxima: List[int] = []
-    for bank in sorted(streams):
-        maxima.extend(metrics.window_maxima(streams[bank], cfg.window, cfg.window_mode))
+    shape = engine.workload_shape(events, cfg)
+    skew_by_bank = shape["skew_by_bank"]
     out = {
         "events": len(events),
-        "banks_touched": len(row_counts),
+        "banks_touched": len(skew_by_bank),
         "skew_by_bank": {str(b): s for b, s in skew_by_bank.items()},
-        "skew_mean": sum(skew_by_bank.values()) / len(skew_by_bank),
+        "skew_mean": shape["skew_mean"],
         "skew_max": max(skew_by_bank.values()),
         "window": cfg.window,
         "window_mode": cfg.window_mode,
-        "window_locality": (sum(maxima) / len(maxima)) if maxima else None,
-        "footprint": {
-            str(p): k
-            for p, k in sorted(metrics.footprint_percentiles(footprint.values()).items())
-        },
+        "window_locality": shape["window_locality"],
+        "footprint": {str(p): k for p, k in sorted(shape["footprint"].items())},
     }
     _write_out(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
@@ -313,17 +284,13 @@ def _cmd_verify(args) -> int:
             "cannot verify a run with a counter cache: cache hits are not in "
             "the service log, so replay would see stored counters lag"
         )
-    events = (
-        trace.load(cfg.trace_path, cfg.geometry, cfg.trace_format)
-        if cfg.trace_path
-        else trace.generate(cfg.trace_spec, cfg.geometry)
-    )
+    events = engine.load_trace(cfg)
     with open(args.log, "r", encoding="utf-8") as f:
         batches = oracle.read_log(f)
     reported = report["counter_acts"] if report is not None else None
     final_values = None
     if args.state:
-        final_values = {}
+        final_values = defaultdict(int)
         with open(args.state, "r", encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()
@@ -334,31 +301,17 @@ def _cmd_verify(args) -> int:
                     raise SimError(f"state dump line {lineno}: expected 4 fields")
                 b, r, c, v = (int(x) for x in parts)
                 final_values[(b, r, c)] = v
-        final_values = _StateLookup(final_values)
-    bound = cfg.buffer.k_limit
-    if cfg.buffer.k_trigger == "repcount":
-        bound += 1
     verdict = oracle.verify(
         events,
         batches,
         cfg.geometry,
         m_batch=cfg.buffer.m_batch,
-        staleness_bound=bound,
+        staleness_bound=cfg.buffer.pending_limit,
         reported_counter_acts=reported,
         final_values=final_values,
     )
     _write_out(str(verdict) + "\n", args.out)
     return EXIT_OK if verdict.ok else EXIT_VERIFY
-
-
-class _StateLookup:
-    """Dict-backed view that reads missing counters as zero."""
-
-    def __init__(self, values):
-        self._values = values
-
-    def __getitem__(self, key):
-        return self._values.get(key, 0)
 
 
 _COMMANDS = {

@@ -1,13 +1,16 @@
 """Trace-driven simulation loop tying the pieces together.
 
-Each activation event increments ground truth bookkeeping, consults the
-optional cache, and otherwise inserts a counter request into its bank's
-buffer; a returned batch is serviced against the stored counters in the
-shadow of that same activation.  After the last event every buffer is
-drained, which models idle time at the end of the run.
+Each activation event consults the optional cache, and otherwise
+inserts a counter request into its bank's buffer; a returned batch is
+serviced against the stored counters in the shadow of that same
+activation.  After the last event every buffer is drained, which models
+idle time at the end of the run.  Workload shape is computed from the
+recorded events in one pass at finalize, by the same function that
+``pracsim analyze`` calls.
 """
 
-from typing import Dict, List, Optional
+from collections import Counter
+from typing import Dict, List, Optional, Sequence
 
 from .buffers import TRIGGERS, RequestBuffer, ServiceBatch, make_buffer
 from .cache import CounterCache
@@ -49,9 +52,7 @@ class Engine:
         self.batch_log: Optional[List[LoggedBatch]] = [] if collect_log else None
         self._buffers: Dict[int, RequestBuffer] = {}
         self._caches: Dict[int, Optional[CounterCache]] = {}
-        self._row_counts: Dict[int, List[int]] = {}
-        self._streams: Dict[int, List[int]] = {}
-        self._footprint: Dict[tuple, int] = {}
+        self._events: List[ActivationEvent] = []
         self._cpc = config.geometry.counters_per_counter_row
         self._metrics = config.metrics_enabled
         self._proactive = config.proactive_interval
@@ -80,9 +81,14 @@ class Engine:
         return self._caches[bank]
 
     def _reset_cached(self, bank: int, row_id: int, byte_id: int) -> None:
+        """A mitigation zeroed this counter: drop every copy that could
+        restore the removed count, the cached line and a queued writeback."""
         cache = self._caches.get(bank)
         if cache is not None:
             cache.reset(row_id, byte_id)
+        buf = self._buffers.get(bank)
+        if buf is not None:
+            buf.reset_writeback(row_id, byte_id)
 
     def step(self, ev: ActivationEvent) -> Optional[ServiceBatch]:
         """Process one activation; returns the batch it serviced, if any."""
@@ -93,16 +99,7 @@ class Engine:
         ledger.data_acts += 1
         ledger.data_cols += 1
         if self._metrics:
-            counts = self._row_counts.get(bank)
-            if counts is None:
-                counts = self._row_counts[bank] = (
-                    [0] * self.geometry.counter_rows_per_bank
-                )
-                self._streams[bank] = []
-            counts[row_id] += 1
-            self._streams[bank].append(row_id)
-            key = (bank, data_row)
-            self._footprint[key] = self._footprint.get(key, 0) + 1
+            self._events.append(ev)
 
         serviced = None
         if not self._cached or not self.cache(bank).access(row_id, byte_id):
@@ -165,27 +162,10 @@ class Engine:
                 self._service(batch, drain_slot)
         self.ledger.mitigation_acts = self.store.mitigations
 
-        skew_by_bank: Dict[int, float] = {}
-        skew_mean = None
-        locality = None
-        footprint: Dict[int, int] = {}
-        if self.config.metrics_enabled:
-            for bank in sorted(self._row_counts):
-                counts = self._row_counts[bank]
-                if sum(counts) > 0:
-                    skew_by_bank[bank] = skew(counts)
-            if skew_by_bank:
-                skew_mean = sum(skew_by_bank.values()) / len(skew_by_bank)
-            maxima: List[int] = []
-            for bank in sorted(self._streams):
-                maxima.extend(
-                    window_maxima(
-                        self._streams[bank], self.config.window, self.config.window_mode
-                    )
-                )
-            if maxima:
-                locality = sum(maxima) / len(maxima)
-            footprint = footprint_percentiles(self._footprint.values())
+        shape = workload_shape(self._events, self.config) if self._metrics else {}
+        # Held past finalize, the events would keep thousands of GC-tracked
+        # tuples alive for as long as the caller keeps the engine.
+        self._events.clear()
 
         cache_stats = None
         if self._cached:
@@ -217,24 +197,60 @@ class Engine:
             batch_triggers=dict(self.trigger_counts),
             energy=breakdown(self.ledger, self.config.energy).to_dict(),
             cache=cache_stats,
-            skew_by_bank=skew_by_bank,
-            skew_mean=skew_mean,
-            window_locality=locality,
-            footprint=footprint,
             config=dict(self.config.flat),
+            **shape,
         )
 
     def load_events(self) -> List[ActivationEvent]:
-        if self.config.trace_path is not None:
-            return load(
-                self.config.trace_path, self.geometry, self.config.trace_format
-            )
-        return generate(self.config.trace_spec, self.geometry)
+        return load_trace(self.config)
 
-    def run(self) -> SimReport:
-        for ev in self.load_events():
-            self.step(ev)
+    def run(self, events: Optional[Sequence[ActivationEvent]] = None) -> SimReport:
+        """Step every event, then finalize; the configured trace if None."""
+        step = self.step
+        for ev in self.load_events() if events is None else events:
+            step(ev)
         return self.finalize()
+
+
+def load_trace(config: SimConfig) -> List[ActivationEvent]:
+    """The configured trace: read from ``trace.path``, else generated."""
+    if config.trace_path is not None:
+        return load(config.trace_path, config.geometry, config.trace_format)
+    return generate(config.trace_spec, config.geometry)
+
+
+def workload_shape(events: Sequence[ActivationEvent], config: SimConfig) -> dict:
+    """Skew per bank and its mean, window locality, and footprint of a trace.
+
+    Banks are visited in ascending order; window maxima are taken within
+    each bank's own stream of counter rows and pooled across banks.  An
+    empty trace has no footprint and raises ConfigError.
+    """
+    footprint = footprint_percentiles(
+        Counter((bank, data_row) for _, bank, data_row in events).values()
+    )
+    cpc = config.geometry.counters_per_counter_row
+    n_rows = config.geometry.counter_rows_per_bank
+    streams: Dict[int, List[int]] = {}
+    for _, bank, data_row in events:
+        stream = streams.get(bank)
+        if stream is None:
+            stream = streams[bank] = []
+        stream.append(data_row // cpc)
+    skew_by_bank: Dict[int, float] = {}
+    maxima: List[int] = []
+    for bank in sorted(streams):
+        counts = [0] * n_rows
+        for row_id, n in Counter(streams[bank]).items():
+            counts[row_id] = n
+        skew_by_bank[bank] = skew(counts)
+        maxima.extend(window_maxima(streams[bank], config.window, config.window_mode))
+    return {
+        "skew_by_bank": skew_by_bank,
+        "skew_mean": sum(skew_by_bank.values()) / len(skew_by_bank),
+        "window_locality": sum(maxima) / len(maxima) if maxima else None,
+        "footprint": footprint,
+    }
 
 
 def run(config: SimConfig) -> SimReport:
@@ -255,19 +271,13 @@ def compare(config: SimConfig, policies) -> List[SimReport]:
         raise ConfigError("no policies to compare")
     if "chronus" not in policies:
         policies = ["chronus"] + policies
-    events = None
+    events = load_trace(config)
     reports = []
     for policy in policies:
         overrides = {"buffer.design": policy}
         if policy == "chronus":
             overrides["cache.kind"] = "none"
-        eng = Engine(config.with_overrides(overrides))
-        if events is None:
-            events = eng.load_events()
-        step = eng.step
-        for ev in events:
-            step(ev)
-        reports.append(eng.finalize())
+        reports.append(Engine(config.with_overrides(overrides)).run(events))
     for r in reports:
         if r.policy == "chronus" and r.counter_acts != r.data_acts:
             raise ConfigError(

@@ -22,9 +22,7 @@ DESIGNS = ("perrow", "unified_fcfs", "unified_sorted", "unified_approxmax")
 
 def run_events(config, events, **engine_kwargs):
     engine = Engine(config, **engine_kwargs)
-    for ev in events:
-        engine.step(ev)
-    return engine, engine.finalize()
+    return engine, engine.run(events)
 
 
 def mixed_trace_overrides(seed):

@@ -228,6 +228,22 @@ def test_writeback_supersedes_previous_value():
     assert buf.drain()[0].items == (BatchItem(4, 0, wb_value=11),)
 
 
+def test_reset_writeback_zeroes_the_value_in_place():
+    buf = make_buffer(0, cfg(design="unified_fcfs", capacity=8))
+    buf.insert(2, 1)
+    assert buf.try_insert_writeback(2, 4, 26)
+    buf.insert(2, 5)
+    buf.reset_writeback(2, 4)
+    buf.reset_writeback(2, 5)  # an increment entry, not a writeback: untouched
+    buf.reset_writeback(9, 4)  # no such row: a no-op
+    assert len(buf) == 3
+    assert buf.drain()[0].items == (
+        BatchItem(1, 1),
+        BatchItem(4, 0, wb_value=0),
+        BatchItem(5, 1),
+    )
+
+
 def test_writeback_refused_when_row_full():
     buf = make_buffer(0, cfg(design="perrow", m_batch=2))
     assert buf.try_insert_writeback(1, 0, 5)
@@ -272,6 +288,11 @@ def test_k_trigger_repcount_mode_flushes_one_later():
     batch = buf.insert(1, 1)
     assert batch.trigger == TRIG_K_LIMIT
     assert batch.items == (BatchItem(1, 5),)
+
+
+@pytest.mark.parametrize("mode, limit", [("pending", 4), ("repcount", 5)])
+def test_pending_limit_per_k_trigger(mode, limit):
+    assert cfg(k_limit=4, k_trigger=mode).pending_limit == limit
 
 
 def test_k_limit_one_flushes_immediately():

@@ -115,6 +115,19 @@ def test_pipeline_run_then_verify(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "pass"
 
 
+def test_run_then_verify_under_repcount(tmp_path, capsys):
+    """Verify takes its staleness bound from the same K-trigger limit the
+    buffers flush at: K + 1 under repcount."""
+    log, report = tmp_path / "r.csv", tmp_path / "r.json"
+    gen = ["--generator", "hammer", "--hammer-gap", "0", "--length", "400"]
+    k = ["--k-trigger", "repcount"]
+    run = ["run", *gen, *k, "--policy", "perrow", "--log", str(log), "--out", str(report)]
+    assert main(run) == EXIT_OK
+    code = main(["verify", *gen, *k, "--log", str(log), "--report", str(report)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.strip() == "pass"
+
+
 def test_verify_flags_bad_log(tmp_path, capsys):
     trace_file = tmp_path / "t.txt"
     trace_file.write_text("0 0\n0 1\n")
@@ -273,6 +286,35 @@ def test_analyze_window_flags(capsys):
     assert out["window"] == 32
     assert out["window_mode"] == "sliding"
     assert out["window_locality"] == 32.0
+
+
+SHAPE_FIELDS = ("skew_by_bank", "skew_mean", "window_locality", "footprint")
+
+
+@pytest.mark.parametrize(
+    "gen, window",
+    [
+        (["--generator", "zipf", "--banks", "8", "--length", "4000"], []),
+        (
+            ["--generator", "hotset", "--hot-rows", "16", "--banks", "4", "--length", "3000"],
+            ["32", "sliding"],
+        ),
+    ],
+)
+def test_analyze_agrees_with_run_report(capsys, gen, window):
+    """Analyze and a run's report share one workload-shape pass."""
+    ana, run = ["analyze", *gen], ["run", *gen]
+    if window:
+        ana += ["--window", window[0], "--window-mode", window[1]]
+        run += ["--set", f"metrics.window={window[0]}"]
+        run += ["--set", f"metrics.window_mode={window[1]}"]
+    assert main(ana) == EXIT_OK
+    shape = json.loads(capsys.readouterr().out)
+    assert main(run) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert len(shape["skew_by_bank"]) > 1
+    assert shape["window_locality"] is not None
+    assert {f: shape[f] for f in SHAPE_FIELDS} == {f: report[f] for f in SHAPE_FIELDS}
 
 
 def test_verify_refuses_cache_runs(tmp_path, capsys):
