@@ -9,18 +9,8 @@ baseline, an optional counter cache, energy accounting, workload
 metrics, and a replay-based verifier for service logs.
 """
 
-from .buffers import (
-    BatchItem,
-    BufferConfig,
-    DESIGNS,
-    RequestBuffer,
-    ServiceBatch,
-    make_buffer,
-)
-from .cache import CacheConfig, CounterCache
+from .buffers import DESIGNS
 from .config import SimConfig, parse_file, resolve
-from .counters import CounterArray, effective_backoff
-from .energy import EnergyBreakdown, EnergyLedger, EnergyParams, breakdown, overhead
 from .engine import Engine, compare, run
 from .errors import (
     ConfigError,
@@ -28,65 +18,27 @@ from .errors import (
     LogFormatError,
     SimError,
     TraceError,
-    VerificationFailure,
 )
-from .geometry import CounterRef, DramGeometry, map_row, unmap
-from .metrics import (
-    SimReport,
-    footprint_percentiles,
-    skew,
-    window_locality,
-    window_maxima,
-)
-from .oracle import LoggedBatch, Verdict, ensure, read_log, verify, write_log
-from .trace import ActivationEvent, TraceSpec, generate
+from .oracle import read_log, verify, write_log
 
 __version__ = "0.1.0"
 
+# The config -> run/compare -> verify workflow, and the errors it raises.
+# Everything else is reached through its module, e.g. pracsim.trace.
 __all__ = [
-    "ActivationEvent",
-    "BatchItem",
-    "BufferConfig",
-    "CacheConfig",
     "ConfigError",
-    "CounterArray",
-    "CounterCache",
-    "CounterRef",
     "DESIGNS",
-    "DramGeometry",
     "Engine",
-    "EnergyBreakdown",
-    "EnergyLedger",
-    "EnergyParams",
     "GeometryError",
     "LogFormatError",
-    "LoggedBatch",
-    "RequestBuffer",
-    "ServiceBatch",
     "SimConfig",
     "SimError",
-    "SimReport",
     "TraceError",
-    "TraceSpec",
-    "Verdict",
-    "VerificationFailure",
-    "breakdown",
     "compare",
-    "effective_backoff",
-    "ensure",
-    "footprint_percentiles",
-    "generate",
-    "make_buffer",
-    "map_row",
-    "overhead",
     "parse_file",
     "read_log",
     "resolve",
     "run",
-    "skew",
-    "unmap",
     "verify",
-    "window_locality",
-    "window_maxima",
     "write_log",
 ]

@@ -16,14 +16,15 @@ A row that reaches M entries while the current shadow is already taken
 (the insertion that filled it also evicted a victim, or a cache
 writeback landed in it) is held and serviced at the next opportunity.
 
-The designs differ only in victim selection: per-row buffers never fill
-a shared pool, FCFS evicts the row of the oldest entry, sorted eviction
-picks the row with the most entries, and approx-max tracks a running
-(row, count) pair instead of sorting.
+The designs differ only in victim selection, so one class serves all
+four and a per-design function picks the victim: per-row buffers never
+fill a shared pool, FCFS evicts the row of the oldest entry, sorted
+eviction picks the row with the most entries, and approx-max tracks a
+running (row, count) pair instead of sorting.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import ConfigError
 
@@ -107,63 +108,26 @@ class _Entry:
         self.wb_value = wb_value
 
 
-class RequestBuffer:
-    """Interface shared by all designs; one instance per bank."""
-
-    def __init__(self, bank: int, config: BufferConfig):
-        self.bank = bank
-        self.config = config
-
-    def insert(self, row_id: int, byte_id: int) -> Optional[ServiceBatch]:
-        """Queue one activation's counter update; maybe service a batch."""
-        raise NotImplementedError
-
-    def try_insert_writeback(self, row_id: int, byte_id: int, value: int) -> bool:
-        """Queue an absolute counter write; False if no slot can take it."""
-        raise NotImplementedError
-
-    def reset_writeback(self, row_id: int, byte_id: int) -> None:
-        """A mitigation zeroed this counter: a queued writeback now writes 0."""
-        raise NotImplementedError
-
-    def victim_row(self) -> int:
-        """The row this design would evict next; buffer must be nonempty."""
-        raise NotImplementedError
-
-    def drain(self) -> List[ServiceBatch]:
-        """Flush everything in deterministic order (rows ascending)."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class ChronusBuffer(RequestBuffer):
+class ChronusBuffer:
     """Baseline: every activation's counter update is serviced on the spot."""
 
-    def insert(self, row_id, byte_id):
+    def __init__(self, bank: int):
+        self.bank = bank
+
+    def insert(self, row_id: int, byte_id: int) -> ServiceBatch:
         return ServiceBatch(
             self.bank, row_id, (BatchItem(byte_id, 1),), TRIG_M_READY
         )
 
-    def try_insert_writeback(self, row_id, byte_id, value):
-        raise RuntimeError("the immediate-service baseline takes no writebacks")
-
-    def reset_writeback(self, row_id, byte_id):
-        pass
-
-    def victim_row(self):
-        raise RuntimeError("the immediate-service baseline holds no entries")
-
-    def drain(self):
+    def drain(self) -> List[ServiceBatch]:
         return []
 
     def __len__(self):
         return 0
 
 
-class _BufferedBase(RequestBuffer):
-    """Common machinery for all coalescing designs.
+class _BufferedBase:
+    """The coalescing buffer of every design but the baseline; one per bank.
 
     Entries are kept per row as {(byte_id, is_wb): entry}; ``_capacity``
     None means no shared pool (per-row design).  ``_full_rows`` holds
@@ -173,32 +137,40 @@ class _BufferedBase(RequestBuffer):
     its first entry and leaves only whole, and entries are never removed
     from a row on their own.  So the first row of ``_rows`` holds the
     oldest buffered entry, and a row's entries iterate oldest first.
+
+    ``(_meta_row, _meta_count)`` is approx-max's tracked pair, kept for
+    every design.  An insertion promotes its row when the row's entry
+    count beats the tracked count; when the tracked row's entries leave,
+    the pair falls back to the oldest remaining entry's row, so it can
+    go stale low until later insertions catch it up.
     """
 
-    _capacity: Optional[int]
-
-    def __init__(self, bank, config):
-        super().__init__(bank, config)
+    def __init__(self, bank: int, config: BufferConfig):
+        self.bank = bank
+        self.config = config
         self._rows: Dict[int, Dict[tuple, _Entry]] = {}
         self._total = 0
         self._full_rows = set()
-        self._capacity = config.capacity
+        self._pick_victim = _VICTIM_PICKS[config.design]
+        self._capacity = None if self._pick_victim is None else config.capacity
         self._pending_limit = config.pending_limit
+        self._meta_row: Optional[int] = None
+        self._meta_count = 0
 
     def __len__(self):
         return self._total
 
-    def entry_counts(self) -> Dict[int, int]:
-        """Rows currently buffered and how many entries each holds."""
-        return {row: len(entries) for row, entries in self._rows.items()}
-
-    def insert(self, row_id, byte_id):
+    def insert(self, row_id: int, byte_id: int) -> Optional[ServiceBatch]:
+        """Queue one activation's counter update; maybe service a batch."""
         entries = self._rows.get(row_id)
         if entries is not None:
             entry = entries.get((byte_id, False))
             if entry is not None:
                 entry.rep_count += 1
-                self._after_insert(row_id)
+                count = len(entries)
+                if count > self._meta_count:
+                    self._meta_row = row_id
+                    self._meta_count = count
                 if entry.rep_count + 1 >= self._pending_limit:
                     return self._flush_row(row_id, TRIG_K_LIMIT)
                 return self._service_deferred()
@@ -208,7 +180,7 @@ class _BufferedBase(RequestBuffer):
             self._allocate(row_id, byte_id)
             return batch
         if self._capacity is not None and self._total >= self._capacity:
-            batch = self._flush_row(self._victim_row(), TRIG_BUFFER_FULL)
+            batch = self._flush_row(self._pick_victim(self), TRIG_BUFFER_FULL)
             self._allocate(row_id, byte_id)
             return batch
         self._allocate(row_id, byte_id)
@@ -218,7 +190,8 @@ class _BufferedBase(RequestBuffer):
             return self._flush_row(row_id, TRIG_M_READY)
         return self._service_deferred()
 
-    def try_insert_writeback(self, row_id, byte_id, value):
+    def try_insert_writeback(self, row_id: int, byte_id: int, value: int) -> bool:
+        """Queue an absolute counter write; False if no slot can take it."""
         entries = self._rows.get(row_id)
         if entries is not None:
             existing = entries.get((byte_id, True))
@@ -235,7 +208,8 @@ class _BufferedBase(RequestBuffer):
             self._full_rows.add(row_id)
         return True
 
-    def reset_writeback(self, row_id, byte_id):
+    def reset_writeback(self, row_id: int, byte_id: int) -> None:
+        """A mitigation zeroed this counter: a queued writeback now writes 0."""
         # The entry stays put: removing it would break arrival order.
         entries = self._rows.get(row_id)
         if entries is not None:
@@ -243,12 +217,8 @@ class _BufferedBase(RequestBuffer):
             if entry is not None:
                 entry.wb_value = 0
 
-    def victim_row(self):
-        if self._total == 0:
-            raise RuntimeError("victim_row on an empty buffer")
-        return self._victim_row()
-
-    def drain(self):
+    def drain(self) -> List[ServiceBatch]:
+        """Flush everything in deterministic order (rows ascending)."""
         batches = []
         for row_id in sorted(self._rows):
             items = _merge_items(self._rows[row_id])
@@ -262,7 +232,8 @@ class _BufferedBase(RequestBuffer):
         self._rows.clear()
         self._total = 0
         self._full_rows.clear()
-        self._reset_metadata()
+        self._meta_row = None
+        self._meta_count = 0
         return batches
 
     def _allocate(self, row_id, byte_id, is_wb=False, wb_value=None):
@@ -271,38 +242,31 @@ class _BufferedBase(RequestBuffer):
             entries = self._rows[row_id] = {}
         entries[(byte_id, is_wb)] = _Entry(row_id, byte_id, is_wb, wb_value)
         self._total += 1
-        if len(entries) >= self.config.m_batch:
+        count = len(entries)
+        if count >= self.config.m_batch:
             self._full_rows.add(row_id)
-        self._after_insert(row_id)
+        if count > self._meta_count:
+            self._meta_row = row_id
+            self._meta_count = count
 
     def _flush_row(self, row_id, trigger):
         entries = self._rows.pop(row_id)
         self._total -= len(entries)
         self._full_rows.discard(row_id)
-        batch = ServiceBatch(
-            self.bank, row_id, tuple(_merge_items(entries)), trigger
-        )
-        self._after_flush(row_id)
-        return batch
+        if row_id == self._meta_row:
+            if self._total:
+                oldest = next(iter(self._rows))
+                self._meta_row = oldest
+                self._meta_count = len(self._rows[oldest])
+            else:
+                self._meta_row = None
+                self._meta_count = 0
+        return ServiceBatch(self.bank, row_id, tuple(_merge_items(entries)), trigger)
 
     def _service_deferred(self):
         if self._full_rows:
             return self._flush_row(min(self._full_rows), TRIG_M_READY)
         return None
-
-    # Design-specific hooks.
-
-    def _victim_row(self) -> int:
-        raise NotImplementedError
-
-    def _after_insert(self, row_id) -> None:
-        pass
-
-    def _after_flush(self, row_id) -> None:
-        pass
-
-    def _reset_metadata(self) -> None:
-        pass
 
 
 def _merge_items(entries: Dict[tuple, _Entry]) -> List[BatchItem]:
@@ -325,87 +289,40 @@ def _merge_items(entries: Dict[tuple, _Entry]) -> List[BatchItem]:
     return [BatchItem(byte_id, inc, wb) for byte_id, (inc, wb) in by_byte.items()]
 
 
-class PerRowBuffer(_BufferedBase):
-    """One M-entry buffer per counter row; no shared pool to fill."""
-
-    def __init__(self, bank, config):
-        super().__init__(bank, config)
-        self._capacity = None
-
-    def _victim_row(self):
-        raise RuntimeError("per-row buffers never evict")
+def _oldest_row(buf: _BufferedBase) -> int:
+    """FCFS: the row of the oldest buffered entry."""
+    return next(iter(buf._rows))
 
 
-class UnifiedFcfsBuffer(_BufferedBase):
-    """Shared pool; eviction flushes the row of the oldest buffered entry."""
-
-    def _victim_row(self):
-        return next(iter(self._rows))
-
-
-class UnifiedSortedBuffer(_BufferedBase):
-    """Shared pool; eviction flushes the row with the most entries.
-
-    Ties break toward the lowest row id.
-    """
-
-    def _victim_row(self):
-        best_row, best_count = -1, 0
-        for row_id, entries in self._rows.items():
-            count = len(entries)
-            if count > best_count or (count == best_count and row_id < best_row):
-                best_row, best_count = row_id, count
-        return best_row
+def _most_entries_row(buf: _BufferedBase) -> int:
+    """Sorted: the row with the most entries, ties to the lowest row id."""
+    best_row, best_count = -1, 0
+    for row_id, entries in buf._rows.items():
+        count = len(entries)
+        if count > best_count or (count == best_count and row_id < best_row):
+            best_row, best_count = row_id, count
+    return best_row
 
 
-class UnifiedApproxMaxBuffer(_BufferedBase):
-    """Shared pool; a tracked (row, count) pair approximates the sorted pick.
-
-    Every insertion compares the inserted row's recomputed entry count
-    against the tracked count and promotes on strict improvement.  When
-    the tracked row's entries leave the buffer, the pair defaults to the
-    oldest remaining entry's row, so the estimate can go stale low until
-    later insertions catch it up.
-    """
-
-    def __init__(self, bank, config):
-        super().__init__(bank, config)
-        self._meta_row: Optional[int] = None
-        self._meta_count = 0
-
-    def _victim_row(self):
-        return self._meta_row
-
-    def _after_insert(self, row_id):
-        count = len(self._rows[row_id])
-        if count > self._meta_count:
-            self._meta_row = row_id
-            self._meta_count = count
-
-    def _after_flush(self, row_id):
-        if row_id != self._meta_row:
-            return
-        if self._total == 0:
-            self._reset_metadata()
-            return
-        oldest = next(iter(self._rows))
-        self._meta_row = oldest
-        self._meta_count = len(self._rows[oldest])
-
-    def _reset_metadata(self):
-        self._meta_row = None
-        self._meta_count = 0
+def _tracked_row(buf: _BufferedBase) -> int:
+    """Approx-max: the tracked row, which approximates the sorted pick."""
+    return buf._meta_row
 
 
-_DESIGN_CLASSES = {
-    "chronus": ChronusBuffer,
-    "perrow": PerRowBuffer,
-    "unified_fcfs": UnifiedFcfsBuffer,
-    "unified_sorted": UnifiedSortedBuffer,
-    "unified_approxmax": UnifiedApproxMaxBuffer,
+# The row each design flushes when its shared pool is full; per-row
+# buffers have no shared pool to fill.
+_VICTIM_PICKS = {
+    "perrow": None,
+    "unified_fcfs": _oldest_row,
+    "unified_sorted": _most_entries_row,
+    "unified_approxmax": _tracked_row,
 }
 
 
-def make_buffer(bank: int, config: BufferConfig) -> RequestBuffer:
+def make_buffer(
+    bank: int, config: BufferConfig
+) -> Union[ChronusBuffer, _BufferedBase]:
     """Instantiate the configured design for one bank."""
-    return _DESIGN_CLASSES[config.design](bank, config)
+    if config.design == "chronus":
+        return ChronusBuffer(bank)
+    return _BufferedBase(bank, config)

@@ -204,25 +204,6 @@ class CounterCache:
         out.sort()
         return out
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> Optional[float]:
-        total = self.hits + self.misses
-        return self.hits / total if total else None
-
-    def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "writebacks": self.writebacks,
-            "admission_rejects": self.admission_rejects,
-            "fills_rejected": self.fills_rejected,
-        }
-
     # Frequency sketch: small saturating counters, periodically halved so
     # stale popularity ages out.
 

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import CounterRef, DramGeometry
+from .geometry import DramGeometry
 
 COUNTER_MAX = 255
 BASE_BACKOFF = 32
@@ -128,8 +128,9 @@ class CounterArray:
         if self.events is not None:
             self.events.append(("mitigation", self.slot, bank, row_id, byte_id))
 
-    def _mitigate_max(self, bank: int) -> Optional[CounterRef]:
-        """Mitigate the largest counter of ``bank``; None if the bank is clean.
+    def _mitigate_max(self, bank: int) -> Optional[Tuple[int, int, int]]:
+        """Mitigate the largest counter of ``bank``; returns its
+        (bank, row_id, byte_id), or None if the bank is clean.
 
         Ties break toward the lowest (row_id, byte_id): numpy argmax
         returns the first maximum in row-major order.
@@ -139,20 +140,14 @@ class CounterArray:
         flat = int(self.values[bank].argmax())
         row_id, byte_id = divmod(flat, self._cpc)
         self._mitigate(bank, row_id, byte_id)
-        return CounterRef(bank, row_id, byte_id)
+        return bank, row_id, byte_id
 
-    def proactive_tick(self, bank: int) -> Optional[CounterRef]:
+    def proactive_tick(self, bank: int) -> Optional[Tuple[int, int, int]]:
         """Periodic refresh: mitigate the bank's current maximum counter.
 
         Counts as one mitigation and zero alerts; a no-op on a clean bank.
         """
         return self._mitigate_max(bank)
-
-    def nonzero_count(self, bank: int) -> int:
-        return self._nonzero[bank]
-
-    def state_equal(self, other: "CounterArray") -> bool:
-        return np.array_equal(self.values, other.values)
 
     def nonzero_items(self) -> List[Tuple[int, int, int, int]]:
         """All nonzero counters as (bank, row_id, byte_id, value), sorted."""

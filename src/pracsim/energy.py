@@ -61,18 +61,15 @@ class EnergyBreakdown:
     def extra_total(self) -> float:
         return self.activation_term + self.extra_rmw_term + self.mitigation_term
 
-    @property
-    def overhead(self) -> float:
-        return self.extra_total / self.baseline
-
     def to_dict(self) -> dict:
+        """The terms, their total, and the total's share of the baseline."""
         return {
             "baseline": self.baseline,
             "activation_term": self.activation_term,
             "extra_rmw_term": self.extra_rmw_term,
             "mitigation_term": self.mitigation_term,
             "extra_total": self.extra_total,
-            "overhead": self.overhead,
+            "overhead": self.extra_total / self.baseline,
         }
 
 
@@ -95,8 +92,3 @@ def breakdown(ledger: EnergyLedger, params: EnergyParams) -> EnergyBreakdown:
     extra_rmw = (ledger.rmw_bytes - ledger.counter_acts) * params.e_extra_rmw
     mit_term = ledger.mitigation_acts * params.counter_act_factor * params.e_act
     return EnergyBreakdown(base, act_term, extra_rmw, mit_term)
-
-
-def overhead(ledger: EnergyLedger, params: EnergyParams) -> float:
-    """Counter-maintenance energy as a fraction of baseline data energy."""
-    return breakdown(ledger, params).overhead

@@ -10,9 +10,9 @@ recorded events in one pass at finalize, by the same function that
 """
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .buffers import TRIGGERS, RequestBuffer, ServiceBatch, make_buffer
+from .buffers import TRIGGERS, ServiceBatch, make_buffer
 from .cache import CounterCache
 from .config import SimConfig
 from .counters import CounterArray
@@ -50,44 +50,41 @@ class Engine:
         self.ledger = EnergyLedger()
         self.trigger_counts = {t: 0 for t in TRIGGERS}
         self.batch_log: Optional[List[LoggedBatch]] = [] if collect_log else None
-        self._buffers: Dict[int, RequestBuffer] = {}
-        self._caches: Dict[int, Optional[CounterCache]] = {}
+        # bank -> (buffer, cache or None), made on the bank's first activation.
+        self._banks: Dict[int, Tuple] = {}
         self._events: List[ActivationEvent] = []
         self._cpc = config.geometry.counters_per_counter_row
         self._metrics = config.metrics_enabled
         self._proactive = config.proactive_interval
         self._finalized = False
 
-    def buffer(self, bank: int) -> RequestBuffer:
-        buf = self._buffers.get(bank)
-        if buf is None:
-            buf = self._buffers[bank] = make_buffer(bank, self.config.buffer)
-        return buf
-
-    def cache(self, bank: int) -> Optional[CounterCache]:
-        if bank not in self._caches:
-            if not self._cached:
-                self._caches[bank] = None
-            else:
-                self._caches[bank] = CounterCache(
+    def _bank(self, bank: int) -> Tuple:
+        """The bank's (buffer, cache or None), made together on first touch."""
+        state = self._banks.get(bank)
+        if state is None:
+            cache = None
+            if self._cached:
+                cache = CounterCache(
                     bank,
                     self.config.cache,
                     self.geometry,
                     n_bo=self.config.n_bo,
-                    on_alert=lambda r, c, v, b=bank: self.store.external_alert(
-                        b, r, c, v
-                    ),
+                    on_alert=lambda r, c, v: self.store.external_alert(bank, r, c, v),
                 )
-        return self._caches[bank]
+            state = self._banks[bank] = (make_buffer(bank, self.config.buffer), cache)
+        return state
+
+    def cache(self, bank: int) -> Optional[CounterCache]:
+        """The bank's counter cache; None when the run has no cache."""
+        return self._bank(bank)[1]
 
     def _reset_cached(self, bank: int, row_id: int, byte_id: int) -> None:
         """A mitigation zeroed this counter: drop every copy that could
         restore the removed count, the cached line and a queued writeback."""
-        cache = self._caches.get(bank)
-        if cache is not None:
+        state = self._banks.get(bank)
+        if state is not None:
+            buf, cache = state
             cache.reset(row_id, byte_id)
-        buf = self._buffers.get(bank)
-        if buf is not None:
             buf.reset_writeback(row_id, byte_id)
 
     def step(self, ev: ActivationEvent) -> Optional[ServiceBatch]:
@@ -102,10 +99,8 @@ class Engine:
             self._events.append(ev)
 
         serviced = None
-        if not self._cached or not self.cache(bank).access(row_id, byte_id):
-            buf = self._buffers.get(bank)
-            if buf is None:
-                buf = self.buffer(bank)
+        buf, cache = self._banks.get(bank) or self._bank(bank)
+        if cache is None or not cache.access(row_id, byte_id):
             batch = buf.insert(row_id, byte_id)
             if batch is not None:
                 self._service(batch, slot)
@@ -130,9 +125,11 @@ class Engine:
                 )
             )
         store = self.store
-        # No fills while draining: an eviction writeback enqueued after
-        # drain() would never be serviced.
-        cache = self._caches.get(bank) if not self._finalized else None
+        buf, cache = self._banks[bank]
+        if self._finalized:
+            # No fills while draining: an eviction writeback enqueued after
+            # drain() would never be serviced.
+            cache = None
         for byte_id, increments, wb_value in items:
             if wb_value is not None:
                 store.apply_writeback(bank, row_id, byte_id, wb_value)
@@ -145,7 +142,7 @@ class Engine:
                         row_id,
                         byte_id,
                         store.get(bank, row_id, byte_id),
-                        self._buffers[bank].try_insert_writeback,
+                        buf.try_insert_writeback,
                     )
 
     def finalize(self) -> SimReport:
@@ -157,8 +154,8 @@ class Engine:
             raise TraceError("cannot simulate an empty trace")
         drain_slot = self.ledger.data_acts
         self.store.slot = drain_slot
-        for bank in sorted(self._buffers):
-            for batch in self._buffers[bank].drain():
+        for bank in sorted(self._banks):
+            for batch in self._banks[bank][0].drain():
                 self._service(batch, drain_slot)
         self.ledger.mitigation_acts = self.store.mitigations
 
@@ -176,10 +173,8 @@ class Engine:
                 "admission_rejects": 0,
                 "fills_rejected": 0,
             }
-            for bank in sorted(self._caches):
-                c = self._caches[bank]
-                if c is None:
-                    continue
+            for bank in sorted(self._banks):
+                c = self._banks[bank][1]
                 for key in totals:
                     totals[key] += getattr(c, key)
             accesses = totals["hits"] + totals["misses"]

@@ -47,9 +47,3 @@ class LogFormatError(SimError):
     """
 
     code = "log-format"
-
-
-class VerificationFailure(SimError):
-    """A replayed batch log violated a checked rule."""
-
-    code = "verify"

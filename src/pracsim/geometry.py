@@ -1,13 +1,13 @@
-"""DRAM organization and the data-row to counter-slot mapping.
+"""DRAM organization and the data-row to counter-slot mapping it implies.
 
 Each bank reserves a small region of counter rows; every data row owns
 one 1-byte activation counter in that region.  Consecutive data rows
 map to consecutive bytes of the same counter row, so one counter row
-covers ``counters_per_counter_row`` data rows.
+covers ``counters_per_counter_row`` data rows: data row r is counter
+row, byte ``divmod(r, counters_per_counter_row)``.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import GeometryError
 
@@ -47,40 +47,3 @@ class DramGeometry:
     @property
     def counters_per_bank(self) -> int:
         return self.rows_per_bank
-
-
-class CounterRef(NamedTuple):
-    """Location of one activation counter: bank, counter row, byte slot."""
-
-    bank: int
-    row_id: int
-    byte_id: int
-
-
-def map_row(geometry: DramGeometry, bank: int, data_row: int) -> CounterRef:
-    """Return the counter tracking ``data_row`` of ``bank``.
-
-    The mapping is the bijection row_id = data_row // counters_per_counter_row,
-    byte_id = data_row % counters_per_counter_row.
-    """
-    if not 0 <= bank < geometry.banks:
-        raise GeometryError(f"bank {bank} out of range [0, {geometry.banks})")
-    if not 0 <= data_row < geometry.rows_per_bank:
-        raise GeometryError(
-            f"data_row {data_row} out of range [0, {geometry.rows_per_bank})"
-        )
-    row_id, byte_id = divmod(data_row, geometry.counters_per_counter_row)
-    return CounterRef(bank, row_id, byte_id)
-
-
-def unmap(geometry: DramGeometry, ref: CounterRef) -> int:
-    """Inverse of :func:`map_row`: the data row tracked by ``ref``."""
-    if not 0 <= ref.row_id < geometry.counter_rows_per_bank:
-        raise GeometryError(
-            f"row_id {ref.row_id} out of range [0, {geometry.counter_rows_per_bank})"
-        )
-    if not 0 <= ref.byte_id < geometry.counters_per_counter_row:
-        raise GeometryError(
-            f"byte_id {ref.byte_id} out of range [0, {geometry.counters_per_counter_row})"
-        )
-    return ref.row_id * geometry.counters_per_counter_row + ref.byte_id

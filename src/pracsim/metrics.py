@@ -74,16 +74,6 @@ def window_maxima(stream: Sequence[int], window: int, mode: str = "tumbling") ->
     return out
 
 
-def window_locality(
-    stream: Sequence[int], window: int = 64, mode: str = "tumbling"
-) -> Optional[float]:
-    """Mean of the per-window maxima; None when no full window fits."""
-    maxima = window_maxima(stream, window, mode)
-    if not maxima:
-        return None
-    return sum(maxima) / len(maxima)
-
-
 def footprint_percentiles(
     counts: Iterable[int], percentiles: Sequence[int] = (25, 50, 75, 90)
 ) -> Dict[int, int]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .buffers import TRIG_DRAIN, TRIGGERS
-from .errors import LogFormatError, VerificationFailure
+from .errors import LogFormatError
 from .geometry import DramGeometry
 from .trace import ActivationEvent
 
@@ -186,7 +186,9 @@ def verify(
             return Verdict(False, 2, n, problem)
         apply_batch(b)
 
-    for key, t in sorted(true.items()):
+    # Sorted once: both checks below report their first violation in key order.
+    ordered = sorted(true.items())
+    for key, t in ordered:
         if applied.get(key, 0) != t:
             return Verdict(
                 False,
@@ -196,7 +198,7 @@ def verify(
             )
 
     if final_values is not None:
-        for key, t in sorted(true.items()):
+        for key, t in ordered:
             stored = int(final_values[key])
             if stored != min(255, t):
                 return Verdict(
@@ -214,9 +216,3 @@ def verify(
             f"reported {reported_counter_acts} counter acts, log has {len(batches)}",
         )
     return Verdict(True)
-
-
-def ensure(verdict: Verdict) -> None:
-    """Raise VerificationFailure unless the verdict passed."""
-    if not verdict.ok:
-        raise VerificationFailure(str(verdict))

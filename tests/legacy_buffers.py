@@ -1,0 +1,295 @@
+"""The coalescing buffers as they were before the designs became one class.
+
+A verbatim copy of the per-design class hierarchy: the ``RequestBuffer``
+interface, ``_BufferedBase`` with its three design hooks, the four
+per-design subclasses and ``_merge_items``.  Tests run it beside
+``pracsim.buffers`` as the reference for a differential test; nothing
+under ``src/`` imports it.
+"""
+
+from typing import Dict, List, Optional
+
+from pracsim.buffers import (
+    TRIG_BUFFER_FULL,
+    TRIG_DRAIN,
+    TRIG_K_LIMIT,
+    TRIG_M_READY,
+    BatchItem,
+    BufferConfig,
+    ServiceBatch,
+    _Entry,
+)
+
+
+class RequestBuffer:
+    """Interface shared by all designs; one instance per bank."""
+
+    def __init__(self, bank: int, config: BufferConfig):
+        self.bank = bank
+        self.config = config
+
+    def insert(self, row_id: int, byte_id: int) -> Optional[ServiceBatch]:
+        """Queue one activation's counter update; maybe service a batch."""
+        raise NotImplementedError
+
+    def try_insert_writeback(self, row_id: int, byte_id: int, value: int) -> bool:
+        """Queue an absolute counter write; False if no slot can take it."""
+        raise NotImplementedError
+
+    def reset_writeback(self, row_id: int, byte_id: int) -> None:
+        """A mitigation zeroed this counter: a queued writeback now writes 0."""
+        raise NotImplementedError
+
+    def victim_row(self) -> int:
+        """The row this design would evict next; buffer must be nonempty."""
+        raise NotImplementedError
+
+    def drain(self) -> List[ServiceBatch]:
+        """Flush everything in deterministic order (rows ascending)."""
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+
+class _BufferedBase(RequestBuffer):
+    """Common machinery for all coalescing designs.
+
+    Entries are kept per row as {(byte_id, is_wb): entry}; ``_capacity``
+    None means no shared pool (per-row design).  ``_full_rows`` holds
+    rows at M entries whose service had to be deferred.
+
+    Both dict levels stay in arrival order: a row enters ``_rows`` with
+    its first entry and leaves only whole, and entries are never removed
+    from a row on their own.  So the first row of ``_rows`` holds the
+    oldest buffered entry, and a row's entries iterate oldest first.
+    """
+
+    _capacity: Optional[int]
+
+    def __init__(self, bank, config):
+        super().__init__(bank, config)
+        self._rows: Dict[int, Dict[tuple, _Entry]] = {}
+        self._total = 0
+        self._full_rows = set()
+        self._capacity = config.capacity
+        self._pending_limit = config.pending_limit
+
+    def __len__(self):
+        return self._total
+
+    def entry_counts(self) -> Dict[int, int]:
+        """Rows currently buffered and how many entries each holds."""
+        return {row: len(entries) for row, entries in self._rows.items()}
+
+    def insert(self, row_id, byte_id):
+        entries = self._rows.get(row_id)
+        if entries is not None:
+            entry = entries.get((byte_id, False))
+            if entry is not None:
+                entry.rep_count += 1
+                self._after_insert(row_id)
+                if entry.rep_count + 1 >= self._pending_limit:
+                    return self._flush_row(row_id, TRIG_K_LIMIT)
+                return self._service_deferred()
+        if row_id in self._full_rows:
+            # Deferred from an earlier shadow; service it before growing it.
+            batch = self._flush_row(row_id, TRIG_M_READY)
+            self._allocate(row_id, byte_id)
+            return batch
+        if self._capacity is not None and self._total >= self._capacity:
+            batch = self._flush_row(self._victim_row(), TRIG_BUFFER_FULL)
+            self._allocate(row_id, byte_id)
+            return batch
+        self._allocate(row_id, byte_id)
+        if self._pending_limit <= 1:
+            return self._flush_row(row_id, TRIG_K_LIMIT)
+        if len(self._rows[row_id]) >= self.config.m_batch:
+            return self._flush_row(row_id, TRIG_M_READY)
+        return self._service_deferred()
+
+    def try_insert_writeback(self, row_id, byte_id, value):
+        entries = self._rows.get(row_id)
+        if entries is not None:
+            existing = entries.get((byte_id, True))
+            if existing is not None:
+                existing.wb_value = value
+                return True
+        count = len(entries) if entries is not None else 0
+        if count >= self.config.m_batch:
+            return False
+        if self._capacity is not None and self._total >= self._capacity:
+            return False
+        self._allocate(row_id, byte_id, is_wb=True, wb_value=value)
+        if len(self._rows[row_id]) >= self.config.m_batch:
+            self._full_rows.add(row_id)
+        return True
+
+    def reset_writeback(self, row_id, byte_id):
+        # The entry stays put: removing it would break arrival order.
+        entries = self._rows.get(row_id)
+        if entries is not None:
+            entry = entries.get((byte_id, True))
+            if entry is not None:
+                entry.wb_value = 0
+
+    def victim_row(self):
+        if self._total == 0:
+            raise RuntimeError("victim_row on an empty buffer")
+        return self._victim_row()
+
+    def drain(self):
+        batches = []
+        for row_id in sorted(self._rows):
+            items = _merge_items(self._rows[row_id])
+            m = self.config.m_batch
+            for start in range(0, len(items), m):
+                batches.append(
+                    ServiceBatch(
+                        self.bank, row_id, tuple(items[start : start + m]), TRIG_DRAIN
+                    )
+                )
+        self._rows.clear()
+        self._total = 0
+        self._full_rows.clear()
+        self._reset_metadata()
+        return batches
+
+    def _allocate(self, row_id, byte_id, is_wb=False, wb_value=None):
+        entries = self._rows.get(row_id)
+        if entries is None:
+            entries = self._rows[row_id] = {}
+        entries[(byte_id, is_wb)] = _Entry(row_id, byte_id, is_wb, wb_value)
+        self._total += 1
+        if len(entries) >= self.config.m_batch:
+            self._full_rows.add(row_id)
+        self._after_insert(row_id)
+
+    def _flush_row(self, row_id, trigger):
+        entries = self._rows.pop(row_id)
+        self._total -= len(entries)
+        self._full_rows.discard(row_id)
+        batch = ServiceBatch(
+            self.bank, row_id, tuple(_merge_items(entries)), trigger
+        )
+        self._after_flush(row_id)
+        return batch
+
+    def _service_deferred(self):
+        if self._full_rows:
+            return self._flush_row(min(self._full_rows), TRIG_M_READY)
+        return None
+
+    # Design-specific hooks.
+
+    def _victim_row(self) -> int:
+        raise NotImplementedError
+
+    def _after_insert(self, row_id) -> None:
+        pass
+
+    def _after_flush(self, row_id) -> None:
+        pass
+
+    def _reset_metadata(self) -> None:
+        pass
+
+
+def _merge_items(entries: Dict[tuple, _Entry]) -> List[BatchItem]:
+    """Collapse a row's entries, given in arrival order, into batch items.
+
+    An increment entry carries rep_count + 1 pending updates.  A
+    writeback and an increment entry for the same byte merge into one
+    item placed at the earlier arrival, so items come oldest first.
+    """
+    by_byte: Dict[int, list] = {}
+    for entry in entries.values():
+        pending = 0 if entry.is_wb else entry.rep_count + 1
+        slot = by_byte.get(entry.byte_id)
+        if slot is None:
+            by_byte[entry.byte_id] = [pending, entry.wb_value if entry.is_wb else None]
+        else:
+            slot[0] += pending
+            if entry.is_wb:
+                slot[1] = entry.wb_value
+    return [BatchItem(byte_id, inc, wb) for byte_id, (inc, wb) in by_byte.items()]
+
+
+class PerRowBuffer(_BufferedBase):
+    """One M-entry buffer per counter row; no shared pool to fill."""
+
+    def __init__(self, bank, config):
+        super().__init__(bank, config)
+        self._capacity = None
+
+    def _victim_row(self):
+        raise RuntimeError("per-row buffers never evict")
+
+
+class UnifiedFcfsBuffer(_BufferedBase):
+    """Shared pool; eviction flushes the row of the oldest buffered entry."""
+
+    def _victim_row(self):
+        return next(iter(self._rows))
+
+
+class UnifiedSortedBuffer(_BufferedBase):
+    """Shared pool; eviction flushes the row with the most entries.
+
+    Ties break toward the lowest row id.
+    """
+
+    def _victim_row(self):
+        best_row, best_count = -1, 0
+        for row_id, entries in self._rows.items():
+            count = len(entries)
+            if count > best_count or (count == best_count and row_id < best_row):
+                best_row, best_count = row_id, count
+        return best_row
+
+
+class UnifiedApproxMaxBuffer(_BufferedBase):
+    """Shared pool; a tracked (row, count) pair approximates the sorted pick.
+
+    Every insertion compares the inserted row's recomputed entry count
+    against the tracked count and promotes on strict improvement.  When
+    the tracked row's entries leave the buffer, the pair defaults to the
+    oldest remaining entry's row, so the estimate can go stale low until
+    later insertions catch it up.
+    """
+
+    def __init__(self, bank, config):
+        super().__init__(bank, config)
+        self._meta_row: Optional[int] = None
+        self._meta_count = 0
+
+    def _victim_row(self):
+        return self._meta_row
+
+    def _after_insert(self, row_id):
+        count = len(self._rows[row_id])
+        if count > self._meta_count:
+            self._meta_row = row_id
+            self._meta_count = count
+
+    def _after_flush(self, row_id):
+        if row_id != self._meta_row:
+            return
+        if self._total == 0:
+            self._reset_metadata()
+            return
+        oldest = next(iter(self._rows))
+        self._meta_row = oldest
+        self._meta_count = len(self._rows[oldest])
+
+    def _reset_metadata(self):
+        self._meta_row = None
+        self._meta_count = 0
+
+
+LEGACY_CLASSES = {
+    "perrow": PerRowBuffer,
+    "unified_fcfs": UnifiedFcfsBuffer,
+    "unified_sorted": UnifiedSortedBuffer,
+    "unified_approxmax": UnifiedApproxMaxBuffer,
+}

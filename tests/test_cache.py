@@ -6,7 +6,9 @@ from pracsim.cache import ASSOC, CacheConfig, CounterCache
 from pracsim.config import resolve
 from pracsim.engine import Engine
 from pracsim.errors import ConfigError
-from pracsim.geometry import map_row
+
+
+CACHE_TOTALS = ("hits", "misses", "writebacks", "admission_rejects", "fills_rejected")
 
 
 def make_cache(geometry, kind="lru4way", entries=4, n_bo=None, on_alert=None, **kw):
@@ -24,9 +26,7 @@ def test_miss_then_fill_then_hit(toy_geometry):
     assert cache.fill_clean(1, 2, 7, no_sink)
     assert cache.access(1, 2)
     assert cache.dirty_lines() == [(1, 2, 8)]
-    assert cache.stats()["hits"] == 1
-    assert cache.stats()["misses"] == 1
-    assert cache.hit_rate == 0.5
+    assert (cache.hits, cache.misses) == (1, 1)
 
 
 def test_refill_cleans_existing_line(toy_geometry):
@@ -170,12 +170,6 @@ def test_sketch_counters_saturate(toy_geometry):
     assert cache._estimate(0) == 15
 
 
-def test_hit_rate_none_without_accesses(toy_geometry):
-    cache = make_cache(toy_geometry)
-    assert cache.hit_rate is None
-    assert cache.accesses == 0
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -216,16 +210,20 @@ def test_engine_run_conserves_counts_with_cache(kind):
     events = engine.load_events()
     true = Counter()
     for ev in events:
-        ref = map_row(config.geometry, ev.bank, ev.data_row)
-        true[(ref.bank, ref.row_id, ref.byte_id)] += 1
+        row_id, byte_id = divmod(ev.data_row, config.geometry.counters_per_counter_row)
+        true[(ev.bank, row_id, byte_id)] += 1
     report = engine.run()
     assert report.cache["hits"] > 0
     dirty = {}
-    for bank in range(config.geometry.banks):
-        if engine._caches.get(bank) is None:
-            continue
-        for row, byte, value in engine._caches[bank].dirty_lines():
+    totals = Counter()
+    for bank in sorted({ev.bank for ev in events}):
+        cache = engine.cache(bank)
+        for row, byte, value in cache.dirty_lines():
             dirty[(bank, row, byte)] = value
+        for key in CACHE_TOTALS:
+            totals[key] += getattr(cache, key)
+    assert {key: report.cache[key] for key in totals} == dict(totals)
+    assert totals["hits"] + totals["misses"] == len(events)
     for key, count in true.items():
         if key in dirty:
             assert dirty[key] == count, key

@@ -150,6 +150,39 @@ def test_verify_unparseable_log_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def verify_with_bad_file(tmp_path, capsys, flag, content):
+    """Run verify with one malformed input file; the JSON error it reports."""
+    trace_file = tmp_path / "t.txt"
+    trace_file.write_text("0 0\n")
+    log_file = tmp_path / "log.csv"
+    log_file.write_text("slot,bank,row_id,trigger,n_items,byte_ids\n")
+    bad = tmp_path / "bad"
+    bad.write_text(content)
+    argv = ["verify", "--trace", str(trace_file), "--log", str(log_file), "--machine"]
+    assert main(argv + [flag, str(bad)]) == EXIT_RUNTIME
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime"
+    assert str(bad) in err["message"]
+    return err["message"]
+
+
+def test_verify_state_with_non_integer_field_is_runtime_error(tmp_path, capsys):
+    message = verify_with_bad_file(
+        tmp_path, capsys, "--state", "bank,row_id,byte_id,value\n0,1,x,3\n"
+    )
+    assert "line 2" in message
+
+
+def test_verify_truncated_report_is_runtime_error(tmp_path, capsys):
+    message = verify_with_bad_file(tmp_path, capsys, "--report", '{"counter_acts": ')
+    assert "line 1" in message
+
+
+def test_verify_report_without_counter_acts_is_runtime_error(tmp_path, capsys):
+    message = verify_with_bad_file(tmp_path, capsys, "--report", "{}")
+    assert "counter_acts" in message
+
+
 def test_no_command_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err

@@ -1,9 +1,37 @@
+import io
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pracsim.errors import GeometryError
-from pracsim.geometry import CounterRef, DramGeometry, map_row, unmap
+from pracsim.config import resolve
+from pracsim.engine import Engine
+from pracsim.errors import GeometryError, TraceError
+from pracsim.geometry import DramGeometry
+from pracsim.trace import ActivationEvent, read_text
+
+
+def baseline_engine(geometry):
+    """An immediate-service engine: each activation bumps its counter at once."""
+    overrides = {
+        "buffer.design": "chronus",
+        "mitigation.enabled": "false",
+        "metrics.enabled": "false",
+        "geometry.banks": str(geometry.banks),
+        "geometry.rows_per_bank": str(geometry.rows_per_bank),
+        "geometry.counter_rows_per_bank": str(geometry.counter_rows_per_bank),
+        "geometry.counters_per_counter_row": str(geometry.counters_per_counter_row),
+    }
+    return Engine(resolve(overrides=overrides))
+
+
+def bumped(engine, bank, data_row):
+    """Step one activation of ``data_row``; the counter the engine bumped."""
+    before = engine.store.values[bank].copy()
+    engine.step(ActivationEvent(engine.ledger.data_acts, bank, data_row))
+    ((row_id, byte_id),) = np.argwhere(engine.store.values[bank] != before).tolist()
+    return bank, row_id, byte_id
 
 
 def test_default_shape(geometry):
@@ -15,27 +43,32 @@ def test_default_shape(geometry):
 
 
 def test_known_mappings(geometry):
-    assert map_row(geometry, 0, 0) == CounterRef(0, 0, 0)
-    assert map_row(geometry, 3, 1024) == CounterRef(3, 1, 0)
-    assert map_row(geometry, 0, 1023) == CounterRef(0, 0, 1023)
-    assert map_row(geometry, 0, 65535) == CounterRef(0, 63, 1023)
-    assert map_row(geometry, 63, 4097) == CounterRef(63, 4, 1)
+    engine = baseline_engine(geometry)
+    assert bumped(engine, 0, 0) == (0, 0, 0)
+    assert bumped(engine, 3, 1024) == (3, 1, 0)
+    assert bumped(engine, 0, 1023) == (0, 0, 1023)
+    assert bumped(engine, 0, 65535) == (0, 63, 1023)
+    assert bumped(engine, 63, 4097) == (63, 4, 1)
 
 
 def test_consecutive_rows_share_counter_row(geometry):
-    refs = [map_row(geometry, 0, r) for r in range(1024)]
-    assert all(ref.row_id == 0 for ref in refs)
-    assert [ref.byte_id for ref in refs] == list(range(1024))
+    engine = baseline_engine(geometry)
+    refs = [bumped(engine, 0, r) for r in range(1024)]
+    assert all(row_id == 0 for _, row_id, _ in refs)
+    assert [byte_id for _, _, byte_id in refs] == list(range(1024))
 
 
 def test_exhaustive_bijection(toy_geometry):
+    engine = baseline_engine(toy_geometry)
+    cpc = toy_geometry.counters_per_counter_row
     seen = set()
     for bank in range(toy_geometry.banks):
         for row in range(toy_geometry.rows_per_bank):
-            ref = map_row(toy_geometry, bank, row)
-            assert 0 <= ref.row_id < toy_geometry.counter_rows_per_bank
-            assert 0 <= ref.byte_id < toy_geometry.counters_per_counter_row
-            assert unmap(toy_geometry, ref) == row
+            ref = bumped(engine, bank, row)
+            _, row_id, byte_id = ref
+            assert 0 <= row_id < toy_geometry.counter_rows_per_bank
+            assert 0 <= byte_id < cpc
+            assert row_id * cpc + byte_id == row
             assert ref not in seen
             seen.add(ref)
     assert len(seen) == toy_geometry.banks * toy_geometry.rows_per_bank
@@ -44,22 +77,16 @@ def test_exhaustive_bijection(toy_geometry):
 @given(bank=st.integers(0, 63), row=st.integers(0, 65535))
 def test_roundtrip_full_size(bank, row):
     geometry = DramGeometry()
-    ref = map_row(geometry, bank, row)
-    assert ref.bank == bank
-    assert unmap(geometry, ref) == row
+    ref_bank, row_id, byte_id = bumped(baseline_engine(geometry), bank, row)
+    assert ref_bank == bank
+    assert row_id * geometry.counters_per_counter_row + byte_id == row
 
 
 @pytest.mark.parametrize("bank,row", [(-1, 0), (64, 0), (0, -1), (0, 65536)])
 def test_out_of_range(geometry, bank, row):
-    with pytest.raises(GeometryError):
-        map_row(geometry, bank, row)
-
-
-def test_unmap_range_checks(geometry):
-    with pytest.raises(GeometryError):
-        unmap(geometry, CounterRef(0, 64, 0))
-    with pytest.raises(GeometryError):
-        unmap(geometry, CounterRef(0, 0, 1024))
+    """Traces are checked against the geometry as they are read."""
+    with pytest.raises(TraceError):
+        read_text(io.StringIO(f"{bank} {row}\n"), geometry)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pracsim.config import resolve
+from pracsim.engine import workload_shape
 from pracsim.errors import ConfigError
 from pracsim.metrics import (
     COMPARE_COLUMNS,
@@ -13,9 +15,18 @@ from pracsim.metrics import (
     compare_csv,
     footprint_percentiles,
     skew,
-    window_locality,
     window_maxima,
 )
+from pracsim.trace import ActivationEvent
+
+
+def stream_locality(rows, window=64):
+    """Window locality of one bank's stream of counter rows, computed by
+    the shape pass a run report uses."""
+    config = resolve(overrides={"metrics.window": str(window)})
+    cpc = config.geometry.counters_per_counter_row
+    events = [ActivationEvent(i, 0, row * cpc) for i, row in enumerate(rows)]
+    return workload_shape(events, config)["window_locality"]
 
 
 def test_skew_uniform_is_one():
@@ -41,7 +52,7 @@ def test_skew_undefined(counts):
 def test_tumbling_maxima_partition():
     stream = [0] * 64 + list(range(64))
     assert window_maxima(stream, 64) == [64, 1]
-    assert window_locality(stream, 64) == 32.5
+    assert stream_locality(stream, 64) == 32.5
 
 
 def test_tumbling_discards_remainder():
@@ -51,11 +62,11 @@ def test_tumbling_discards_remainder():
 
 def test_short_stream_has_no_locality():
     assert window_maxima([1, 2, 3], 64) == []
-    assert window_locality([1, 2, 3], 64) is None
+    assert stream_locality([1, 2, 3], 64) is None
 
 
 def test_single_row_stream_locality_is_window():
-    assert window_locality([3] * 256, 64) == 64.0
+    assert stream_locality([3] * 256, 64) == 64.0
 
 
 def test_sliding_maxima_small_example():

@@ -2,8 +2,8 @@ import io
 
 import pytest
 
-from pracsim.errors import LogFormatError, VerificationFailure
-from pracsim.oracle import LoggedBatch, Verdict, ensure, read_log, verify, write_log
+from pracsim.errors import LogFormatError
+from pracsim.oracle import LoggedBatch, Verdict, read_log, verify, write_log
 from pracsim.trace import ActivationEvent
 
 
@@ -187,8 +187,3 @@ def test_verdict_strings():
     text = str(Verdict(False, 3, 17, "two batches"))
     assert text == "rule 3 violated at slot 17: two batches"
 
-
-def test_ensure_raises_on_failure():
-    ensure(Verdict(True))
-    with pytest.raises(VerificationFailure):
-        ensure(Verdict(False, 1, 0, "lag"))
