@@ -6,7 +6,8 @@ serviced against the stored counters in the shadow of that same
 activation.  After the last event every buffer is drained, which models
 idle time at the end of the run.  Workload shape is computed from the
 recorded events in one pass at finalize, by the same function that
-``pracsim analyze`` calls.
+``pracsim analyze`` calls; ``compare`` computes it once for all designs
+and hands it to each run, which then records no events.
 """
 
 from collections import Counter
@@ -53,15 +54,26 @@ class Engine:
         # bank -> (buffer, cache or None), made on the bank's first activation.
         self._banks: Dict[int, Tuple] = {}
         self._events: List[ActivationEvent] = []
+        self._shape: Optional[dict] = None
         self._cpc = config.geometry.counters_per_counter_row
-        self._metrics = config.metrics_enabled
+        self._rows = config.geometry.rows_per_bank
+        self._record = config.metrics_enabled
         self._proactive = config.proactive_interval
         self._finalized = False
 
-    def _bank(self, bank: int) -> Tuple:
-        """The bank's (buffer, cache or None), made together on first touch."""
+    def _bank(self, bank: int, slot: Optional[int] = None) -> Tuple:
+        """The bank's (buffer, cache or None), made together on first touch.
+
+        The bank is range-checked on that first touch; the error names
+        ``slot``, the activation that touched it, when given.
+        """
         state = self._banks.get(bank)
         if state is None:
+            if not 0 <= bank < self.geometry.banks:
+                where = "" if slot is None else f"slot {slot}: "
+                raise TraceError(
+                    f"{where}bank {bank} out of range [0, {self.geometry.banks})"
+                )
             cache = None
             if self._cached:
                 cache = CounterCache(
@@ -90,16 +102,20 @@ class Engine:
     def step(self, ev: ActivationEvent) -> Optional[ServiceBatch]:
         """Process one activation; returns the batch it serviced, if any."""
         slot, bank, data_row = ev
+        if not 0 <= data_row < self._rows:
+            raise TraceError(
+                f"slot {slot}: data_row {data_row} out of range [0, {self._rows})"
+            )
+        buf, cache = self._banks.get(bank) or self._bank(bank, slot)
         self.store.slot = slot
         row_id, byte_id = divmod(data_row, self._cpc)
         ledger = self.ledger
         ledger.data_acts += 1
         ledger.data_cols += 1
-        if self._metrics:
+        if self._record:
             self._events.append(ev)
 
         serviced = None
-        buf, cache = self._banks.get(bank) or self._bank(bank)
         if cache is None or not cache.access(row_id, byte_id):
             batch = buf.insert(row_id, byte_id)
             if batch is not None:
@@ -159,7 +175,17 @@ class Engine:
                 self._service(batch, drain_slot)
         self.ledger.mitigation_acts = self.store.mitigations
 
-        shape = workload_shape(self._events, self.config) if self._metrics else {}
+        if not self.config.metrics_enabled:
+            shape = {}
+        elif self._shape is not None:
+            # Each report gets its own dicts, though compare shares one shape.
+            shape = dict(
+                self._shape,
+                skew_by_bank=dict(self._shape["skew_by_bank"]),
+                footprint=dict(self._shape["footprint"]),
+            )
+        else:
+            shape = workload_shape(self._events, self.config)
         # Held past finalize, the events would keep thousands of GC-tracked
         # tuples alive for as long as the caller keeps the engine.
         self._events.clear()
@@ -199,8 +225,20 @@ class Engine:
     def load_events(self) -> List[ActivationEvent]:
         return load_trace(self.config)
 
-    def run(self, events: Optional[Sequence[ActivationEvent]] = None) -> SimReport:
-        """Step every event, then finalize; the configured trace if None."""
+    def run(
+        self,
+        events: Optional[Sequence[ActivationEvent]] = None,
+        shape: Optional[dict] = None,
+    ) -> SimReport:
+        """Step every event, then finalize; the configured trace if None.
+
+        ``shape`` is ``workload_shape(events, config)`` when the caller
+        already holds it: the engine then records no events and the
+        report carries that shape.
+        """
+        if shape is not None:
+            self._shape = shape
+            self._record = False
         step = self.step
         for ev in self.load_events() if events is None else events:
             step(ev)
@@ -257,9 +295,10 @@ def compare(config: SimConfig, policies) -> List[SimReport]:
     """Run several buffer designs over the identical trace and settings.
 
     The trace is materialized once and every design steps over that one
-    list.  The immediate-service baseline is prepended if absent so
-    normalized activation counts always have their denominator in the
-    table.
+    list; its workload shape, which depends on the trace alone, is
+    computed once too.  The immediate-service baseline is prepended if
+    absent so normalized activation counts always have their denominator
+    in the table.
     """
     policies = list(policies)
     if not policies:
@@ -267,12 +306,16 @@ def compare(config: SimConfig, policies) -> List[SimReport]:
     if "chronus" not in policies:
         policies = ["chronus"] + policies
     events = load_trace(config)
+    # An empty trace is left to Engine.finalize, which names the problem.
+    shape = None
+    if config.metrics_enabled and events:
+        shape = workload_shape(events, config)
     reports = []
     for policy in policies:
         overrides = {"buffer.design": policy}
         if policy == "chronus":
             overrides["cache.kind"] = "none"
-        reports.append(Engine(config.with_overrides(overrides)).run(events))
+        reports.append(Engine(config.with_overrides(overrides)).run(events, shape))
     for r in reports:
         if r.policy == "chronus" and r.counter_acts != r.data_acts:
             raise ConfigError(

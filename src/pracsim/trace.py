@@ -15,6 +15,7 @@ import random
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, List, NamedTuple
 
@@ -119,11 +120,16 @@ def _gen_uniform(spec, geometry, rng, rows, banks):
     return out
 
 
+@lru_cache(maxsize=4)
+def _zipf_cumulative(rows: int, exponent: float) -> tuple:
+    """Cumulative zipf weights of ranks 0..rows-1; the same for every seed."""
+    return tuple(accumulate((rank + 1) ** -exponent for rank in range(rows)))
+
+
 def _gen_zipf(spec, geometry, rng, rows, banks):
     exponent = spec.params.get("exponent", 1.0)
     shuffle = spec.params.get("shuffle", True)
-    weights = [(rank + 1) ** -exponent for rank in range(rows)]
-    cumulative = list(accumulate(weights))
+    cumulative = _zipf_cumulative(rows, exponent)
     total = cumulative[-1]
     mapping = list(range(rows))
     if shuffle:

@@ -366,10 +366,11 @@ class _Replay:
     capacity=st.sampled_from((4, 6, 8)),
     m_batch=st.sampled_from((2, 4)),
     k_limit=st.sampled_from((2, 4)),
-    ops=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=300),
+    length=st.integers(100, 400),
+    seed=st.integers(0, 2**32 - 1),
 )
 def test_buffer_invariants_hold_on_random_streams(
-    design, k_trigger, capacity, m_batch, k_limit, ops
+    design, k_trigger, capacity, m_batch, k_limit, length, seed
 ):
     config = BufferConfig(
         design=design,
@@ -380,7 +381,9 @@ def test_buffer_invariants_hold_on_random_streams(
     )
     buf = make_buffer(0, config)
     replay = _Replay(config)
-    for row, byte in ops:
+    rng = random.Random(seed)
+    for _ in range(length):
+        row, byte = rng.randrange(6), rng.randrange(6)
         replay.record_insert(row, byte)
         batch = buf.insert(row, byte)
         if batch is not None:
@@ -499,15 +502,11 @@ _REFERENCES = {"unified_fcfs": _ReferenceFcfs, "unified_approxmax": _ReferenceAp
     capacity=st.sampled_from((4, 6, 8)),
     m_batch=st.sampled_from((2, 4)),
     k_limit=st.sampled_from((1, 2, 4)),
-    ops=st.lists(
-        st.tuples(
-            st.booleans(), st.integers(0, 5), st.integers(0, 5), st.integers(0, 40)
-        ),
-        max_size=300,
-    ),
+    length=st.integers(100, 400),
+    seed=st.integers(0, 2**32 - 1),
 )
 def test_victim_and_merge_match_scanning_reference(
-    design, capacity, m_batch, k_limit, ops
+    design, capacity, m_batch, k_limit, length, seed
 ):
     """Random insert and writeback streams give the same batches, victim
     rows, approx-max meta pairs and merged items as the arrival-scanning
@@ -517,8 +516,11 @@ def test_victim_and_merge_match_scanning_reference(
     )
     buf = make_buffer(0, config)
     ref = _REFERENCES[design](0, config)
-    for is_wb, row, byte, value in ops:
-        if is_wb:
+    rng = random.Random(seed)
+    for _ in range(length):
+        row, byte = rng.randrange(6), rng.randrange(6)
+        if rng.random() < 0.5:
+            value = rng.randrange(41)
             got = buf.try_insert_writeback(row, byte, value)
             assert got == ref.try_insert_writeback(row, byte, value)
         else:

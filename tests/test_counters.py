@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legacy_counters import CounterArray as ArgmaxCounterArray
 from pracsim.counters import COUNTER_MAX, CounterArray, effective_backoff
 from pracsim.errors import ConfigError
 from pracsim.geometry import DramGeometry
@@ -159,7 +160,7 @@ def test_event_recording(toy_geometry):
 
 
 def test_nonzero_tracking(toy_geometry):
-    """The per-bank nonzero tally lets a refresh skip a clean bank: it
+    """The histogram's zero count lets a refresh skip a clean bank: it
     follows increments and alert resets, so the last refresh finds none."""
     store = CounterArray(toy_geometry, n_bo=10)
     assert store.proactive_tick(0) is None
@@ -239,3 +240,67 @@ def test_rfm_event_order_is_deterministic(toy_geometry):
         replay.apply_rmw(0, row, byte, inc)
     assert store.events == replay.events
     assert np.array_equal(store.values, replay.values)
+
+
+# Mostly read-modify-writes, so counters climb to ties, alerts and (with
+# alerts off) saturation; the stream comes from a seeded generator so that
+# every example is a long, evenly random stream.
+COUNTER_OPS = ("rmw",) * 10 + ("big_rmw", "writeback", "external_alert", "tick", "tick")
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    banks=st.integers(2, 3),
+    counter_rows=st.sampled_from((1, 2, 4)),
+    cpc=st.sampled_from((4, 8)),
+    n_bo=st.one_of(st.none(), st.integers(1, 40)),
+    rfms_per_alert=st.integers(1, 4),
+    length=st.integers(100, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_refresh_pick_matches_argmax_reference(
+    banks, counter_rows, cpc, n_bo, rfms_per_alert, length, seed
+):
+    """Every refresh, alert and saturating add picks and leaves the same
+    counters as the argmax store the histogram replaced."""
+    geometry = DramGeometry(
+        banks=banks,
+        rows_per_bank=counter_rows * cpc,
+        counter_rows_per_bank=counter_rows,
+        counters_per_counter_row=cpc,
+    )
+    kwargs = dict(n_bo=n_bo, rfms_per_alert=rfms_per_alert, record_events=True)
+    store = CounterArray(geometry, **kwargs)
+    ref = ArgmaxCounterArray(geometry, **kwargs)
+    rng = random.Random(seed)
+    for slot in range(length):
+        store.slot = ref.slot = slot
+        op = rng.choice(COUNTER_OPS)
+        bank = rng.randrange(banks)
+        row, byte = rng.randrange(counter_rows), rng.randrange(cpc)
+        if op in ("rmw", "big_rmw"):
+            inc = rng.randint(1, 6) if op == "rmw" else rng.randint(50, 300)
+            assert store.apply_rmw(bank, row, byte, inc) == ref.apply_rmw(
+                bank, row, byte, inc
+            )
+        elif op == "writeback":
+            value = rng.randrange(COUNTER_MAX + 1)
+            assert store.apply_writeback(bank, row, byte, value) == ref.apply_writeback(
+                bank, row, byte, value
+            )
+        elif op == "external_alert":
+            value = rng.randrange(COUNTER_MAX + 1)
+            store.external_alert(bank, row, byte, value)
+            ref.external_alert(bank, row, byte, value)
+        else:
+            assert store.proactive_tick(bank) == ref.proactive_tick(bank)
+        assert (store.alerts, store.mitigations) == (ref.alerts, ref.mitigations)
+        assert np.array_equal(store.values, ref.values)
+    for bank in range(banks):
+        while True:
+            pick = store.proactive_tick(bank)
+            assert pick == ref.proactive_tick(bank)
+            if pick is None:
+                break
+    assert store.events == ref.events
+    assert not store.values.any()

@@ -9,7 +9,7 @@ from pracsim.config import resolve
 from pracsim.engine import Engine, compare, run
 from pracsim.errors import ConfigError, TraceError
 from pracsim.oracle import read_log, verify, write_log
-from pracsim.trace import TraceSpec, generate, save
+from pracsim.trace import ActivationEvent, TraceSpec, generate, save
 
 
 def sequential_overrides(length=100, **extra):
@@ -170,19 +170,28 @@ def test_compare_strips_cache_from_baseline():
     [
         {},
         {"trace.generator": "hotset", "trace.hot_rows": "48", "cache.kind": "lru4way"},
+        {"metrics.enabled": "false"},
     ],
 )
 def test_compare_generates_the_trace_once(monkeypatch, extra):
-    """Every design steps over one materialized trace, and each report is
-    what an independent run of that design gives."""
+    """Every design steps over one materialized trace whose shape is
+    computed once, and each report is what an independent run of that
+    design gives."""
     calls = []
+    shapes = []
     original = engine_mod.generate
+    original_shape = engine_mod.workload_shape
 
     def counting_generate(spec, geometry):
         calls.append(spec)
         return original(spec, geometry)
 
+    def counting_shape(events, config):
+        shapes.append(len(events))
+        return original_shape(events, config)
+
     monkeypatch.setattr(engine_mod, "generate", counting_generate)
+    monkeypatch.setattr(engine_mod, "workload_shape", counting_shape)
     base = {
         "trace.generator": "zipf",
         "trace.banks": "64",
@@ -192,6 +201,7 @@ def test_compare_generates_the_trace_once(monkeypatch, extra):
     config = resolve(overrides=dict(base, **extra))
     reports = compare(config, list(DESIGNS))
     assert len(calls) == 1
+    assert shapes == ([3000] if config.metrics_enabled else [])
     assert [r.policy for r in reports] == list(DESIGNS)
     for report in reports:
         overrides = {"buffer.design": report.policy}
@@ -296,6 +306,26 @@ def test_empty_run_cannot_finalize():
     engine = Engine(resolve())
     with pytest.raises(TraceError):
         engine.finalize()
+
+
+def test_compare_of_an_empty_trace_file_is_a_trace_error(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("# no activations\n")
+    with pytest.raises(TraceError, match="empty trace"):
+        compare(resolve(overrides={"trace.path": str(path)}), ["perrow"])
+
+
+@pytest.mark.parametrize("bank, data_row", [(-1, 5), (64, 5), (0, -1), (0, 65536)])
+def test_step_range_checks_events_from_the_api(bank, data_row):
+    """A bank or data row outside the geometry is refused, naming the
+    slot, before it can bump another bank's counter."""
+    engine = Engine(resolve(overrides=sequential_overrides(1)))
+    engine.step(ActivationEvent(0, 3, 7))
+    before = engine.store.values.copy()
+    with pytest.raises(TraceError, match="slot 1: "):
+        engine.step(ActivationEvent(1, bank, data_row))
+    assert np.array_equal(engine.store.values, before)
+    assert engine.ledger.data_acts == 1
 
 
 def test_finalize_twice_is_an_error():

@@ -6,6 +6,8 @@ trace generation per design).  Any change meant only to make the
 simulator faster must leave every one of them bit-identical.
 """
 
+import hashlib
+
 import pytest
 
 from pracsim.buffers import DESIGNS
@@ -76,6 +78,43 @@ HOTSET_CACHE = {
 }  # fmt: skip
 
 
+# A single hammered row with every other row swept as filler: each design
+# alerts hundreds of times, and each alert's extra refresh picks the
+# bank's largest counter among many tied fillers.  The final counter
+# store is pinned by a digest, so a refresh that picks a different
+# counter of the same value still shows.
+HAMMER_RFM2 = {
+    "trace.generator": "hammer",
+    "trace.length": "20000",
+    "mitigation.rfms_per_alert": "2",
+    "seed": "1",
+}
+
+# design -> (same tuple as ZIPF_GOLDEN, sha256 prefix of the final counters)
+HAMMER_RFM2_GOLDEN = {
+    "chronus": (
+        (20000, _triggers(20000, 0, 0, 0), 20000, 238, 595, 0.130435),
+        "6fd691bbc9f386d3",
+    ),
+    "perrow": (
+        (5020, _triggers(2457, 0, 2500, 63), 20000, 357, 825, 0.06822666666666667),
+        "95650797440e2639",
+    ),
+    "unified_fcfs": (
+        (7586, _triggers(0, 5045, 2500, 41), 20000, 357, 831, 0.07917016666666667),
+        "be843f5ed0421c68",
+    ),
+    "unified_sorted": (
+        (7562, _triggers(0, 5046, 2461, 55), 20000, 318, 753, 0.07857416666666667),
+        "7f4a55b696d666eb",
+    ),
+    "unified_approxmax": (
+        (7586, _triggers(0, 5045, 2500, 41), 20000, 357, 831, 0.07917016666666667),
+        "be843f5ed0421c68",
+    ),
+}
+
+
 def _observed(report):
     return tuple(getattr(report, f) for f in PINNED_FIELDS) + (
         report.energy["overhead"],
@@ -94,3 +133,11 @@ def test_hotset_cache_statistics_are_pinned(kind):
     report = Engine(resolve(overrides=dict(HOTSET, **{"cache.kind": kind}))).run()
     assert _observed(report) == HOTSET_GOLDEN[kind]
     assert report.cache == HOTSET_CACHE[kind]
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+def test_hammer_alert_refreshes_are_pinned(design):
+    engine = Engine(resolve(overrides=dict(HAMMER_RFM2, **{"buffer.design": design})))
+    report = engine.run()
+    digest = hashlib.sha256(engine.store.values.tobytes()).hexdigest()[:16]
+    assert (_observed(report), digest) == HAMMER_RFM2_GOLDEN[design]
