@@ -4,14 +4,17 @@ Each activation event consults the optional cache, and otherwise
 inserts a counter request into its bank's buffer; a returned batch is
 serviced against the stored counters in the shadow of that same
 activation.  After the last event every buffer is drained, which models
-idle time at the end of the run.  Workload shape is computed from the
-recorded events in one pass at finalize, by the same function that
-``pracsim analyze`` calls; ``compare`` computes it once for all designs
-and hands it to each run, which then records no events.
+idle time at the end of the run.  Workload shape is computed in one
+pass at finalize, by the same function that ``pracsim analyze`` calls,
+from the trace ``run`` stepped (or the events ``step`` recorded when
+called directly); ``compare`` computes it once for all designs and hands
+it to each run.
 """
 
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .buffers import TRIGGERS, ServiceBatch, make_buffer
 from .cache import CounterCache
@@ -26,7 +29,7 @@ from .metrics import (
     window_maxima,
 )
 from .oracle import LoggedBatch
-from .trace import ActivationEvent, generate, load
+from .trace import ActivationEvent, Trace, as_columns, generate, load
 
 
 class Engine:
@@ -53,7 +56,9 @@ class Engine:
         self.batch_log: Optional[List[LoggedBatch]] = [] if collect_log else None
         # bank -> (buffer, cache or None), made on the bank's first activation.
         self._banks: Dict[int, Tuple] = {}
-        self._events: List[ActivationEvent] = []
+        # The trace whose shape the report carries: the one ``run`` steps,
+        # or the columns ``step`` records while ``_record`` is set.
+        self._seen = Trace()
         self._shape: Optional[dict] = None
         self._cpc = config.geometry.counters_per_counter_row
         self._rows = config.geometry.rows_per_bank
@@ -99,8 +104,9 @@ class Engine:
             cache.reset(row_id, byte_id)
             buf.reset_writeback(row_id, byte_id)
 
-    def step(self, ev: ActivationEvent) -> Optional[ServiceBatch]:
-        """Process one activation; returns the batch it serviced, if any."""
+    def step(self, ev: Tuple[int, int, int]) -> Optional[ServiceBatch]:
+        """Process one activation, a ``(slot, bank, data_row)`` tuple such
+        as an ``ActivationEvent``; returns the batch it serviced, if any."""
         slot, bank, data_row = ev
         if not 0 <= data_row < self._rows:
             raise TraceError(
@@ -113,7 +119,8 @@ class Engine:
         ledger.data_acts += 1
         ledger.data_cols += 1
         if self._record:
-            self._events.append(ev)
+            self._seen.banks.append(bank)
+            self._seen.rows.append(data_row)
 
         serviced = None
         if cache is None or not cache.access(row_id, byte_id):
@@ -173,6 +180,13 @@ class Engine:
         for bank in sorted(self._banks):
             for batch in self._banks[bank][0].drain():
                 self._service(batch, drain_slot)
+        # Nothing steps a finalized engine: drop the callbacks that tie the
+        # store and the caches back to it, so that refcounting alone frees
+        # the engine and its counter store once the caller lets go.
+        self.store.on_mitigate = None
+        for _, cache in self._banks.values():
+            if cache is not None:
+                cache.on_alert = None
         self.ledger.mitigation_acts = self.store.mitigations
 
         if not self.config.metrics_enabled:
@@ -185,10 +199,9 @@ class Engine:
                 footprint=dict(self._shape["footprint"]),
             )
         else:
-            shape = workload_shape(self._events, self.config)
-        # Held past finalize, the events would keep thousands of GC-tracked
-        # tuples alive for as long as the caller keeps the engine.
-        self._events.clear()
+            shape = workload_shape(self._seen, self.config)
+        # The report holds the shape; the engine need not keep the trace.
+        self._seen = Trace()
 
         cache_stats = None
         if self._cached:
@@ -222,7 +235,7 @@ class Engine:
             **shape,
         )
 
-    def load_events(self) -> List[ActivationEvent]:
+    def load_events(self) -> Trace:
         return load_trace(self.config)
 
     def run(
@@ -232,20 +245,26 @@ class Engine:
     ) -> SimReport:
         """Step every event, then finalize; the configured trace if None.
 
-        ``shape`` is ``workload_shape(events, config)`` when the caller
-        already holds it: the engine then records no events and the
-        report carries that shape.
+        ``events`` is a ``Trace`` or a sequence of events in consecutive
+        slots (see ``trace.as_columns``).  ``shape`` is
+        ``workload_shape(events, config)`` when the caller already holds
+        it; otherwise the report's shape is computed from ``events``.
         """
+        trace = as_columns(self.load_events() if events is None else events)
         if shape is not None:
             self._shape = shape
             self._record = False
+        elif not self._seen.rows:
+            # The shape comes from the trace itself: nothing to record.
+            self._seen = trace
+            self._record = False
         step = self.step
-        for ev in self.load_events() if events is None else events:
+        for ev in zip(range(len(trace)), trace.banks, trace.rows):
             step(ev)
         return self.finalize()
 
 
-def load_trace(config: SimConfig) -> List[ActivationEvent]:
+def load_trace(config: SimConfig) -> Trace:
     """The configured trace: read from ``trace.path``, else generated."""
     if config.trace_path is not None:
         return load(config.trace_path, config.geometry, config.trace_format)
@@ -255,29 +274,24 @@ def load_trace(config: SimConfig) -> List[ActivationEvent]:
 def workload_shape(events: Sequence[ActivationEvent], config: SimConfig) -> dict:
     """Skew per bank and its mean, window locality, and footprint of a trace.
 
+    ``events`` is a ``Trace`` or any sequence ``trace.as_columns`` takes.
     Banks are visited in ascending order; window maxima are taken within
     each bank's own stream of counter rows and pooled across banks.  An
     empty trace has no footprint and raises ConfigError.
     """
-    footprint = footprint_percentiles(
-        Counter((bank, data_row) for _, bank, data_row in events).values()
-    )
-    cpc = config.geometry.counters_per_counter_row
-    n_rows = config.geometry.counter_rows_per_bank
-    streams: Dict[int, List[int]] = {}
-    for _, bank, data_row in events:
-        stream = streams.get(bank)
-        if stream is None:
-            stream = streams[bank] = []
-        stream.append(data_row // cpc)
+    trace = as_columns(events)
+    footprint = footprint_percentiles(Counter(zip(trace.banks, trace.rows)).values())
+    geometry = config.geometry
+    banks = np.array(trace.banks)
+    row_ids = np.array(trace.rows) // geometry.counters_per_counter_row
+    bank_ids = sorted(set(trace.banks))
     skew_by_bank: Dict[int, float] = {}
     maxima: List[int] = []
-    for bank in sorted(streams):
-        counts = [0] * n_rows
-        for row_id, n in Counter(streams[bank]).items():
-            counts[row_id] = n
-        skew_by_bank[bank] = skew(counts)
-        maxima.extend(window_maxima(streams[bank], config.window, config.window_mode))
+    for bank in bank_ids:
+        stream = row_ids if len(bank_ids) == 1 else row_ids[banks == bank]
+        counts = np.bincount(stream, minlength=geometry.counter_rows_per_bank)
+        skew_by_bank[bank] = skew(counts.tolist())
+        maxima.extend(window_maxima(stream.tolist(), config.window, config.window_mode))
     return {
         "skew_by_bank": skew_by_bank,
         "skew_mean": sum(skew_by_bank.values()) / len(skew_by_bank),

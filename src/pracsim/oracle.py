@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .buffers import TRIG_DRAIN, TRIGGERS
 from .errors import LogFormatError
 from .geometry import DramGeometry
-from .trace import ActivationEvent
+from .trace import ActivationEvent, as_columns
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,16 @@ def verify(
 ) -> Verdict:
     """Replay ``events`` against ``batches`` and return the first violation.
 
+    ``events`` is a ``Trace`` or a sequence of events in consecutive slots;
+    a gap raises LogFormatError.
     ``final_values``, when given, is a mapping or array indexable as
     [bank, row_id, byte_id] holding the run's post-drain stored counters;
     they must equal the saturated true counts.  Only applies to runs
     without a cache and with mitigation disabled, since the log does not
     carry cache hits or alert resets.
     """
-    n = len(events)
+    trace = as_columns(events, LogFormatError)
+    n = len(trace)
     by_slot: Dict[int, List[LoggedBatch]] = {}
     for b in batches:
         if b.slot > n:
@@ -148,13 +151,9 @@ def verify(
             key = (b.bank, b.row_id, byte_id)
             applied[key] = true.get(key, 0)
 
-    for i, ev in enumerate(events):
-        if ev.slot != i:
-            raise LogFormatError(
-                f"events must occupy consecutive slots; event {i} has slot {ev.slot}"
-            )
-        row_id, byte_id = divmod(ev.data_row, cpc)
-        key = (ev.bank, row_id, byte_id)
+    for i, (bank, data_row) in enumerate(zip(trace.banks, trace.rows)):
+        row_id, byte_id = divmod(data_row, cpc)
+        key = (bank, row_id, byte_id)
         true[key] = true.get(key, 0) + 1
         slot_batches = by_slot.get(i, ())
         if len(slot_batches) > 1:
@@ -165,9 +164,9 @@ def verify(
             problem = _check_batch(b, geometry, m_batch)
             if problem:
                 return Verdict(False, 2, i, problem)
-            if b.bank != ev.bank:
+            if b.bank != bank:
                 return Verdict(
-                    False, 3, i, f"batch bank {b.bank} but activation bank {ev.bank}"
+                    False, 3, i, f"batch bank {b.bank} but activation bank {bank}"
                 )
             apply_batch(b)
         gap = true[key] - applied.get(key, 0)

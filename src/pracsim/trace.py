@@ -1,10 +1,11 @@
 """Activation traces: synthetic generators plus text and binary file formats.
 
-A trace is an ordered sequence of row activations.  The text format is
-one ``bank data_row`` pair per line in ASCII decimal; blank lines and
-lines starting with ``#`` are ignored.  The binary format is a packed
-sequence of 6-byte little-endian records: u16 bank followed by u32
-data_row.  Slots are implicit: event i occupies slot i.
+A trace is an ordered sequence of row activations, held as two flat int
+columns: the bank and the data row of each activation (see ``Trace``).
+The text format is one ``bank data_row`` pair per line in ASCII decimal;
+blank lines and lines starting with ``#`` are ignored.  The binary
+format is a packed sequence of 6-byte little-endian records: u16 bank
+followed by u32 data_row.  Slots are implicit: event i occupies slot i.
 
 All generator randomness flows from the seed in the TraceSpec through a
 private random.Random instance, so a (spec, geometry) pair always
@@ -16,8 +17,10 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
-from typing import Iterable, List, NamedTuple
+from itertools import accumulate, count
+from typing import Iterable, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .errors import ConfigError, TraceError
 from .geometry import DramGeometry
@@ -25,6 +28,7 @@ from .geometry import DramGeometry
 GENERATORS = ("uniform", "zipf", "sequential", "hotset", "hammer", "roundrobin")
 
 _RECORD = struct.Struct("<HI")
+_RECORD_DTYPE = np.dtype([("bank", "<u2"), ("row", "<u4")])
 
 _KNOWN_PARAMS = {
     "uniform": {"rows", "banks"},
@@ -42,6 +46,51 @@ class ActivationEvent(NamedTuple):
     slot: int
     bank: int
     data_row: int
+
+
+class Trace:
+    """A trace as two columns: event i is ``(i, banks[i], rows[i])``.
+
+    Slots are implicit.  Iterating yields one ``ActivationEvent`` per
+    activation for callers that want objects; the simulator and the
+    verifier read the columns.
+    """
+
+    __slots__ = ("banks", "rows")
+
+    def __init__(
+        self, banks: Optional[List[int]] = None, rows: Optional[List[int]] = None
+    ):
+        self.banks = [] if banks is None else banks
+        self.rows = [] if rows is None else rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(ActivationEvent, count(), self.banks, self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.banks == other.banks and self.rows == other.rows
+
+
+def as_columns(events, error=TraceError) -> Trace:
+    """``events`` as a Trace: a Trace as it is, else a sequence of
+    ``(slot, bank, data_row)`` whose slots run 0, 1, 2, ...; a gap raises
+    ``error``."""
+    if isinstance(events, Trace):
+        return events
+    banks, rows = [], []
+    for i, (slot, bank, data_row) in enumerate(events):
+        if slot != i:
+            raise error(
+                f"events must occupy consecutive slots; event {i} has slot {slot}"
+            )
+        banks.append(bank)
+        rows.append(data_row)
+    return Trace(banks, rows)
 
 
 @dataclass(frozen=True)
@@ -81,7 +130,7 @@ class TraceSpec:
             raise ConfigError(f"banks must be positive, got {p['banks']}")
 
 
-def generate(spec: TraceSpec, geometry: DramGeometry) -> List[ActivationEvent]:
+def generate(spec: TraceSpec, geometry: DramGeometry) -> Trace:
     """Materialize the trace described by ``spec`` under ``geometry``."""
     rng = random.Random(spec.seed)
     p = spec.params
@@ -105,19 +154,25 @@ def generate(spec: TraceSpec, geometry: DramGeometry) -> List[ActivationEvent]:
         "hammer": _gen_hammer,
         "roundrobin": _gen_roundrobin,
     }[spec.generator]
-    return builder(spec, geometry, rng, rows, banks)
+    return Trace(*builder(spec, geometry, rng, rows, banks))
 
 
-def _pick_bank(rng: random.Random, banks: int) -> int:
-    return rng.randrange(banks) if banks > 1 else 0
+def _bank_then_row(n: int, banks: int, rng: random.Random, row) -> Tuple[list, list]:
+    """Columns of ``n`` events, each drawing its bank (when ``banks`` > 1)
+    and then its data row, ``row()``."""
+    if banks == 1:
+        return [0] * n, [row() for _ in range(n)]
+    randrange = rng.randrange
+    bank_col, row_col = [], []
+    for _ in range(n):
+        bank_col.append(randrange(banks))
+        row_col.append(row())
+    return bank_col, row_col
 
 
 def _gen_uniform(spec, geometry, rng, rows, banks):
-    out = []
-    for i in range(spec.length):
-        bank = _pick_bank(rng, banks)
-        out.append(ActivationEvent(i, bank, rng.randrange(rows)))
-    return out
+    randrange = rng.randrange
+    return _bank_then_row(spec.length, banks, rng, lambda: randrange(rows))
 
 
 @lru_cache(maxsize=4)
@@ -136,14 +191,15 @@ def _gen_zipf(spec, geometry, rng, rows, banks):
         # A child generator keeps the rank stream identical with and
         # without shuffling; only the rank-to-row renaming changes.
         random.Random(spec.seed * 0x9E3779B97F4A7C15 + 1).shuffle(mapping)
-    out = []
-    for i in range(spec.length):
-        bank = _pick_bank(rng, banks)
-        rank = bisect_left(cumulative, rng.random() * total)
-        if rank >= rows:
-            rank = rows - 1
-        out.append(ActivationEvent(i, bank, mapping[rank]))
-    return out
+    # A draw past the last cumulative weight (float rounding) is the last rank.
+    mapping.append(mapping[-1])
+    uniform = rng.random
+    return _bank_then_row(
+        spec.length,
+        banks,
+        rng,
+        lambda: mapping[bisect_left(cumulative, uniform() * total)],
+    )
 
 
 def _gen_sequential(spec, geometry, rng, rows, banks):
@@ -154,9 +210,7 @@ def _gen_sequential(spec, geometry, rng, rows, banks):
             f"start_row {start} out of range [0, {geometry.rows_per_bank})"
         )
     n = geometry.rows_per_bank
-    return [
-        ActivationEvent(i, bank, (start + i) % n) for i in range(spec.length)
-    ]
+    return [bank] * spec.length, [(start + i) % n for i in range(spec.length)]
 
 
 def _gen_hotset(spec, geometry, rng, rows, banks):
@@ -165,15 +219,13 @@ def _gen_hotset(spec, geometry, rng, rows, banks):
     if hot_rows > rows:
         raise ConfigError(f"hot_rows {hot_rows} exceeds row population {rows}")
     hot = rng.sample(range(rows), hot_rows)
-    out = []
-    for i in range(spec.length):
-        bank = _pick_bank(rng, banks)
-        if rng.random() < hot_fraction:
-            row = hot[rng.randrange(hot_rows)]
-        else:
-            row = rng.randrange(rows)
-        out.append(ActivationEvent(i, bank, row))
-    return out
+    uniform, randrange = rng.random, rng.randrange
+    return _bank_then_row(
+        spec.length,
+        banks,
+        rng,
+        lambda: hot[randrange(hot_rows)] if uniform() < hot_fraction else randrange(rows),
+    )
 
 
 def _gen_hammer(spec, geometry, rng, rows, banks):
@@ -204,8 +256,8 @@ def _gen_hammer(spec, geometry, rng, rows, banks):
                 byte = (target_byte + 1 + filler_idx) % cpc
             filler_idx += 1
             row = cr * cpc + byte
-        out.append(ActivationEvent(i, bank, row))
-    return out
+        out.append(row)
+    return [bank] * spec.length, out
 
 
 def _gen_roundrobin(spec, geometry, rng, rows, banks):
@@ -213,9 +265,8 @@ def _gen_roundrobin(spec, geometry, rng, rows, banks):
     bank = spec.params.get("bank", 0)
     cr = geometry.counter_rows_per_bank
     cpc = geometry.counters_per_counter_row
-    return [
-        ActivationEvent(i, bank, (i % cr) * cpc + (i // cr) % cpc)
-        for i in range(spec.length)
+    return [bank] * spec.length, [
+        (i % cr) * cpc + (i // cr) % cpc for i in range(spec.length)
     ]
 
 
@@ -231,10 +282,9 @@ def write_binary(events: Iterable[ActivationEvent], stream) -> None:
         stream.write(_RECORD.pack(ev.bank, ev.data_row))
 
 
-def read_text(stream, geometry: DramGeometry) -> List[ActivationEvent]:
+def read_text(stream, geometry: DramGeometry) -> Trace:
     """Parse the text format, reporting the first bad line by number."""
-    events = []
-    slot = 0
+    banks, rows = [], []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -249,12 +299,12 @@ def read_text(stream, geometry: DramGeometry) -> List[ActivationEvent]:
         except ValueError:
             raise TraceError(f"non-integer field in {line!r}", line=lineno) from None
         _check_range(geometry, bank, data_row, lineno)
-        events.append(ActivationEvent(slot, bank, data_row))
-        slot += 1
-    return events
+        banks.append(bank)
+        rows.append(data_row)
+    return Trace(banks, rows)
 
 
-def read_binary(stream, geometry: DramGeometry) -> List[ActivationEvent]:
+def read_binary(stream, geometry: DramGeometry) -> Trace:
     """Parse packed records, reporting the first bad record by number."""
     data = stream.read()
     if len(data) % _RECORD.size != 0:
@@ -262,11 +312,13 @@ def read_binary(stream, geometry: DramGeometry) -> List[ActivationEvent]:
             f"truncated record: {len(data)} bytes is not a multiple of {_RECORD.size}",
             line=len(data) // _RECORD.size + 1,
         )
-    events = []
-    for slot, (bank, data_row) in enumerate(_RECORD.iter_unpack(data)):
-        _check_range(geometry, bank, data_row, slot + 1)
-        events.append(ActivationEvent(slot, bank, data_row))
-    return events
+    records = np.frombuffer(data, dtype=_RECORD_DTYPE)
+    banks, rows = records["bank"], records["row"]
+    bad = (banks >= geometry.banks) | (rows >= geometry.rows_per_bank)
+    if bad.any():
+        i = int(bad.argmax())
+        _check_range(geometry, int(banks[i]), int(rows[i]), i + 1)
+    return Trace(banks.tolist(), rows.tolist())
 
 
 def _check_range(geometry, bank, data_row, lineno):
@@ -279,7 +331,7 @@ def _check_range(geometry, bank, data_row, lineno):
         )
 
 
-def load(path: str, geometry: DramGeometry, fmt: str = "auto") -> List[ActivationEvent]:
+def load(path: str, geometry: DramGeometry, fmt: str = "auto") -> Trace:
     """Read a trace file; ``fmt`` is ``text``, ``binary``, or ``auto``.
 
     Auto-detection is by extension: ``.bin`` is binary, anything else text.

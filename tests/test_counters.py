@@ -304,3 +304,26 @@ def test_refresh_pick_matches_argmax_reference(
                 break
     assert store.events == ref.events
     assert not store.values.any()
+
+
+def test_dump_matches_the_per_counter_reference():
+    """``dump`` takes every nonzero value in one fancy-indexed read and
+    writes the same bytes as the per-counter loop it replaced."""
+    geometry = DramGeometry(
+        banks=4, rows_per_bank=256, counter_rows_per_bank=8, counters_per_counter_row=32
+    )
+    store = CounterArray(geometry)
+    ref = ArgmaxCounterArray(geometry)
+    rng = random.Random(3)
+    for _ in range(3000):
+        bank, row, byte = rng.randrange(4), rng.randrange(8), rng.randrange(32)
+        inc = rng.choice((1, 2, 7, 300))
+        store.apply_rmw(bank, row, byte, inc)
+        ref.apply_rmw(bank, row, byte, inc)
+    got, want = io.StringIO(), io.StringIO()
+    store.dump(got)
+    ref.dump(want)
+    assert got.getvalue() == want.getvalue()
+    assert store.nonzero_items() == ref.nonzero_items()
+    assert {v for *_, v in store.nonzero_items()} >= {1, 255}
+    assert all(type(x) is int for item in store.nonzero_items() for x in item)

@@ -1,4 +1,6 @@
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -354,3 +356,47 @@ def test_metrics_populated_when_enabled():
     assert report.skew_mean > 0
     assert report.footprint[25] >= 1
     assert report.config["trace.length"] == "2000"
+
+
+@pytest.mark.parametrize("kind", ["lru4way", "tinylfu"])
+def test_a_finished_cached_engine_is_freed_without_the_collector(kind):
+    """The store's mitigation callback and each cache's alert callback
+    point back at the engine; finalize drops them, so a finished engine
+    and its counter store go as soon as the caller lets go, even with the
+    cycle collector off."""
+    config = resolve(
+        overrides={
+            "trace.generator": "hotset",
+            "trace.hot_rows": "48",
+            "trace.length": "3000",
+            "cache.kind": kind,
+            "seed": "1",
+        }
+    )
+    engine = Engine(config)
+    gc.disable()
+    try:
+        report = engine.run()
+        assert report.mitigations > 0
+        finished, store = weakref.ref(engine), weakref.ref(engine.store)
+        del engine
+        assert finished() is None
+        assert store() is None
+    finally:
+        gc.enable()
+
+
+def test_run_refuses_events_in_gapped_slots():
+    """Slots are implicit: a run's events must occupy slots 0, 1, 2, ..."""
+    engine = Engine(resolve(overrides=sequential_overrides(1)))
+    with pytest.raises(TraceError, match="consecutive slots; event 1 has slot 2"):
+        engine.run([ActivationEvent(0, 0, 5), ActivationEvent(2, 0, 6)])
+
+
+def test_run_of_an_event_list_matches_its_trace():
+    """A list of events and the trace it came from make the same report."""
+    config = resolve(overrides={"trace.generator": "zipf", "trace.banks": "4"})
+    trace = generate(config.trace_spec, config.geometry)
+    from_list = Engine(config).run(list(trace))
+    from_trace = Engine(config).run(trace)
+    assert from_list.to_json() == from_trace.to_json()

@@ -1,14 +1,21 @@
 import io
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import legacy_trace
+from pracsim.config import resolve
+from pracsim.engine import workload_shape
 from pracsim.errors import ConfigError, TraceError
 from pracsim.geometry import DramGeometry
 from pracsim.trace import (
     ActivationEvent,
     TraceSpec,
+    as_columns,
     generate,
     load,
     read_binary,
@@ -101,7 +108,7 @@ def test_roundrobin_cycles_counter_rows(geometry):
     assert crs[:64] == list(range(64))
     assert crs[64:128] == list(range(64))
     # Second lap targets the next byte of each counter row.
-    assert events[64].data_row == 1
+    assert events.rows[64] == 1
     for prev, cur in zip(crs, crs[1:]):
         assert prev != cur
 
@@ -157,7 +164,7 @@ def test_text_roundtrip(geometry):
 def test_text_skips_comments_and_blanks(geometry):
     text = "# header\n\n0 10\n  # another\n1 20\n"
     events = read_text(io.StringIO(text), geometry)
-    assert events == [ActivationEvent(0, 0, 10), ActivationEvent(1, 1, 20)]
+    assert list(events) == [ActivationEvent(0, 0, 10), ActivationEvent(1, 1, 20)]
 
 
 def test_binary_roundtrip(geometry):
@@ -199,6 +206,162 @@ def test_text_out_of_range(geometry, line):
 def test_binary_truncated(geometry):
     with pytest.raises(TraceError):
         read_binary(io.BytesIO(b"\x00" * 11), geometry)
+
+
+def _records(pairs) -> bytes:
+    return b"".join(struct.pack("<HI", bank, row) for bank, row in pairs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize(
+    "bank, row, message",
+    [
+        (64, 0, "bank 64 out of range"),
+        (65535, 5, "bank 65535 out of range"),
+        (0, 65536, "data_row 65536 out of range"),
+        (3, 2**32 - 1, "data_row 4294967295 out of range"),
+        (64, 65536, "bank 64 out of range"),
+    ],
+)
+def test_binary_out_of_range_record_is_located(geometry, k, bank, row, message):
+    """The first bad record is named by its 1-based number, and a bad bank
+    is reported before a bad row, even with more bad records after it."""
+    pairs = [(1, 2)] * (k - 1) + [(bank, row), (0, 70000), (99, 0)]
+    with pytest.raises(TraceError, match=f"line {k}: {message}") as exc_info:
+        read_binary(io.BytesIO(_records(pairs)), geometry)
+    assert exc_info.value.line == k
+
+
+def test_trace_columns_and_events(geometry):
+    events = generate(TraceSpec("uniform", 5, seed=2, params={"banks": 4}), geometry)
+    assert len(events) == 5
+    assert [ev.slot for ev in events] == [0, 1, 2, 3, 4]
+    assert [ev.bank for ev in events] == events.banks
+    assert [ev.data_row for ev in events] == events.rows
+    assert list(events)[-1] == ActivationEvent(4, events.banks[4], events.rows[4])
+    assert as_columns(events) is events
+    assert as_columns(list(events)) == events
+    with pytest.raises(TraceError, match="event 1 has slot 0"):
+        as_columns([ActivationEvent(0, 0, 0), ActivationEvent(0, 0, 1)])
+
+
+def _outcome(fn, *args):
+    """What a call returns as a list of events, or the error it raises."""
+    try:
+        return "ok", list(fn(*args))
+    except (ConfigError, TraceError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+GEN_PARAMS = {
+    "uniform": {"rows": st.integers(1, 65536), "banks": st.integers(1, 64)},
+    "zipf": {
+        "exponent": st.floats(0.2, 3.0),
+        "rows": st.integers(1, 65536),
+        "banks": st.integers(1, 64),
+        "shuffle": st.booleans(),
+    },
+    "sequential": {"bank": st.integers(0, 63), "start_row": st.integers(0, 65536)},
+    "hotset": {
+        "hot_rows": st.integers(1, 200),
+        "hot_fraction": st.floats(0.01, 1.0),
+        "rows": st.integers(1, 65536),
+        "banks": st.integers(1, 64),
+    },
+    "hammer": {
+        "row": st.integers(0, 65536),
+        "gap": st.integers(0, 2000),
+        "bank": st.integers(0, 64),
+    },
+    "roundrobin": {"bank": st.integers(0, 63)},
+}
+
+
+@st.composite
+def specs(draw):
+    generator = draw(st.sampled_from(sorted(GEN_PARAMS)))
+    params = draw(st.fixed_dictionaries({}, optional=GEN_PARAMS[generator]))
+    return TraceSpec(
+        generator,
+        draw(st.integers(1, 3000)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        params=params,
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(spec=specs())
+def test_generators_match_the_legacy_event_lists(spec):
+    """Every generator draws the same trace as the tuple-per-event code
+    it replaced, or refuses the same spec with the same error."""
+    geometry = DramGeometry()
+    assert _outcome(generate, spec, geometry) == _outcome(
+        legacy_trace.generate, spec, geometry
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    spec=specs(),
+    window=st.integers(1, 100),
+    mode=st.sampled_from(["tumbling", "sliding"]),
+)
+def test_workload_shape_matches_the_legacy_pass(spec, window, mode):
+    """The shape pass over the columns gives the same skews, locality and
+    footprint, in the same order, as the pass over event tuples."""
+    config = resolve(
+        overrides={"metrics.window": str(window), "metrics.window_mode": mode}
+    )
+    try:
+        events = legacy_trace.generate(spec, config.geometry)
+    except ConfigError:
+        return
+    want = legacy_trace.workload_shape(events, config)
+    assert repr(workload_shape(generate(spec, config.geometry), config)) == repr(want)
+    assert repr(workload_shape(events, config)) == repr(want)
+
+
+# Text lines and binary records: mostly good, some malformed or out of range.
+GOOD_LINE = st.builds(
+    "{} {}".format, st.integers(0, 63), st.integers(0, 65535)
+)
+TEXT_LINE = st.one_of(
+    GOOD_LINE,
+    GOOD_LINE,
+    GOOD_LINE,
+    st.sampled_from(["", "   ", "# comment", "  #indented", "\t3\t9 "]),
+    st.sampled_from(["64 0", "0 65536", "-1 0", "0 -5", "x 1", "1 2 3", "7", "0 1.5"]),
+)
+GOOD_RECORD = st.tuples(st.integers(0, 63), st.integers(0, 65535))
+RECORD = st.one_of(
+    GOOD_RECORD,
+    GOOD_RECORD,
+    GOOD_RECORD,
+    GOOD_RECORD,
+    st.tuples(st.integers(64, 65535), st.integers(0, 2**32 - 1)),
+    st.tuples(st.integers(0, 63), st.integers(65536, 2**32 - 1)),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(lines=st.lists(TEXT_LINE, max_size=40))
+def test_read_text_matches_the_legacy_reader(lines):
+    geometry = DramGeometry()
+    text = "\n".join(lines) + "\n"
+    assert _outcome(read_text, io.StringIO(text), geometry) == _outcome(
+        legacy_trace.read_text, io.StringIO(text), geometry
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(pairs=st.lists(RECORD, max_size=40), cut=st.sampled_from([0, 0, 0, 1, 5]))
+def test_read_binary_matches_the_legacy_reader(pairs, cut):
+    geometry = DramGeometry()
+    data = _records(pairs)
+    data = data[: len(data) - cut] if cut <= len(data) else data
+    assert _outcome(read_binary, io.BytesIO(data), geometry) == _outcome(
+        legacy_trace.read_binary, io.BytesIO(data), geometry
+    )
 
 
 @pytest.mark.parametrize(
