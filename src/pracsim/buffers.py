@@ -1,10 +1,10 @@
 """Counter-request buffers: per-activation baseline and coalescing designs.
 
 Counter updates queue in a small buffer and are serviced in batches, one
-batch at most in the shadow of each data activation.  An entry records
-how many repeated activations it has absorbed; batches are bounded by
-the per-row burst size M.  Three conditions trigger service, in
-priority order:
+batch at most in the shadow of each data activation.  An entry holds the
+updates pending for its counter, one per activation it has absorbed; a
+row holds at most the per-row burst size M entries, so a row's batch
+fits in one burst.  Three conditions trigger service, in priority order:
 
   k_limit      an entry's pending updates reached the staleness limit K,
                so its whole row is flushed before counters drift too far
@@ -97,17 +97,6 @@ class ServiceBatch(NamedTuple):
     trigger: str
 
 
-class _Entry:
-    __slots__ = ("row_id", "byte_id", "rep_count", "is_wb", "wb_value")
-
-    def __init__(self, row_id, byte_id, is_wb, wb_value):
-        self.row_id = row_id
-        self.byte_id = byte_id
-        self.rep_count = 0
-        self.is_wb = is_wb
-        self.wb_value = wb_value
-
-
 class ChronusBuffer:
     """Baseline: every activation's counter update is serviced on the spot."""
 
@@ -129,9 +118,11 @@ class ChronusBuffer:
 class _BufferedBase:
     """The coalescing buffer of every design but the baseline; one per bank.
 
-    Entries are kept per row as {(byte_id, is_wb): entry}; ``_capacity``
-    None means no shared pool (per-row design).  ``_full_rows`` holds
-    rows at M entries whose service had to be deferred.
+    Entries are kept per row as {(byte_id, is_wb): value}, where the
+    value of an increment entry is its pending updates and that of a
+    writeback entry the absolute value to write.  ``_capacity`` None
+    means no shared pool (per-row design).  ``_full_rows`` holds rows at
+    M entries whose service had to be deferred.
 
     Both dict levels stay in arrival order: a row enters ``_rows`` with
     its first entry and leaves only whole, and entries are never removed
@@ -148,7 +139,7 @@ class _BufferedBase:
     def __init__(self, bank: int, config: BufferConfig):
         self.bank = bank
         self.config = config
-        self._rows: Dict[int, Dict[tuple, _Entry]] = {}
+        self._rows: Dict[int, Dict[tuple, int]] = {}
         self._total = 0
         self._full_rows = set()
         self._pick_victim = _VICTIM_PICKS[config.design]
@@ -164,14 +155,16 @@ class _BufferedBase:
         """Queue one activation's counter update; maybe service a batch."""
         entries = self._rows.get(row_id)
         if entries is not None:
-            entry = entries.get((byte_id, False))
-            if entry is not None:
-                entry.rep_count += 1
+            key = (byte_id, False)
+            pending = entries.get(key)
+            if pending is not None:
+                pending += 1
+                entries[key] = pending
                 count = len(entries)
                 if count > self._meta_count:
                     self._meta_row = row_id
                     self._meta_count = count
-                if entry.rep_count + 1 >= self._pending_limit:
+                if pending >= self._pending_limit:
                     return self._flush_row(row_id, TRIG_K_LIMIT)
                 return self._service_deferred()
         if row_id in self._full_rows:
@@ -193,42 +186,31 @@ class _BufferedBase:
     def try_insert_writeback(self, row_id: int, byte_id: int, value: int) -> bool:
         """Queue an absolute counter write; False if no slot can take it."""
         entries = self._rows.get(row_id)
-        if entries is not None:
-            existing = entries.get((byte_id, True))
-            if existing is not None:
-                existing.wb_value = value
-                return True
+        if entries is not None and (byte_id, True) in entries:
+            entries[byte_id, True] = value
+            return True
         count = len(entries) if entries is not None else 0
         if count >= self.config.m_batch:
             return False
         if self._capacity is not None and self._total >= self._capacity:
             return False
-        self._allocate(row_id, byte_id, is_wb=True, wb_value=value)
-        if len(self._rows[row_id]) >= self.config.m_batch:
-            self._full_rows.add(row_id)
+        self._allocate(row_id, byte_id, True, value)
         return True
 
     def reset_writeback(self, row_id: int, byte_id: int) -> None:
         """A mitigation zeroed this counter: a queued writeback now writes 0."""
         # The entry stays put: removing it would break arrival order.
         entries = self._rows.get(row_id)
-        if entries is not None:
-            entry = entries.get((byte_id, True))
-            if entry is not None:
-                entry.wb_value = 0
+        if entries is not None and (byte_id, True) in entries:
+            entries[byte_id, True] = 0
 
     def drain(self) -> List[ServiceBatch]:
-        """Flush everything in deterministic order (rows ascending)."""
-        batches = []
-        for row_id in sorted(self._rows):
-            items = _merge_items(self._rows[row_id])
-            m = self.config.m_batch
-            for start in range(0, len(items), m):
-                batches.append(
-                    ServiceBatch(
-                        self.bank, row_id, tuple(items[start : start + m]), TRIG_DRAIN
-                    )
-                )
+        """Flush everything in deterministic order (rows ascending), one
+        batch per row."""
+        batches = [
+            ServiceBatch(self.bank, row_id, tuple(_merge_items(entries)), TRIG_DRAIN)
+            for row_id, entries in sorted(self._rows.items())
+        ]
         self._rows.clear()
         self._total = 0
         self._full_rows.clear()
@@ -236,11 +218,11 @@ class _BufferedBase:
         self._meta_count = 0
         return batches
 
-    def _allocate(self, row_id, byte_id, is_wb=False, wb_value=None):
+    def _allocate(self, row_id, byte_id, is_wb=False, value=1):
         entries = self._rows.get(row_id)
         if entries is None:
             entries = self._rows[row_id] = {}
-        entries[(byte_id, is_wb)] = _Entry(row_id, byte_id, is_wb, wb_value)
+        entries[byte_id, is_wb] = value
         self._total += 1
         count = len(entries)
         if count >= self.config.m_batch:
@@ -269,23 +251,21 @@ class _BufferedBase:
         return None
 
 
-def _merge_items(entries: Dict[tuple, _Entry]) -> List[BatchItem]:
+def _merge_items(entries: Dict[tuple, int]) -> List[BatchItem]:
     """Collapse a row's entries, given in arrival order, into batch items.
 
-    An increment entry carries rep_count + 1 pending updates.  A
-    writeback and an increment entry for the same byte merge into one
+    A writeback and an increment entry for the same byte merge into one
     item placed at the earlier arrival, so items come oldest first.
     """
     by_byte: Dict[int, list] = {}
-    for entry in entries.values():
-        pending = 0 if entry.is_wb else entry.rep_count + 1
-        slot = by_byte.get(entry.byte_id)
+    for (byte_id, is_wb), value in entries.items():
+        slot = by_byte.get(byte_id)
         if slot is None:
-            by_byte[entry.byte_id] = [pending, entry.wb_value if entry.is_wb else None]
+            by_byte[byte_id] = [0, value] if is_wb else [value, None]
+        elif is_wb:
+            slot[1] = value
         else:
-            slot[0] += pending
-            if entry.is_wb:
-                slot[1] = entry.wb_value
+            slot[0] += value
     return [BatchItem(byte_id, inc, wb) for byte_id, (inc, wb) in by_byte.items()]
 
 

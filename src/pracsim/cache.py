@@ -14,7 +14,7 @@ a line for a candidate that has been seen more often.
 """
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from .errors import ConfigError
 from .geometry import DramGeometry
@@ -75,27 +75,18 @@ def _mix(x: int) -> int:
 
 
 class CounterCache:
-    """Per-bank counter cache; the engine owns alert side effects.
+    """Per-bank counter cache; the engine raises the alerts of cached copies.
 
-    ``on_alert(row_id, byte_id, value)`` is invoked when a cached copy
-    crosses ``n_bo``; the line is then reset clean, mirroring the
-    write-through reset of the stored counter.
+    A hit returns the live value, so the caller can alert when it reaches
+    the back-off threshold; the mitigation that follows resets the line
+    through ``reset``.
     """
 
-    def __init__(
-        self,
-        bank: int,
-        config: CacheConfig,
-        geometry: DramGeometry,
-        n_bo: Optional[int] = None,
-        on_alert: Optional[Callable[[int, int, int], None]] = None,
-    ):
+    def __init__(self, bank: int, config: CacheConfig, geometry: DramGeometry):
         if config.kind == "none":
             raise ConfigError("cannot instantiate a cache of kind 'none'")
         self.bank = bank
         self.config = config
-        self.n_bo = n_bo
-        self.on_alert = on_alert
         self._cpc = geometry.counters_per_counter_row
         self.num_sets = config.entries // ASSOC
         self.sets: List[List[_Line]] = [[] for _ in range(self.num_sets)]
@@ -118,8 +109,9 @@ class CounterCache:
     def _flat(self, row_id: int, byte_id: int) -> int:
         return row_id * self._cpc + byte_id
 
-    def access(self, row_id: int, byte_id: int) -> bool:
-        """Look up one activation's counter; on a hit, absorb the increment."""
+    def access(self, row_id: int, byte_id: int) -> int:
+        """Look up one activation's counter: a hit absorbs the increment and
+        returns the live value, at least 1; a miss returns 0."""
         flat = self._flat(row_id, byte_id)
         if self._lfu:
             self._sketch_add(flat)
@@ -133,14 +125,9 @@ class CounterCache:
             line.dirty = True
             if i != 0:
                 ways.insert(0, ways.pop(i))
-            if self.n_bo is not None and value >= self.n_bo:
-                if self.on_alert is not None:
-                    self.on_alert(row_id, byte_id, value)
-                line.value = 0
-                line.dirty = False
-            return True
+            return value
         self.misses += 1
-        return False
+        return 0
 
     def fill_clean(
         self,

@@ -130,8 +130,8 @@ class CounterArray:
     def external_alert(self, bank: int, row_id: int, byte_id: int, value: int) -> None:
         """Alert raised by a cached copy of this counter crossing the threshold.
 
-        The reset writes through: the stored counter is mitigated along
-        with the cached copy the caller resets.
+        The reset writes through: the stored counter is mitigated, and
+        ``on_mitigate`` resets the cached copy with it.
         """
         self._alert(bank, row_id, byte_id, value)
 
@@ -181,15 +181,17 @@ class CounterArray:
 
     def nonzero_items(self) -> List[Tuple[int, int, int, int]]:
         """All nonzero counters as (bank, row_id, byte_id, value), sorted."""
-        index = np.nonzero(self.values)
-        columns = [a.tolist() for a in index]
-        return list(zip(*columns, self.values[index].tolist()))
+        cells = np.frombuffer(self._cells, dtype=np.uint8)
+        flat = np.flatnonzero(cells)
+        banks, offsets = np.divmod(flat, self._bank_size)
+        row_ids, byte_ids = np.divmod(offsets, self._cpc)
+        columns = (banks, row_ids, byte_ids, cells[flat])
+        return list(zip(*(a.tolist() for a in columns)))
 
     def dump(self, stream) -> None:
         """Write nonzero counters as CSV: bank,row_id,byte_id,value."""
-        stream.write("bank,row_id,byte_id,value\n")
-        for b, r, c, v in self.nonzero_items():
-            stream.write(f"{b},{r},{c},{v}\n")
+        lines = [f"{b},{r},{c},{v}\n" for b, r, c, v in self.nonzero_items()]
+        stream.write("bank,row_id,byte_id,value\n" + "".join(lines))
 
 
 def effective_backoff(design: str, k_limit: int) -> int:

@@ -5,10 +5,9 @@ inserts a counter request into its bank's buffer; a returned batch is
 serviced against the stored counters in the shadow of that same
 activation.  After the last event every buffer is drained, which models
 idle time at the end of the run.  Workload shape is computed in one
-pass at finalize, by the same function that ``pracsim analyze`` calls,
-from the trace ``run`` stepped (or the events ``step`` recorded when
-called directly); ``compare`` computes it once for all designs and hands
-it to each run.
+pass, by the same function that ``pracsim analyze`` calls, from the
+trace ``run`` steps; ``compare`` computes it once for all designs and
+hands it to each run.
 """
 
 from collections import Counter
@@ -19,7 +18,7 @@ import numpy as np
 from .buffers import TRIGGERS, ServiceBatch, make_buffer
 from .cache import CounterCache
 from .config import SimConfig
-from .counters import CounterArray
+from .counters import COUNTER_MAX, CounterArray
 from .energy import EnergyLedger, breakdown
 from .errors import ConfigError, TraceError
 from .metrics import (
@@ -56,13 +55,10 @@ class Engine:
         self.batch_log: Optional[List[LoggedBatch]] = [] if collect_log else None
         # bank -> (buffer, cache or None), made on the bank's first activation.
         self._banks: Dict[int, Tuple] = {}
-        # The trace whose shape the report carries: the one ``run`` steps,
-        # or the columns ``step`` records while ``_record`` is set.
-        self._seen = Trace()
-        self._shape: Optional[dict] = None
+        # A cached copy alerts at the store's threshold; never without mitigation.
+        self._n_bo = COUNTER_MAX + 1 if config.n_bo is None else config.n_bo
         self._cpc = config.geometry.counters_per_counter_row
         self._rows = config.geometry.rows_per_bank
-        self._record = config.metrics_enabled
         self._proactive = config.proactive_interval
         self._finalized = False
 
@@ -81,13 +77,7 @@ class Engine:
                 )
             cache = None
             if self._cached:
-                cache = CounterCache(
-                    bank,
-                    self.config.cache,
-                    self.geometry,
-                    n_bo=self.config.n_bo,
-                    on_alert=lambda r, c, v: self.store.external_alert(bank, r, c, v),
-                )
+                cache = CounterCache(bank, self.config.cache, self.geometry)
             state = self._banks[bank] = (make_buffer(bank, self.config.buffer), cache)
         return state
 
@@ -104,10 +94,12 @@ class Engine:
             cache.reset(row_id, byte_id)
             buf.reset_writeback(row_id, byte_id)
 
-    def step(self, ev: Tuple[int, int, int]) -> Optional[ServiceBatch]:
-        """Process one activation, a ``(slot, bank, data_row)`` tuple such
-        as an ``ActivationEvent``; returns the batch it serviced, if any."""
-        slot, bank, data_row = ev
+    def step(self, slot: int, bank: int, data_row: int) -> Optional[ServiceBatch]:
+        """Process one activation; returns the batch it serviced, if any.
+
+        A cached copy whose live value reaches the back-off threshold
+        alerts here; the mitigation resets it and any queued writeback.
+        """
         if not 0 <= data_row < self._rows:
             raise TraceError(
                 f"slot {slot}: data_row {data_row} out of range [0, {self._rows})"
@@ -118,12 +110,13 @@ class Engine:
         ledger = self.ledger
         ledger.data_acts += 1
         ledger.data_cols += 1
-        if self._record:
-            self._seen.banks.append(bank)
-            self._seen.rows.append(data_row)
 
         serviced = None
-        if cache is None or not cache.access(row_id, byte_id):
+        live = 0 if cache is None else cache.access(row_id, byte_id)
+        if live:
+            if live >= self._n_bo:
+                self.store.external_alert(bank, row_id, byte_id, live)
+        else:
             batch = buf.insert(row_id, byte_id)
             if batch is not None:
                 self._service(batch, slot)
@@ -168,8 +161,12 @@ class Engine:
                         buf.try_insert_writeback,
                     )
 
-    def finalize(self) -> SimReport:
-        """Drain all buffers and assemble the report."""
+    def finalize(self, shape: Optional[dict] = None) -> SimReport:
+        """Drain all buffers and assemble the report.
+
+        ``shape`` is ``workload_shape`` of the stepped trace; without it,
+        or with metrics disabled, the report leaves the shape fields empty.
+        """
         if self._finalized:
             raise ConfigError("finalize called twice on one engine")
         self._finalized = True
@@ -180,28 +177,21 @@ class Engine:
         for bank in sorted(self._banks):
             for batch in self._banks[bank][0].drain():
                 self._service(batch, drain_slot)
-        # Nothing steps a finalized engine: drop the callbacks that tie the
-        # store and the caches back to it, so that refcounting alone frees
-        # the engine and its counter store once the caller lets go.
+        # Nothing steps a finalized engine: drop the callback that ties the
+        # store back to it, so that refcounting alone frees the engine and
+        # its counter store once the caller lets go.
         self.store.on_mitigate = None
-        for _, cache in self._banks.values():
-            if cache is not None:
-                cache.on_alert = None
         self.ledger.mitigation_acts = self.store.mitigations
 
-        if not self.config.metrics_enabled:
+        if shape is None or not self.config.metrics_enabled:
             shape = {}
-        elif self._shape is not None:
+        else:
             # Each report gets its own dicts, though compare shares one shape.
             shape = dict(
-                self._shape,
-                skew_by_bank=dict(self._shape["skew_by_bank"]),
-                footprint=dict(self._shape["footprint"]),
+                shape,
+                skew_by_bank=dict(shape["skew_by_bank"]),
+                footprint=dict(shape["footprint"]),
             )
-        else:
-            shape = workload_shape(self._seen, self.config)
-        # The report holds the shape; the engine need not keep the trace.
-        self._seen = Trace()
 
         cache_stats = None
         if self._cached:
@@ -251,17 +241,13 @@ class Engine:
         it; otherwise the report's shape is computed from ``events``.
         """
         trace = as_columns(self.load_events() if events is None else events)
-        if shape is not None:
-            self._shape = shape
-            self._record = False
-        elif not self._seen.rows:
-            # The shape comes from the trace itself: nothing to record.
-            self._seen = trace
-            self._record = False
         step = self.step
-        for ev in zip(range(len(trace)), trace.banks, trace.rows):
-            step(ev)
-        return self.finalize()
+        for slot, (bank, data_row) in enumerate(zip(trace.banks, trace.rows)):
+            step(slot, bank, data_row)
+        # An empty trace is left to finalize, which names the problem.
+        if shape is None and self.config.metrics_enabled and trace:
+            shape = workload_shape(trace, self.config)
+        return self.finalize(shape)
 
 
 def load_trace(config: SimConfig) -> Trace:

@@ -13,7 +13,6 @@ produces the same trace on any platform.
 """
 
 import random
-import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -27,7 +26,6 @@ from .geometry import DramGeometry
 
 GENERATORS = ("uniform", "zipf", "sequential", "hotset", "hammer", "roundrobin")
 
-_RECORD = struct.Struct("<HI")
 _RECORD_DTYPE = np.dtype([("bank", "<u2"), ("row", "<u4")])
 
 _KNOWN_PARAMS = {
@@ -271,15 +269,19 @@ def _gen_roundrobin(spec, geometry, rng, rows, banks):
 
 
 def write_text(events: Iterable[ActivationEvent], stream) -> None:
-    """Write the text format to a text-mode stream."""
-    for ev in events:
-        stream.write(f"{ev.bank} {ev.data_row}\n")
+    """Write ``events`` (see ``as_columns``) as text to a text-mode stream."""
+    trace = as_columns(events)
+    stream.write("".join(f"{b} {r}\n" for b, r in zip(trace.banks, trace.rows)))
 
 
 def write_binary(events: Iterable[ActivationEvent], stream) -> None:
-    """Write packed 6-byte records to a binary-mode stream."""
-    for ev in events:
-        stream.write(_RECORD.pack(ev.bank, ev.data_row))
+    """Write ``events`` (see ``as_columns``) as packed 6-byte records to a
+    binary-mode stream."""
+    trace = as_columns(events)
+    records = np.empty(len(trace), dtype=_RECORD_DTYPE)
+    records["bank"] = trace.banks
+    records["row"] = trace.rows
+    stream.write(records.tobytes())
 
 
 def read_text(stream, geometry: DramGeometry) -> Trace:
@@ -307,10 +309,11 @@ def read_text(stream, geometry: DramGeometry) -> Trace:
 def read_binary(stream, geometry: DramGeometry) -> Trace:
     """Parse packed records, reporting the first bad record by number."""
     data = stream.read()
-    if len(data) % _RECORD.size != 0:
+    size = _RECORD_DTYPE.itemsize
+    if len(data) % size != 0:
         raise TraceError(
-            f"truncated record: {len(data)} bytes is not a multiple of {_RECORD.size}",
-            line=len(data) // _RECORD.size + 1,
+            f"truncated record: {len(data)} bytes is not a multiple of {size}",
+            line=len(data) // size + 1,
         )
     records = np.frombuffer(data, dtype=_RECORD_DTYPE)
     banks, rows = records["bank"], records["row"]
@@ -331,31 +334,33 @@ def _check_range(geometry, bank, data_row, lineno):
         )
 
 
+def _is_binary(path: str, fmt: str) -> bool:
+    """Whether ``fmt`` names the binary format; ``auto`` picks it for a
+    ``.bin`` path, and text for anything else."""
+    if fmt == "auto":
+        return path.endswith(".bin")
+    if fmt not in ("text", "binary"):
+        raise ConfigError(f"unknown trace format {fmt!r}")
+    return fmt == "binary"
+
+
 def load(path: str, geometry: DramGeometry, fmt: str = "auto") -> Trace:
     """Read a trace file; ``fmt`` is ``text``, ``binary``, or ``auto``.
 
     Auto-detection is by extension: ``.bin`` is binary, anything else text.
     """
-    if fmt == "auto":
-        fmt = "binary" if path.endswith(".bin") else "text"
-    if fmt == "binary":
+    if _is_binary(path, fmt):
         with open(path, "rb") as f:
             return read_binary(f, geometry)
-    if fmt == "text":
-        with open(path, "r", encoding="ascii") as f:
-            return read_text(f, geometry)
-    raise ConfigError(f"unknown trace format {fmt!r}")
+    with open(path, "r", encoding="ascii") as f:
+        return read_text(f, geometry)
 
 
 def save(events, path: str, fmt: str = "auto") -> None:
     """Write a trace file in the chosen format (see :func:`load`)."""
-    if fmt == "auto":
-        fmt = "binary" if path.endswith(".bin") else "text"
-    if fmt == "binary":
+    if _is_binary(path, fmt):
         with open(path, "wb") as f:
             write_binary(events, f)
-    elif fmt == "text":
+    else:
         with open(path, "w", encoding="ascii") as f:
             write_text(events, f)
-    else:
-        raise ConfigError(f"unknown trace format {fmt!r}")

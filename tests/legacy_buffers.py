@@ -2,9 +2,10 @@
 
 A verbatim copy of the per-design class hierarchy: the ``RequestBuffer``
 interface, ``_BufferedBase`` with its three design hooks, the four
-per-design subclasses and ``_merge_items``.  Tests run it beside
-``pracsim.buffers`` as the reference for a differential test; nothing
-under ``src/`` imports it.
+per-design subclasses and ``_merge_items``, with the ``_Entry`` record
+they queue from when an entry was an object rather than an int.  Tests
+run it beside ``pracsim.buffers`` as the reference for a differential
+test; nothing under ``src/`` imports it.
 """
 
 from typing import Dict, List, Optional
@@ -17,8 +18,18 @@ from pracsim.buffers import (
     BatchItem,
     BufferConfig,
     ServiceBatch,
-    _Entry,
 )
+
+
+class _Entry:
+    __slots__ = ("row_id", "byte_id", "rep_count", "is_wb", "wb_value")
+
+    def __init__(self, row_id, byte_id, is_wb, wb_value):
+        self.row_id = row_id
+        self.byte_id = byte_id
+        self.rep_count = 0
+        self.is_wb = is_wb
+        self.wb_value = wb_value
 
 
 class RequestBuffer:

@@ -2,7 +2,8 @@
 
 A verbatim copy of ``generate``, its per-generator builders, the text
 and binary readers and ``engine.workload_shape`` from when a trace was a
-list holding one ``ActivationEvent`` per activation.  Tests run it
+list holding one ``ActivationEvent`` per activation, and of the text and
+binary writers from when they wrote one event at a time.  Tests run it
 beside ``pracsim.trace`` and ``pracsim.engine`` as the reference for
 differential tests; nothing under ``src/`` imports it.
 """
@@ -13,7 +14,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from pracsim.config import SimConfig
 from pracsim.errors import ConfigError, TraceError
@@ -160,6 +161,18 @@ def _gen_roundrobin(spec, geometry, rng, rows, banks):
         ActivationEvent(i, bank, (i % cr) * cpc + (i // cr) % cpc)
         for i in range(spec.length)
     ]
+
+
+def write_text(events: Iterable[ActivationEvent], stream) -> None:
+    """Write the text format to a text-mode stream."""
+    for ev in events:
+        stream.write(f"{ev.bank} {ev.data_row}\n")
+
+
+def write_binary(events: Iterable[ActivationEvent], stream) -> None:
+    """Write packed 6-byte records to a binary-mode stream."""
+    for ev in events:
+        stream.write(_RECORD.pack(ev.bank, ev.data_row))
 
 
 def read_text(stream, geometry: DramGeometry) -> List[ActivationEvent]:

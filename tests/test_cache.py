@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from pracsim.buffers import BatchItem
 from pracsim.cache import ASSOC, CacheConfig, CounterCache
 from pracsim.config import resolve
 from pracsim.engine import Engine
@@ -11,9 +12,8 @@ from pracsim.errors import ConfigError
 CACHE_TOTALS = ("hits", "misses", "writebacks", "admission_rejects", "fills_rejected")
 
 
-def make_cache(geometry, kind="lru4way", entries=4, n_bo=None, on_alert=None, **kw):
-    config = CacheConfig(kind=kind, entries=entries, **kw)
-    return CounterCache(0, config, geometry, n_bo=n_bo, on_alert=on_alert)
+def make_cache(geometry, kind="lru4way", entries=4, **kw):
+    return CounterCache(0, CacheConfig(kind=kind, entries=entries, **kw), geometry)
 
 
 def no_sink(row, byte, value):
@@ -95,18 +95,59 @@ def test_sink_refusal_aborts_fill(toy_geometry):
     assert not cache.access(0, 1)
 
 
-def test_hit_crossing_threshold_alerts_and_resets(toy_geometry):
-    alerts = []
-    cache = make_cache(
-        toy_geometry, n_bo=5, on_alert=lambda r, b, v: alerts.append((r, b, v))
-    )
+def test_access_returns_the_live_value(toy_geometry):
+    """A miss returns 0 and a hit the cached copy after its increment,
+    with no threshold of its own: the engine alerts from that value."""
+    cache = make_cache(toy_geometry)
+    assert cache.access(2, 3) == 0
     cache.fill_clean(2, 3, 4, no_sink)
-    assert cache.access(2, 3)
-    assert alerts == [(2, 3, 5)]
+    assert [cache.access(2, 3) for _ in range(3)] == [5, 6, 7]
+    assert cache.dirty_lines() == [(2, 3, 7)]
+    cache.fill_clean(2, 3, 254, no_sink)
+    assert [cache.access(2, 3) for _ in range(2)] == [255, 255]
+
+
+@pytest.mark.parametrize("rfms_per_alert", [1, 2])
+@pytest.mark.parametrize("kind", ["lru4way", "tinylfu"])
+def test_cached_copy_reaching_n_bo_alerts_once(kind, rfms_per_alert):
+    """The engine raises the alert of a cached copy that reaches n_bo:
+    one alert, the line left clean at 0, and a queued writeback of that
+    counter zeroed, so neither copy restores the mitigated count."""
+    config = resolve(
+        overrides={
+            "buffer.design": "perrow",
+            "buffer.k_limit": "1",
+            "cache.kind": kind,
+            "mitigation.n_bo": "5",
+            "mitigation.rfms_per_alert": str(rfms_per_alert),
+            "mitigation.proactive_interval": "0",
+            "metrics.enabled": "false",
+        }
+    )
+    cpc = config.geometry.counters_per_counter_row
+    row_id, byte_id = 2, 3
+    engine = Engine(config)
+    # K = 1 services each miss at once, which installs a clean copy.  The
+    # second counter, (5, 1), is what an extra RFM finds to refresh.
+    engine.step(0, 0, row_id * cpc + byte_id)
+    engine.step(1, 0, 5 * cpc + 1)
+    buf, cache = engine._bank(0)
     assert cache.dirty_lines() == []
-    assert cache.access(2, 3)
-    assert cache.dirty_lines() == [(2, 3, 1)]
-    assert alerts == [(2, 3, 5)]
+    assert buf.try_insert_writeback(row_id, byte_id, 3)
+    for slot in range(2, 5):
+        engine.step(slot, 0, row_id * cpc + byte_id)
+    assert cache.dirty_lines() == [(row_id, byte_id, 4)]
+    assert engine.store.alerts == 0
+    engine.step(5, 0, row_id * cpc + byte_id)
+    assert engine.store.alerts == 1
+    assert engine.store.mitigations == rfms_per_alert
+    assert engine.store.get(0, row_id, byte_id) == 0
+    assert engine.store.get(0, 5, 1) == (0 if rfms_per_alert == 2 else 1)
+    assert cache.dirty_lines() == []
+    assert (cache.hits, cache.misses) == (4, 2)
+    (batch,) = buf.drain()
+    assert batch.items == (BatchItem(byte_id, 0, 0),)
+    assert cache.access(row_id, byte_id) == 1
 
 
 def test_value_saturates(toy_geometry):

@@ -327,3 +327,38 @@ def test_dump_matches_the_per_counter_reference():
     assert store.nonzero_items() == ref.nonzero_items()
     assert {v for *_, v in store.nonzero_items()} >= {1, 255}
     assert all(type(x) is int for item in store.nonzero_items() for x in item)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    banks=st.integers(1, 3),
+    counter_rows=st.sampled_from((1, 2, 4)),
+    cpc=st.sampled_from((1, 4, 8)),
+    writes=st.lists(
+        st.tuples(
+            st.integers(0, 2), st.integers(0, 3), st.integers(0, 7), st.integers(0, 255)
+        ),
+        max_size=60,
+    ),
+)
+def test_dump_bytes_match_the_per_counter_loop(banks, counter_rows, cpc, writes):
+    """The state dump, taken from the flat bytes and written at once, has
+    the bytes of the per-counter loop over the 3-D nonzero index, for any
+    device shape and any mix of zero and nonzero values, none included."""
+    geometry = DramGeometry(
+        banks=banks,
+        rows_per_bank=counter_rows * cpc,
+        counter_rows_per_bank=counter_rows,
+        counters_per_counter_row=cpc,
+    )
+    store = CounterArray(geometry)
+    ref = ArgmaxCounterArray(geometry)
+    for bank, row, byte, value in writes:
+        at = (bank % banks, row % counter_rows, byte % cpc)
+        store.apply_writeback(*at, value)
+        ref.apply_writeback(*at, value)
+    got, want = io.StringIO(), io.StringIO()
+    store.dump(got)
+    ref.dump(want)
+    assert got.getvalue() == want.getvalue()
+    assert store.nonzero_items() == ref.nonzero_items()

@@ -232,7 +232,7 @@ def test_mitigation_resets_the_cached_copy():
     mitigations = 0
     left_dirty = []
     for ev in engine.load_events():
-        engine.step(ev)
+        engine.step(*ev)
         for event in engine.store.events[seen:]:
             if event[0] != "mitigation":
                 continue
@@ -266,17 +266,16 @@ def test_mitigation_resets_a_queued_writeback():
     mitigations = 0
     restoring = []
     for ev in engine.load_events():
-        engine.step(ev)
+        engine.step(*ev)
         for event in engine.store.events[seen:]:
             if event[0] != "mitigation":
                 continue
             mitigations += 1
             _, slot, bank, row_id, byte_id = event
             buf, _ = engine._bank(bank)
-            entries = buf._rows.get(row_id, {})
-            queued = entries.get((byte_id, True))
-            if queued is not None and queued.wb_value != 0:
-                restoring.append((slot, bank, row_id, byte_id, queued.wb_value))
+            queued = buf._rows.get(row_id, {}).get((byte_id, True))
+            if queued:
+                restoring.append((slot, bank, row_id, byte_id, queued))
         seen = len(engine.store.events)
     assert mitigations > 0
     assert restoring == []
@@ -322,10 +321,10 @@ def test_step_range_checks_events_from_the_api(bank, data_row):
     """A bank or data row outside the geometry is refused, naming the
     slot, before it can bump another bank's counter."""
     engine = Engine(resolve(overrides=sequential_overrides(1)))
-    engine.step(ActivationEvent(0, 3, 7))
+    engine.step(0, 3, 7)
     before = engine.store.values.copy()
     with pytest.raises(TraceError, match="slot 1: "):
-        engine.step(ActivationEvent(1, bank, data_row))
+        engine.step(1, bank, data_row)
     assert np.array_equal(engine.store.values, before)
     assert engine.ledger.data_acts == 1
 
@@ -360,10 +359,9 @@ def test_metrics_populated_when_enabled():
 
 @pytest.mark.parametrize("kind", ["lru4way", "tinylfu"])
 def test_a_finished_cached_engine_is_freed_without_the_collector(kind):
-    """The store's mitigation callback and each cache's alert callback
-    point back at the engine; finalize drops them, so a finished engine
-    and its counter store go as soon as the caller lets go, even with the
-    cycle collector off."""
+    """The store's mitigation callback points back at the engine; finalize
+    drops it, so a finished engine and its counter store go as soon as
+    the caller lets go, even with the cycle collector off."""
     config = resolve(
         overrides={
             "trace.generator": "hotset",

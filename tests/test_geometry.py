@@ -9,7 +9,7 @@ from pracsim.config import resolve
 from pracsim.engine import Engine
 from pracsim.errors import GeometryError, TraceError
 from pracsim.geometry import DramGeometry
-from pracsim.trace import ActivationEvent, read_text
+from pracsim.trace import read_text
 
 
 def baseline_engine(geometry):
@@ -29,7 +29,7 @@ def baseline_engine(geometry):
 def bumped(engine, bank, data_row):
     """Step one activation of ``data_row``; the counter the engine bumped."""
     before = engine.store.values[bank].copy()
-    engine.step(ActivationEvent(engine.ledger.data_acts, bank, data_row))
+    engine.step(engine.ledger.data_acts, bank, data_row)
     ((row_id, byte_id),) = np.argwhere(engine.store.values[bank] != before).tolist()
     return bank, row_id, byte_id
 

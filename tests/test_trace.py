@@ -14,6 +14,7 @@ from pracsim.errors import ConfigError, TraceError
 from pracsim.geometry import DramGeometry
 from pracsim.trace import (
     ActivationEvent,
+    Trace,
     TraceSpec,
     as_columns,
     generate,
@@ -186,6 +187,27 @@ def test_file_roundtrip_auto_format(geometry, tmp_path):
     assert (tmp_path / "t.bin").stat().st_size == 50 * 6
 
 
+def test_named_file_format_beats_the_extension(geometry, tmp_path):
+    """``load`` and ``save`` pick the format the same way: a named format
+    wins over the extension, and an unknown name is refused before any
+    file is touched."""
+    events = generate(TraceSpec("uniform", 20, seed=2), geometry)
+    path = str(tmp_path / "t.txt")
+    save(events, path, "binary")
+    assert (tmp_path / "t.txt").stat().st_size == 20 * 6
+    assert load(path, geometry, "binary") == events
+    text_path = str(tmp_path / "t.bin")
+    save(events, text_path, "text")
+    assert (tmp_path / "t.bin").read_text().startswith(f"{events.banks[0]} ")
+    assert load(text_path, geometry, "text") == events
+    for fmt in ("csv", "bin", ""):
+        with pytest.raises(ConfigError, match="unknown trace format"):
+            save(events, str(tmp_path / "u.bin"), fmt)
+        with pytest.raises(ConfigError, match="unknown trace format"):
+            load(path, geometry, fmt)
+    assert not (tmp_path / "u.bin").exists()
+
+
 @pytest.mark.parametrize(
     "line",
     ["0 1 2", "zero 1", "0", "0 x"],
@@ -351,6 +373,29 @@ def test_read_text_matches_the_legacy_reader(lines):
     assert _outcome(read_text, io.StringIO(text), geometry) == _outcome(
         legacy_trace.read_text, io.StringIO(text), geometry
     )
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**32 - 1)), max_size=60
+    ),
+    as_list=st.booleans(),
+)
+def test_writers_match_the_legacy_writers(pairs, as_list):
+    """Both writers give the bytes of the event-at-a-time writers they
+    replaced, from a Trace or from a list of its events, over the whole
+    range of each binary field."""
+    trace = Trace([b for b, _ in pairs], [r for _, r in pairs])
+    events = list(trace) if as_list else trace
+    for write, legacy, stream in (
+        (write_text, legacy_trace.write_text, io.StringIO),
+        (write_binary, legacy_trace.write_binary, io.BytesIO),
+    ):
+        got, want = stream(), stream()
+        write(events, got)
+        legacy(list(trace), want)
+        assert got.getvalue() == want.getvalue()
 
 
 @settings(deadline=None, max_examples=150)
