@@ -13,8 +13,7 @@ state dump).
 import argparse
 import json
 import sys
-from collections import defaultdict
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import config as config_mod
 from . import engine, metrics, oracle, trace
@@ -283,25 +282,39 @@ def _read_report(path: str) -> dict:
     return report
 
 
-def _read_state(path: str) -> Dict[tuple, int]:
-    """A final counter dump CSV as {(bank, row_id, byte_id): value}."""
-    values = defaultdict(int)
+def _read_state(path: str) -> Tuple[Sequence[int], ...]:
+    """A final counter dump CSV as columns (banks, row_ids, byte_ids, values).
+
+    A dump of plain decimal lines is split in array passes; any other
+    text, a malformed line included, is read line by line, which gives
+    the same columns or names the first bad line.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("bank,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise SimError(f"state dump {path} line {lineno}: expected 4 fields")
-            try:
-                b, r, c, v = (int(x) for x in parts)
-            except ValueError:
-                raise SimError(
-                    f"state dump {path} line {lineno}: non-integer field"
-                ) from None
-            values[(b, r, c)] = v
-    return values
+        text = f.read()
+    body = text.partition("\n")[2] if text.startswith("bank,") else text
+    try:
+        values, _, counts, _ = oracle.split_decimal_csv(body)
+    except ValueError:
+        counts = None
+    if counts is not None and (counts == 4).all():
+        return tuple(values.reshape(-1, 4).T)
+    columns = ([], [], [], [])
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("bank,"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise SimError(f"state dump {path} line {lineno}: expected 4 fields")
+        try:
+            fields = [int(x) for x in parts]
+        except ValueError:
+            raise SimError(
+                f"state dump {path} line {lineno}: non-integer field"
+            ) from None
+        for column, x in zip(columns, fields):
+            column.append(x)
+    return columns
 
 
 def _cmd_verify(args) -> int:

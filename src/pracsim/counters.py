@@ -1,10 +1,16 @@
 """Ground-truth per-row activation counters with alert-driven mitigation.
 
-Counters are 1-byte saturating values held in one bytearray per device
-and exposed as a numpy view of shape (banks, counter_rows, bytes_per_row):
-single counters are read and written through the bytearray by flat
-index.  Servicing a counter request applies its pending increments in
-one read-modify-write; a value crossing the back-off threshold raises an
+Counters are 1-byte saturating values held in one anonymous memory
+mapping per device and exposed as a numpy view of shape (banks,
+counter_rows, bytes_per_row): single counters are read and written
+through the mapping by flat index.  A mapping of its own keeps the store
+out of the allocator's heap: its pages stay unbacked until a bank is
+first written, and freeing the store unmaps them, so a process's memory
+follows the banks its runs touch, not how its heap happens to be
+fragmented around earlier stores.
+
+Servicing a counter request applies its pending increments in one
+read-modify-write; a value crossing the back-off threshold raises an
 alert, which mitigates (and resets) that counter.  Additional refreshes
 granted per alert, and the periodic proactive refresh, always target the
 currently largest counter in the bank, modeling an ideal mitigation
@@ -31,6 +37,8 @@ from .geometry import DramGeometry
 
 COUNTER_MAX = 255
 BASE_BACKOFF = 32
+
+_BYTES = [bytes((v,)) for v in range(COUNTER_MAX + 1)]
 
 
 class CounterArray:
@@ -63,7 +71,9 @@ class CounterArray:
         self._counter_rows = geometry.counter_rows_per_bank
         self._cpc = geometry.counters_per_counter_row
         self._bank_size = self._counter_rows * self._cpc
-        self._cells = bytearray(geometry.banks * self._bank_size)
+        import mmap  # on first use, so that ``import pracsim`` loads nothing more
+
+        self._cells = mmap.mmap(-1, geometry.banks * self._bank_size)
         # A writable view of the same bytes: writes through either show in both.
         self.values = np.frombuffer(self._cells, dtype=np.uint8).reshape(
             geometry.banks, self._counter_rows, self._cpc
@@ -167,7 +177,7 @@ class CounterArray:
             top -= 1
         self._top[bank] = top
         start = bank * self._bank_size
-        flat = self._cells.find(top, start, start + self._bank_size) - start
+        flat = self._cells.find(_BYTES[top], start, start + self._bank_size) - start
         row_id, byte_id = divmod(flat, self._cpc)
         self._mitigate(bank, row_id, byte_id)
         return bank, row_id, byte_id
@@ -180,9 +190,18 @@ class CounterArray:
         return self._mitigate_max(bank)
 
     def nonzero_items(self) -> List[Tuple[int, int, int, int]]:
-        """All nonzero counters as (bank, row_id, byte_id, value), sorted."""
+        """All nonzero counters as (bank, row_id, byte_id, value), sorted.
+
+        Only banks ever written are scanned: one without a histogram holds
+        only zeros, as every write through the methods makes it.
+        """
         cells = np.frombuffer(self._cells, dtype=np.uint8)
-        flat = np.flatnonzero(cells)
+        size = self._bank_size
+        written = [b * size for b, hist in enumerate(self._hist) if hist is not None]
+        flat = np.concatenate(
+            [start + np.flatnonzero(cells[start : start + size]) for start in written]
+            or [np.zeros(0, dtype=np.intp)]
+        )
         banks, offsets = np.divmod(flat, self._bank_size)
         row_ids, byte_ids = np.divmod(offsets, self._cpc)
         columns = (banks, row_ids, byte_ids, cells[flat])

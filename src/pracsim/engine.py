@@ -27,7 +27,7 @@ from .metrics import (
     skew,
     window_maxima,
 )
-from .oracle import LoggedBatch
+from .oracle import ServiceLog
 from .trace import ActivationEvent, Trace, as_columns, generate, load
 
 
@@ -52,7 +52,7 @@ class Engine:
         )
         self.ledger = EnergyLedger()
         self.trigger_counts = {t: 0 for t in TRIGGERS}
-        self.batch_log: Optional[List[LoggedBatch]] = [] if collect_log else None
+        self.batch_log: Optional[ServiceLog] = ServiceLog() if collect_log else None
         # bank -> (buffer, cache or None), made on the bank's first activation.
         self._banks: Dict[int, Tuple] = {}
         # A cached copy alerts at the store's threshold; never without mitigation.
@@ -135,11 +135,8 @@ class Engine:
         ledger.counter_acts += 1
         self.trigger_counts[trigger] += 1
         if self.batch_log is not None:
-            self.batch_log.append(
-                LoggedBatch(
-                    slot, bank, row_id, trigger, tuple(item.byte_id for item in items)
-                )
-            )
+            byte_ids = [item.byte_id for item in items]
+            self.batch_log.append(slot, bank, row_id, trigger, byte_ids)
         store = self.store
         buf, cache = self._banks[bank]
         if self._finalized:

@@ -12,6 +12,7 @@ private random.Random instance, so a (spec, geometry) pair always
 produces the same trace on any platform.
 """
 
+import io
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -277,11 +278,30 @@ def write_text(events: Iterable[ActivationEvent], stream) -> None:
 def write_binary(events: Iterable[ActivationEvent], stream) -> None:
     """Write ``events`` (see ``as_columns``) as packed 6-byte records to a
     binary-mode stream."""
+    stream.write(_records(events).tobytes())
+
+
+def _records(events) -> np.ndarray:
+    """``events`` as binary records; a bank or data row that does not fit
+    its u16 or u32 field raises TraceError naming the first such record."""
     trace = as_columns(events)
     records = np.empty(len(trace), dtype=_RECORD_DTYPE)
-    records["bank"] = trace.banks
-    records["row"] = trace.rows
-    stream.write(records.tobytes())
+    try:
+        records["bank"] = trace.banks
+        records["row"] = trace.rows
+    except OverflowError:
+        for i, (bank, data_row) in enumerate(zip(trace.banks, trace.rows), start=1):
+            if not 0 <= bank <= 0xFFFF:
+                raise TraceError(
+                    f"bank {bank} does not fit a binary record's u16 field", line=i
+                ) from None
+            if not 0 <= data_row <= 0xFFFFFFFF:
+                raise TraceError(
+                    f"data_row {data_row} does not fit a binary record's u32 field",
+                    line=i,
+                ) from None
+        raise
+    return records
 
 
 def read_text(stream, geometry: DramGeometry) -> Trace:
@@ -348,19 +368,33 @@ def load(path: str, geometry: DramGeometry, fmt: str = "auto") -> Trace:
     """Read a trace file; ``fmt`` is ``text``, ``binary``, or ``auto``.
 
     Auto-detection is by extension: ``.bin`` is binary, anything else text.
+    A text trace holding a non-ASCII byte raises TraceError at its line.
     """
     if _is_binary(path, fmt):
         with open(path, "rb") as f:
             return read_binary(f, geometry)
-    with open(path, "r", encoding="ascii") as f:
-        return read_text(f, geometry)
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # Line breaks as text mode reads them: \n, \r\n or a lone \r.
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise TraceError(f"non-ASCII byte 0x{data[exc.start]:02x}", line=line) from None
+    return read_text(io.StringIO(text, newline=None), geometry)
 
 
 def save(events, path: str, fmt: str = "auto") -> None:
-    """Write a trace file in the chosen format (see :func:`load`)."""
+    """Write a trace file in the chosen format (see :func:`load`).
+
+    A trace the binary format cannot hold raises TraceError before the
+    file is opened, so an existing file is left as it was.
+    """
     if _is_binary(path, fmt):
+        records = _records(events)
         with open(path, "wb") as f:
-            write_binary(events, f)
+            f.write(records.tobytes())
     else:
         with open(path, "w", encoding="ascii") as f:
             write_text(events, f)

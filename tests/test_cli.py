@@ -140,6 +140,49 @@ def test_verify_flags_bad_log(tmp_path, capsys):
     assert "rule 2" in capsys.readouterr().out
 
 
+def test_verify_fails_a_state_dump_with_a_stray_counter(tmp_path, capsys):
+    """A nonzero counter the trace never activated, appended to a run's
+    dump, fails the final-state check as rule 4 at the drain slot."""
+    log, state, report = tmp_path / "b.csv", tmp_path / "s.csv", tmp_path / "r.json"
+    gen = ["--generator", "zipf", "--banks", "4", "--length", "3000", "--seed", "5"]
+    off = ["--set", "mitigation.enabled=false"]
+    run = ["run", *gen, *off, "--log", str(log), "--dump-state", str(state)]
+    assert main(run + ["--out", str(report)]) == EXIT_OK
+    verify = ["verify", *gen, *off, "--log", str(log), "--state", str(state)]
+    verify += ["--report", str(report)]
+    assert main(verify) == EXIT_OK
+    assert capsys.readouterr().out == "pass\n"
+    with open(state, "a", encoding="utf-8") as f:
+        f.write("63,63,1023,9\n")
+    assert main(verify) == EXIT_VERIFY
+    assert capsys.readouterr().out == (
+        "rule 4 violated at slot 3000: stored counter (63, 63, 1023) is 9, expected 0\n"
+    )
+
+
+def test_non_ascii_text_trace_is_a_located_trace_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(bytes([0x00, 0xF4, 0x1C, 0x00, 0x00, 0x00]))
+    assert main(["run", "--set", f"trace.path={bad}", "--machine"]) == EXIT_RUNTIME
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "trace", "message": "line 1: non-ASCII byte 0xf4"}
+
+
+def test_gen_refuses_a_bank_the_binary_format_cannot_hold(tmp_path, capsys):
+    """The first record whose bank overflows the u16 field is named, and
+    the output file is not truncated."""
+    out = tmp_path / "big.bin"
+    out.write_bytes(b"kept")
+    argv = ["gen", "--set", "geometry.banks=70000", "--banks", "70000"]
+    argv += ["--generator", "uniform", "--length", "50", "--out", str(out), "--machine"]
+    assert main(argv) == EXIT_RUNTIME
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "trace"
+    assert err["message"].startswith("line ")
+    assert "does not fit a binary record's u16 field" in err["message"]
+    assert out.read_bytes() == b"kept"
+
+
 def test_verify_unparseable_log_is_runtime_error(tmp_path, capsys):
     trace_file = tmp_path / "t.txt"
     trace_file.write_text("0 0\n")

@@ -1,10 +1,21 @@
 import io
+from collections import defaultdict
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pracsim.errors import LogFormatError
-from pracsim.oracle import LoggedBatch, Verdict, read_log, verify, write_log
-from pracsim.trace import ActivationEvent
+import legacy_oracle
+from pracsim import cli
+from pracsim.buffers import DESIGNS, K_TRIGGER_MODES, TRIGGERS
+from pracsim.config import resolve
+from pracsim.engine import Engine
+from pracsim.errors import LogFormatError, SimError
+from pracsim.geometry import DramGeometry
+from pracsim.oracle import LoggedBatch, Verdict, as_log, read_log, verify, write_log
+from pracsim.trace import GENERATORS, ActivationEvent
 
 
 def events_for(spots):
@@ -159,12 +170,12 @@ def test_log_roundtrip():
     ]
     buf = io.StringIO()
     write_log(batches, buf)
-    assert read_log(io.StringIO(buf.getvalue())) == batches
+    assert list(read_log(io.StringIO(buf.getvalue()))) == batches
 
 
 def test_read_log_skips_header_and_blanks():
     text = "slot,bank,row_id,trigger,n_items,byte_ids\n\n1,0,2,m_ready,1,5\n"
-    assert read_log(io.StringIO(text)) == [LoggedBatch(1, 0, 2, "m_ready", (5,))]
+    assert list(read_log(io.StringIO(text))) == [LoggedBatch(1, 0, 2, "m_ready", (5,))]
 
 
 @pytest.mark.parametrize(
@@ -187,3 +198,364 @@ def test_verdict_strings():
     text = str(Verdict(False, 3, 17, "two batches"))
     assert text == "rule 3 violated at slot 17: two batches"
 
+
+
+# In-slot priority: at one slot, several batches (rule 3), then the
+# batch's trigger and legality (rule 2), then its bank (rule 3), then
+# staleness (rule 1).  Counter (0, 0, 0) lags by 5 at slot 4 unless a
+# batch in that slot's shadow services it.
+def _at_slot_4(*batches, **kwargs):
+    return verify(repeat(0, 0, 6), list(batches), DramGeometry(
+        banks=2, rows_per_bank=16, counter_rows_per_bank=4, counters_per_counter_row=4
+    ), **kwargs)
+
+
+def test_several_batches_come_before_everything_in_their_slot():
+    verdict = _at_slot_4(
+        LoggedBatch(4, 1, 9, "drain", (0, 0)), LoggedBatch(4, 0, 0, "k_limit", (0,))
+    )
+    assert (verdict.rule, verdict.slot) == (3, 4)
+    assert verdict.message == "2 batches in one shadow"
+
+
+def test_a_drain_trigger_comes_before_the_batch_fields():
+    verdict = _at_slot_4(LoggedBatch(4, 1, 9, "drain", (0,)))
+    assert (verdict.rule, verdict.slot) == (2, 4)
+    assert verdict.message == "drain-trigger batch inside the trace body"
+
+
+def test_batch_legality_comes_before_its_bank():
+    verdict = _at_slot_4(LoggedBatch(4, 1, 9, "m_ready", (0,)))
+    assert (verdict.rule, verdict.slot) == (2, 4)
+    assert verdict.message == "row_id 9 out of range"
+
+
+def test_the_batch_bank_comes_before_staleness():
+    verdict = _at_slot_4(LoggedBatch(4, 1, 0, "m_ready", (0,)))
+    assert (verdict.rule, verdict.slot) == (3, 4)
+    assert verdict.message == "batch bank 1 but activation bank 0"
+
+
+def test_staleness_is_checked_after_the_slot_batch():
+    verdict = _at_slot_4(LoggedBatch(4, 0, 1, "m_ready", (0,)))
+    assert (verdict.rule, verdict.slot) == (1, 4)
+    assert verdict.message == "counter (0, 0, 0) lags by 5 > bound 4"
+    serviced = _at_slot_4(
+        LoggedBatch(4, 0, 0, "k_limit", (0,)), LoggedBatch(6, 0, 0, "drain", (0,))
+    )
+    assert serviced.ok
+
+
+def test_a_batch_counts_the_activation_of_its_own_slot(toy_geometry):
+    batches = [LoggedBatch(0, 0, 0, "m_ready", (0,))]
+    assert verify(repeat(0, 0, 1), batches, toy_geometry).ok
+    verdict = verify(repeat(0, 0, 2), batches, toy_geometry)
+    assert str(verdict) == (
+        "rule 4 violated at slot 2: counter (0, 0, 0) ends at 1 of 2 true activations"
+    )
+
+
+def test_the_first_violation_is_reported(toy_geometry):
+    events = events_for([(0, 0)] * 5 + [(1, 5)] * 3 + [(0, 0)] * 2)
+    verdict = verify(events, [], toy_geometry, staleness_bound=2)
+    assert (verdict.rule, verdict.slot) == (1, 2)
+    batches = [
+        LoggedBatch(1, 0, 0, "m_ready", (0, 0)),
+        LoggedBatch(6, 1, 9, "m_ready", (0,)),
+    ]
+    verdict = verify(events, batches, toy_geometry, staleness_bound=9)
+    assert (verdict.rule, verdict.slot) == (2, 1)
+    assert "duplicate" in verdict.message
+
+
+def test_conservation_reports_the_first_counter_in_key_order(toy_geometry):
+    events = events_for([(1, 2), (0, 9), (-1, 40), (0, 3), (1, 0)])
+    verdict = verify(events, [], toy_geometry)
+    assert str(verdict) == (
+        "rule 4 violated at slot 5: counter (-1, 10, 0) ends at 0 of 1 true activations"
+    )
+    inside = events_for([(1, 2), (0, 9), (0, 3), (1, 0)])
+    assert "counter (0, 0, 3) ends at 0 of 1" in verify(inside, [], toy_geometry).message
+
+
+def test_a_stray_stored_counter_fails_the_final_state(toy_geometry):
+    """A nonzero counter the trace never activated is reported as rule 4
+    at the drain slot, in key order with the wrong activated ones."""
+    events = repeat(0, 5, 2)
+    batches = [LoggedBatch(2, 0, 1, "drain", (1,))]
+    assert verify(events, batches, toy_geometry, final_values={(0, 1, 1): 2}).ok
+    for stray in ({(0, 1, 1): 2, (1, 3, 3): 9}, ([0, 1], [1, 3], [1, 3], [2, 9])):
+        verdict = verify(events, batches, toy_geometry, final_values=stray)
+        assert str(verdict) == (
+            "rule 4 violated at slot 2: stored counter (1, 3, 3) is 9, expected 0"
+        )
+    values = np.zeros((2, 4, 4), dtype=np.uint8)
+    values[0, 1, 1] = 2
+    assert verify(events, batches, toy_geometry, final_values=values).ok
+    values[0, 0, 2] = 1
+    verdict = verify(events, batches, toy_geometry, final_values=values)
+    assert verdict.message == "stored counter (0, 0, 2) is 1, expected 0"
+    values[0, 1, 1] = 3
+    verdict = verify(events, batches, toy_geometry, final_values=values)
+    assert verdict.message == "stored counter (0, 0, 2) is 1, expected 0"
+    outside = {(0, 1, 1): 2, (5, 0, 0): 7, (0, 0, 9): 0}
+    verdict = verify(events, batches, toy_geometry, final_values=outside)
+    assert verdict.message == "stored counter (5, 0, 0) is 7, expected 0"
+
+
+def test_a_dump_keeps_the_last_value_of_a_counter(toy_geometry):
+    events = repeat(0, 5, 2)
+    batches = [LoggedBatch(2, 0, 1, "drain", (1,))]
+    twice = ([0, 0, 1], [1, 1, 0], [1, 1, 0], [7, 2, 4])
+    verdict = verify(events, batches, toy_geometry, final_values=twice)
+    assert verdict.message == "stored counter (1, 0, 0) is 4, expected 0"
+    zeroed = ([0, 0, 1], [1, 1, 0], [1, 1, 0], [2, 2, 0])
+    assert verify(events, batches, toy_geometry, final_values=zeroed).ok
+
+
+def test_service_log_columns_and_batches():
+    batches = [
+        LoggedBatch(0, 0, 1, "m_ready", (0, 3)),
+        LoggedBatch(7, 1, 2, "k_limit", (1,)),
+        LoggedBatch(10, 0, 0, "drain", (0, 1, 2, 3)),
+    ]
+    log = as_log(batches)
+    assert as_log(log) is log
+    assert (log.slots, log.triggers, log.sizes) == ([0, 7, 10], [0, 2, 3], [2, 1, 4])
+    assert log.byte_ids == [0, 3, 1, 0, 1, 2, 3]
+    assert len(log) == 3 and list(log) == batches
+    assert [log[j] for j in range(3)] == batches
+    assert log == as_log(list(log)) and log != as_log(batches[:2])
+    with pytest.raises(LogFormatError, match="batch 1: unknown trigger 'soon'"):
+        as_log([batches[0], LoggedBatch(1, 0, 0, "soon", (0,))])
+
+
+SMALL_GEOMETRY = {
+    "geometry.banks": "4",
+    "geometry.rows_per_bank": "64",
+    "geometry.counter_rows_per_bank": "8",
+    "geometry.counters_per_counter_row": "8",
+}
+MUTATIONS = (
+    "shift", "byte", "bank", "row", "trigger", "delete", "duplicate",
+    "truncate", "oversize", "duplicate_byte", "past_drain",
+)  # fmt: skip
+
+
+def _outcome(fn, *args, **kwargs):
+    """A verdict, or the type and message of the error raised instead."""
+    try:
+        return fn(*args, **kwargs)
+    except SimError as exc:
+        return type(exc), str(exc)
+
+
+def _mutated(data, batches, n):
+    """``batches`` with one drawn corruption applied."""
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    if not batches:
+        return batches
+    batches = list(batches)
+    j = data.draw(st.integers(0, len(batches) - 1))
+    b = batches[j]
+    field = data.draw(st.sampled_from((-1, 0, 1, 2, 7, 8, 9)))
+    if kind == "shift":
+        b = replace(b, slot=max(0, b.slot + data.draw(st.sampled_from((-2, -1, 1, 2)))))
+    elif kind == "byte":
+        at = data.draw(st.integers(0, len(b.byte_ids) - 1))
+        b = replace(b, byte_ids=b.byte_ids[:at] + (field,) + b.byte_ids[at + 1 :])
+    elif kind == "bank":
+        b = replace(b, bank=data.draw(st.sampled_from((-1, 0, 1, 3, 4, b.bank + 1))))
+    elif kind == "row":
+        b = replace(b, row_id=field)
+    elif kind == "trigger":
+        b = replace(b, trigger=data.draw(st.sampled_from(TRIGGERS)))
+    elif kind == "delete":
+        del batches[j]
+        return batches
+    elif kind == "duplicate":
+        batches.insert(j, b)
+        return batches
+    elif kind == "truncate":
+        return batches[:j]
+    elif kind == "oversize":
+        b = replace(b, byte_ids=b.byte_ids + (4, 5, 6, 7, 0))
+    elif kind == "duplicate_byte":
+        b = replace(b, byte_ids=b.byte_ids + b.byte_ids[:1])
+    else:
+        b = replace(b, slot=n + data.draw(st.integers(1, 3)))
+    batches[j] = b
+    return batches
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    data=st.data(),
+    generator=st.sampled_from(GENERATORS),
+    banks=st.integers(1, 4),
+    length=st.integers(1, 300),
+    design=st.sampled_from(DESIGNS),
+    k=st.integers(1, 4),
+    k_trigger=st.sampled_from(K_TRIGGER_MODES),
+    mitigation=st.booleans(),
+    seed=st.integers(0, 999),
+)
+def test_verify_matches_the_legacy_replay(
+    data, generator, banks, length, design, k, k_trigger, mitigation, seed
+):
+    """A real run's log, corrupted up to three times, gets the verdict or
+    the error the one-activation-at-a-time replay gives, whichever form
+    the log and the final state take."""
+    overrides = dict(
+        SMALL_GEOMETRY,
+        **{
+            "trace.generator": generator,
+            "trace.length": str(length),
+            "buffer.design": design,
+            "buffer.k_limit": str(k),
+            "buffer.k_trigger": k_trigger,
+            "mitigation.enabled": str(mitigation).lower(),
+            "seed": str(seed),
+        },
+    )
+    if generator in ("uniform", "zipf", "hotset"):
+        overrides["trace.banks"] = str(banks)
+    config = resolve(overrides=overrides)
+    engine = Engine(config, collect_log=True)
+    report = engine.run()
+    events = engine.load_events()
+    batches = list(engine.batch_log)
+    for _ in range(data.draw(st.integers(0, 3))):
+        batches = _mutated(data, batches, len(events))
+    state = data.draw(st.sampled_from((None, "store", "dump")))
+    legacy_final = final = None
+    if state == "store":
+        legacy_final = final = engine.store.values
+    elif state == "dump":
+        items = engine.store.nonzero_items()
+        legacy_final = defaultdict(int, {(b, r, c): v for b, r, c, v in items})
+        final = tuple(map(list, zip(*items))) if items else ([], [], [], [])
+    kwargs = dict(
+        m_batch=config.buffer.m_batch,
+        staleness_bound=config.buffer.pending_limit,
+        reported_counter_acts=report.counter_acts,
+    )
+    want = _outcome(
+        legacy_oracle.verify, events, batches, config.geometry,
+        final_values=legacy_final, **kwargs,
+    )  # fmt: skip
+    for log in (batches, as_log(batches)):
+        got = _outcome(
+            verify, events, log, config.geometry, final_values=final, **kwargs
+        )
+        assert got == want
+
+
+LOG_FIELD = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.integers(0, 9).map(str),
+    st.sampled_from(["-1", "+3", " 4", "5 ", "007", "x", "", "1_0", "\x1c5", "1.5"]),
+    st.just("9" * 19),
+)
+GOOD_LOG_LINE = st.builds(
+    lambda head, trigger, ids: ",".join(
+        head + [trigger, str(len(ids))] + [str(x) for x in ids]
+    ),
+    st.lists(st.integers(0, 10**6).map(str), min_size=3, max_size=3),
+    st.sampled_from(TRIGGERS),
+    st.lists(st.integers(0, 1023), max_size=5),
+)
+LOG_LINE = st.one_of(
+    GOOD_LOG_LINE,
+    GOOD_LOG_LINE,
+    GOOD_LOG_LINE,
+    st.builds(
+        lambda fields, trigger, at: ",".join(fields[:at] + [trigger] + fields[at:]),
+        st.lists(LOG_FIELD, min_size=0, max_size=8),
+        st.sampled_from(TRIGGERS + ("whenever", "0", "M_READY")),
+        st.integers(0, 4),
+    ),
+    st.sampled_from([
+        "", "   ", "\r", "slot,bank", "1,0,2,m_ready", "1,0,2,m_ready,1,5,",
+        "1,0,2,m_ready,2,m_ready,5", "1,0,2,0,1,5", " 1,0,2,k_limit,1,5 ",
+        "1,0,2,drain,1,5\r", "-1,0,2,m_ready,1,5", "1,0,2,m_ready,1,٥",
+    ]),
+)  # fmt: skip
+
+
+def _read(reader, text):
+    try:
+        return "ok", list(reader(io.StringIO(text)))
+    except LogFormatError as exc:
+        return LogFormatError, str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    lines=st.lists(LOG_LINE, max_size=30),
+    header=st.booleans(),
+    final_newline=st.booleans(),
+)
+def test_read_log_matches_the_legacy_reader(lines, header, final_newline):
+    """Drawn logs, some malformed: the same batches, or the same error
+    naming the same line."""
+    head = ["slot,bank,row_id,trigger,n_items,byte_ids"] if header else []
+    text = "\n".join(head + lines)
+    text += "\n" if final_newline else ""
+    assert _read(read_log, text) == _read(legacy_oracle.read_log, text)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.integers(0, 2**40), st.integers(0, 63), st.sampled_from(TRIGGERS),
+            st.lists(st.integers(0, 1023), max_size=6),
+        ),
+        max_size=40,
+    )
+)  # fmt: skip
+def test_write_log_matches_the_legacy_writer(pairs):
+    batches = [LoggedBatch(s, b, 3, t, tuple(ids)) for s, b, t, ids in pairs]
+    got, want = io.StringIO(), io.StringIO()
+    write_log(as_log(batches), got)
+    legacy_oracle.write_log(batches, want)
+    assert got.getvalue() == want.getvalue()
+    assert _read(read_log, got.getvalue()) == _read(
+        legacy_oracle.read_log, want.getvalue()
+    )
+
+
+STATE_LINE = st.one_of(
+    st.builds(
+        lambda *fields: ",".join(map(str, fields)),
+        st.integers(0, 70), st.integers(0, 70), st.integers(0, 1100), st.integers(0, 300),
+    ),
+    st.builds(",".join, st.lists(LOG_FIELD, min_size=3, max_size=5)),
+    st.sampled_from(["", "  ", "bank,row_id,byte_id,value", "1,2,3", "1,2,3,4,5", "\r"]),
+)  # fmt: skip
+
+
+def _state(reader, path):
+    """The counters a state reader gives as a dict, the last value of a
+    repeated one kept, or the error it raises."""
+    try:
+        state = reader(path)
+    except SimError as exc:
+        return type(exc), str(exc)
+    if isinstance(state, dict):
+        return "ok", dict(state)
+    banks, row_ids, byte_ids, values = ([int(x) for x in c] for c in state)
+    return "ok", dict(zip(zip(banks, row_ids, byte_ids), values))
+
+
+@settings(deadline=None, max_examples=300)
+@given(lines=st.lists(STATE_LINE, max_size=30), header=st.booleans())
+def test_read_state_matches_the_legacy_reader(tmp_path_factory, lines, header):
+    """Drawn state dumps, some malformed: the same counters, a repeated
+    one keeping its last value, or the same error naming the same line."""
+    path = str(tmp_path_factory.mktemp("state") / "state.csv")
+    with open(path, "w", encoding="utf-8") as f:
+        head = ["bank,row_id,byte_id,value"] if header else []
+        f.write("\n".join(head + lines) + "\n")
+    assert _state(cli._read_state, path) == _state(legacy_oracle._read_state, path)

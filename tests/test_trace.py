@@ -447,3 +447,49 @@ def test_tiny_geometry_hammer_single_counter_row():
     events = generate(spec, geometry)
     fillers = [ev.data_row for i, ev in enumerate(events) if i % 2 == 1]
     assert all(row != 3 for row in fillers)
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"0 1\n0 2\n0 \xe93\n", 3),
+        (b"0 1\r\n0 2\r\n\xff", 3),
+        (b"0 1\r0 2\r# caf\xc3\xa9\r", 3),
+        (b"\xef\xbb\xbf0 1\n", 1),
+    ],
+)
+def test_load_locates_a_non_ascii_byte(tmp_path, geometry, data, line):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(data)
+    with pytest.raises(TraceError, match=f"^line {line}: non-ASCII byte 0x") as exc:
+        load(str(path), geometry)
+    assert exc.value.line == line
+
+
+def test_load_reads_any_line_ending(tmp_path, geometry):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(b"0 1\r\n1 2\r3 4\n")
+    assert list(load(str(path), geometry)) == [
+        ActivationEvent(0, 0, 1), ActivationEvent(1, 1, 2), ActivationEvent(2, 3, 4)
+    ]
+
+
+@pytest.mark.parametrize(
+    "banks, rows, message",
+    [
+        ([0, 1, 70000, 2**16], [0, 1, 2, 3], "line 3: bank 70000 does not fit a binary record's u16 field"),
+        ([0, -1], [5, 5], "line 2: bank -1 does not fit a binary record's u16 field"),
+        ([0, 0, 0], [1, 2**32, -1], "line 2: data_row 4294967296 does not fit a binary record's u32 field"),
+    ],
+)  # fmt: skip
+def test_write_binary_names_the_first_record_that_does_not_fit(
+    tmp_path, banks, rows, message
+):
+    with pytest.raises(TraceError) as exc:
+        write_binary(Trace(banks, rows), io.BytesIO())
+    assert str(exc.value) == message
+    path = tmp_path / "t.bin"
+    path.write_bytes(b"kept")
+    with pytest.raises(TraceError):
+        save(Trace(banks, rows), str(path))
+    assert path.read_bytes() == b"kept"
