@@ -11,14 +11,19 @@ state dump).
 """
 
 import argparse
+import io
 import json
+import mmap
 import sys
 from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import config as config_mod
 from . import engine, metrics, oracle, trace
 from .buffers import DESIGNS, K_TRIGGER_MODES
 from .cache import CACHE_KINDS
+from .counters import COUNTER_MAX
 from .errors import ConfigError, SimError
 
 EXIT_OK = 0
@@ -270,13 +275,28 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _open_text(path: str, what: str) -> io.StringIO:
+    """A file's UTF-8 text, line breaks read as in text mode; a byte that
+    is not UTF-8 raises SimError naming ``what``, the file and the line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        # Line breaks as text mode reads them: \n, \r\n or a lone \r.
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise SimError(
+            f"{what} {path} line {line}: non-UTF-8 byte 0x{data[exc.start]:02x}"
+        ) from None
+
+
 def _read_report(path: str) -> dict:
     """A run report as ``verify`` needs it: a JSON object with counter_acts."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            report = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise SimError(f"report {path} line {exc.lineno}: {exc.msg}") from None
+    try:
+        report = json.load(_open_text(path, "report"))
+    except json.JSONDecodeError as exc:
+        raise SimError(f"report {path} line {exc.lineno}: {exc.msg}") from None
     if not isinstance(report, dict) or not isinstance(report.get("counter_acts"), int):
         raise SimError(f"report {path}: no integer counter_acts")
     return report
@@ -289,8 +309,7 @@ def _read_state(path: str) -> Tuple[Sequence[int], ...]:
     text, a malformed line included, is read line by line, which gives
     the same columns or names the first bad line.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
+    text = _open_text(path, "state dump").read()
     body = text.partition("\n")[2] if text.startswith("bank,") else text
     try:
         values, _, counts, _ = oracle.split_decimal_csv(body)
@@ -317,6 +336,36 @@ def _read_state(path: str) -> Tuple[Sequence[int], ...]:
     return columns
 
 
+def _state_values(path: str, geometry) -> np.ndarray:
+    """A final counter dump CSV as the store's ``values`` array, a counter
+    listed twice keeping its last value; a counter outside the geometry,
+    or a value outside [0, 255], raises SimError naming the counter."""
+    g = geometry
+    shape = (g.banks, g.counter_rows_per_bank, g.counters_per_counter_row)
+    # A field too large for int64 makes an object column; it still compares.
+    *counter, values = (np.asarray(column) for column in _read_state(path))
+    outside = np.zeros(values.size, dtype=bool)
+    for column, limit in zip(counter, shape):
+        outside |= (column < 0) | (column >= limit)
+    bad = np.flatnonzero(outside | (values < 0) | (values > COUNTER_MAX))
+    if bad.size:
+        i = bad[0]
+        problem = f"is outside the geometry's {shape} counters"
+        if not outside[i]:
+            problem = f"holds {values[i]}, outside [0, {COUNTER_MAX}]"
+        where = tuple(int(column[i]) for column in counter)
+        raise SimError(f"state dump {path}: counter {where} {problem}")
+    keys = np.ravel_multi_index([np.asarray(c, dtype=np.int64) for c in counter], shape)
+    # The first of each counter in reverse order is the last listed.
+    keys, last = np.unique(keys[::-1], return_index=True)
+    # In a private anonymous mapping only the pages the dump writes take
+    # memory; np.zeros may reuse heap memory that it clears, all of it.
+    cells = mmap.mmap(-1, int(np.prod(shape)), flags=mmap.MAP_PRIVATE)
+    state = np.frombuffer(cells, dtype=np.uint8)
+    state[keys] = values[::-1][last]
+    return state.reshape(shape)
+
+
 def _cmd_verify(args) -> int:
     cfg = _resolve(args)
     report = _read_report(args.report) if args.report else None
@@ -329,10 +378,9 @@ def _cmd_verify(args) -> int:
             "the service log, so replay would see stored counters lag"
         )
     events = engine.load_trace(cfg)
-    with open(args.log, "r", encoding="utf-8") as f:
-        batches = oracle.read_log(f)
+    batches = oracle.read_log(_open_text(args.log, "service log"))
     reported = report["counter_acts"] if report is not None else None
-    final_values = _read_state(args.state) if args.state else None
+    final_values = _state_values(args.state, cfg.geometry) if args.state else None
     verdict = oracle.verify(
         events,
         batches,

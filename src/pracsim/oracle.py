@@ -32,13 +32,13 @@ batch that serviced it, read off running counts.  Every rule's first
 failure is found this way, and only that one is formatted, by the same
 per-batch checks a one-at-a-time replay would make.
 
-Logs that cannot be parsed at all raise LogFormatError instead of
-producing a verdict.
+Logs that cannot be parsed at all, and activations outside the
+geometry, raise LogFormatError instead of producing a verdict.
 """
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,13 +114,6 @@ class ServiceLog:
             self.row_ids[j],
             TRIGGERS[self.triggers[j]],
             tuple(self.byte_ids[start : start + self.sizes[j]]),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, ServiceLog):
-            return NotImplemented
-        return all(
-            list(getattr(self, c)) == list(getattr(other, c)) for c in self.__slots__
         )
 
 
@@ -310,35 +303,9 @@ def _int64(values) -> np.ndarray:
         return np.array([min(max(v, -_CLIP), _CLIP) for v in values], dtype=np.int64)
 
 
-class _Keys:
-    """Counters as int64 keys that sort in (bank, row_id, byte_id) order.
-
-    A counter inside the geometry is ``bank * rows_per_bank + data_row``,
-    its index in the store's flat bytes.  A trace can name counters
-    outside it (``verify`` takes any events); those get the keys from
-    ``size`` up, in their own (bank, data_row) order, and are never
-    serviced, since rule 2 refuses a batch outside the geometry.
-    """
-
-    def __init__(self, geometry: DramGeometry, banks: np.ndarray, rows: np.ndarray):
-        self.cpc = geometry.counters_per_counter_row
-        self.rows_per_bank = geometry.rows_per_bank
-        self.size = geometry.banks * self.rows_per_bank
-        inside = (banks >= 0) & (banks < geometry.banks) & (rows >= 0)
-        inside &= rows < self.rows_per_bank
-        self.of_activations = np.where(inside, banks * self.rows_per_bank + rows, 0)
-        self.outside = np.zeros((0, 2), dtype=np.int64)
-        if not inside.all():
-            pairs = np.stack((banks[~inside], rows[~inside]), axis=1)
-            self.outside, rank = np.unique(pairs, axis=0, return_inverse=True)
-            self.of_activations[~inside] = self.size + rank.reshape(-1)
-
-    def counter(self, key: int) -> Tuple[int, int, int]:
-        if key < self.size:
-            bank, data_row = divmod(int(key), self.rows_per_bank)
-        else:
-            bank, data_row = self.outside[key - self.size].tolist()
-        return (bank, *divmod(data_row, self.cpc))
+def _counter(key: int, shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    """A counter's (bank, row_id, byte_id) from its index in the store's bytes."""
+    return tuple(int(x) for x in np.unravel_index(key, shape))
 
 
 def _replay(act_keys: np.ndarray, item_keys: np.ndarray, item_slots: np.ndarray):
@@ -387,11 +354,9 @@ def verify(
     ``events`` is a ``Trace`` or a sequence of events in consecutive slots;
     a gap raises LogFormatError.  ``batches`` is a ``ServiceLog`` or a
     sequence of ``LoggedBatch`` (see ``as_log``).
-    ``final_values``, when given, holds the run's post-drain stored
-    counters: the store's ``values`` array, shaped like the geometry; a
-    mapping {(bank, row_id, byte_id): value}; or a state dump's columns
-    ``(banks, row_ids, byte_ids, values)``, where a counter listed twice
-    keeps its last value.  A counter a mapping or dump leaves out is 0.
+    An activation outside the geometry raises LogFormatError naming its
+    slot.  ``final_values``, when given, is the run's post-drain store:
+    its ``values`` array, shaped (banks, counter rows, counters per row).
     Each activated counter must hold its saturated true count and every
     other counter 0.  Only applies to runs without a cache and with
     mitigation disabled, since the log does not carry cache hits or
@@ -400,14 +365,22 @@ def verify(
     trace = as_columns(events, LogFormatError)
     log = as_log(batches)
     n = len(trace)
+    act_banks, act_rows = _int64(trace.banks), _int64(trace.rows)
+    outside = (act_banks < 0) | (act_banks >= geometry.banks)
+    outside |= (act_rows < 0) | (act_rows >= geometry.rows_per_bank)
+    if outside.any():
+        slot = int(np.argmax(outside))
+        raise LogFormatError(
+            f"slot {slot}: bank {trace.banks[slot]}, data_row {trace.rows[slot]} outside "
+            f"the geometry's {geometry.banks} banks of {geometry.rows_per_bank} rows"
+        )
     slots = _int64(log.slots)
     beyond = np.flatnonzero(slots > n)
     if beyond.size:
         raise LogFormatError(f"batch slot {log.slots[beyond[0]]} beyond drain slot {n}")
 
     cpc = geometry.counters_per_counter_row
-    act_banks = _int64(trace.banks)
-    keys = _Keys(geometry, act_banks, _int64(trace.rows))
+    shape = (geometry.banks, geometry.counter_rows_per_bank, cpc)
     banks, row_ids = _int64(log.banks), _int64(log.row_ids)
     byte_ids = _int64(log.byte_ids)
     codes = np.asarray(log.triggers, dtype=np.int64)
@@ -439,11 +412,9 @@ def verify(
     ok = placed[item_batch] & byte_ok[live]
     item_keys = np.full(item_batch.size, -1, dtype=np.int64)
     at = item_batch[ok]
-    item_keys[ok] = (banks[at] * geometry.counter_rows_per_bank + row_ids[at]) * cpc
-    item_keys[ok] += item_bytes[ok]
-    lags, counters, totals, applied = _replay(
-        keys.of_activations, item_keys, slots[item_batch]
-    )
+    item_keys[ok] = np.ravel_multi_index((banks[at], row_ids[at], item_bytes[ok]), shape)
+    act_keys = act_banks * geometry.rows_per_bank + act_rows
+    lags, counters, totals, applied = _replay(act_keys, item_keys, slots[item_batch])
 
     stale = np.flatnonzero(lags > staleness_bound)
     lag_fail = stale[0] if stale.size else n
@@ -458,7 +429,7 @@ def verify(
         return Verdict(False, rule, slot, message)
     if lag_fail < n:
         slot = int(lag_fail)
-        key = keys.counter(keys.of_activations[slot])
+        key = _counter(act_keys[slot], shape)
         return Verdict(
             False,
             1,
@@ -473,24 +444,15 @@ def verify(
         if not legal[j]:
             return Verdict(False, 2, n, _check_batch(log[j], geometry, m_batch))
 
-    # Every counter outside the geometry is behind; its keys sort last, so
-    # the first such counter competes with the first behind inside it.
     behind = np.flatnonzero(applied != totals)
     if behind.size:
-        first = [behind[0]]
-        if keys.outside.size:
-            first.append(np.searchsorted(counters, keys.size))
-        i = min(first, key=lambda i: keys.counter(counters[i]))
-        return Verdict(
-            False,
-            4,
-            n,
-            f"counter {keys.counter(counters[i])} ends at {applied[i]} of {totals[i]} "
-            "true activations",
-        )
+        i = behind[0]
+        counter = _counter(counters[i], shape)
+        message = f"counter {counter} ends at {applied[i]} of {totals[i]} true activations"
+        return Verdict(False, 4, n, message)
 
     if final_values is not None:
-        problem = _stored_problem(final_values, counters, totals, geometry)
+        problem = _stored_problem(final_values, counters, totals, shape)
         if problem:
             return Verdict(False, 4, n, problem)
 
@@ -504,91 +466,29 @@ def verify(
     return Verdict(True)
 
 
-def _among(keys: np.ndarray, ordered: np.ndarray) -> np.ndarray:
-    """Whether each of ``keys`` is in ``ordered``, which is sorted."""
-    pos = np.minimum(np.searchsorted(ordered, keys), max(ordered.size - 1, 0))
-    return ordered[pos] == keys if ordered.size else np.zeros(keys.size, dtype=bool)
-
-
-def _stored_problem(final_values, counters, totals, geometry) -> Optional[str]:
+def _stored_problem(final_values, counters, totals, shape) -> Optional[str]:
     """The first counter, in key order, whose stored value is not its
     saturated true count (0 for a counter never activated), as a message.
 
     ``counters`` are the replay's keys, all inside the geometry once
     conservation holds, with their activation ``totals``.
     """
-    shape = (
-        geometry.banks,
-        geometry.counter_rows_per_bank,
-        geometry.counters_per_counter_row,
-    )
-    if isinstance(final_values, np.ndarray):
-        if final_values.shape != shape:
-            raise ConfigError(
-                f"final values have shape {final_values.shape}, not {shape}"
-            )
-        flat = final_values.reshape(-1)
-        stored = flat[counters]
-        strays = np.zeros(0, dtype=np.int64)
-        # One count tells whether any counter outside ``counters`` is nonzero.
-        if np.count_nonzero(flat) > np.count_nonzero(stored):
-            nonzero = np.flatnonzero(flat)
-            strays = nonzero[~_among(nonzero, counters)]
-        outside = []
-
-        def value_at(key):
-            return int(final_values[key])
-
-    else:
-        if isinstance(final_values, Mapping):
-            columns = [list(c) for c in zip(*final_values)] or [[], [], []]
-            columns.append(list(final_values.values()))
-        else:
-            columns = list(final_values)
-        stored, strays, outside = _listed_state(columns, counters, shape)
-
-        def value_at(key):
-            listed = reversed(list(zip(*columns)))
-            return next((int(v) for *k, v in listed if tuple(k) == key), 0)
-
+    values = np.asarray(final_values)
+    if values.shape != shape:
+        raise ConfigError(f"final values have shape {values.shape}, not {shape}")
+    flat = values.reshape(-1)
+    stored = flat[counters]
     expected = np.minimum(totals, 255)
     wrong = np.flatnonzero(stored != expected)
-    found = [(key, 0) for key in outside]
+    found = []
     if wrong.size:
         found.append((counters[wrong[0]], int(expected[wrong[0]])))
-    if strays.size:
-        found.append((strays[0], 0))
+    # One count tells whether any counter outside ``counters`` is nonzero.
+    if np.count_nonzero(flat) > np.count_nonzero(stored):
+        stray = flat != 0
+        stray[counters] = False
+        found.append((int(np.argmax(stray)), 0))
     if not found:
         return None
-    key, want = min(
-        (k if isinstance(k, tuple) else tuple(map(int, np.unravel_index(k, shape))), w)
-        for k, w in found
-    )
-    return f"stored counter {key} is {value_at(key)}, expected {want}"
-
-
-def _listed_state(columns, counters, shape):
-    """Listed counters ``(banks, row_ids, byte_ids, values)`` against the
-    replay's: ``(stored, strays, outside)``, the value listed last for
-    each of ``counters`` (0 if none), the keys of the other nonzero
-    counters inside the geometry, and those outside it as tuples."""
-    b, r, c, v = (_int64(col) for col in columns)
-    inside = (b >= 0) & (b < shape[0]) & (r >= 0) & (r < shape[1]) & (c >= 0)
-    inside &= c < shape[2]
-    at = np.flatnonzero(inside)
-    flat = (b[at] * shape[1] + r[at]) * shape[2] + c[at]
-    order = np.argsort(flat, kind="stable")
-    flat, value = flat[order], v[at][order]
-    last = np.ones(flat.size, dtype=bool)
-    last[:-1] = flat[1:] != flat[:-1]
-    flat, value = flat[last], value[last]
-    stored = np.zeros(counters.size, dtype=np.int64)
-    pos = np.searchsorted(flat, counters)
-    hit = pos < flat.size
-    hit[hit] = flat[pos[hit]] == counters[hit]
-    stored[hit] = value[pos[hit]]
-    strays = flat[(value != 0) & ~_among(flat, counters)]
-    outside = {}
-    for i in np.flatnonzero(~inside).tolist():
-        outside[tuple(int(col[i]) for col in columns[:3])] = columns[3][i]
-    return stored, strays, [k for k, x in outside.items() if x]
+    key, want = min(found)
+    return f"stored counter {_counter(key, shape)} is {int(flat[key])}, expected {want}"

@@ -200,7 +200,7 @@ def verify_with_bad_file(tmp_path, capsys, flag, content):
     log_file = tmp_path / "log.csv"
     log_file.write_text("slot,bank,row_id,trigger,n_items,byte_ids\n")
     bad = tmp_path / "bad"
-    bad.write_text(content)
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode())
     argv = ["verify", "--trace", str(trace_file), "--log", str(log_file), "--machine"]
     assert main(argv + [flag, str(bad)]) == EXIT_RUNTIME
     err = json.loads(capsys.readouterr().err)
@@ -214,6 +214,60 @@ def test_verify_state_with_non_integer_field_is_runtime_error(tmp_path, capsys):
         tmp_path, capsys, "--state", "bank,row_id,byte_id,value\n0,1,x,3\n"
     )
     assert "line 2" in message
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [("64,0,0,1", "(64, 0, 0) is outside the geometry's (64, 64, 1024) counters"),
+     ("0,64,0,1", "(0, 64, 0) is outside the geometry's (64, 64, 1024) counters"),
+     ("0,0,-1,1", "(0, 0, -1) is outside the geometry's (64, 64, 1024) counters"),
+     ("0,0,1024,300", "(0, 0, 1024) is outside the geometry's (64, 64, 1024) counters"),
+     ("0,0,0,256", "(0, 0, 0) holds 256, outside [0, 255]"),
+     ("+1,0,0,-1", "(1, 0, 0) holds -1, outside [0, 255]"),
+     ("0,0,0,99999999999999999999", "(0, 0, 0) holds 99999999999999999999, outside [0, 255]")],
+    ids=["bank", "row_id", "byte_id", "byte_id_and_value", "value", "negative", "huge"],
+)  # fmt: skip
+def test_verify_state_outside_the_geometry_or_a_byte_is_runtime_error(
+    tmp_path, capsys, line, problem
+):
+    """Named by the first bad counter, not wrapped into the uint8 store."""
+    content = f"bank,row_id,byte_id,value\n0,0,3,1\n{line}\n65,0,0,1\n"
+    message = verify_with_bad_file(tmp_path, capsys, "--state", content)
+    assert message == f"state dump {tmp_path / 'bad'}: counter {problem}"
+
+
+@pytest.mark.parametrize(
+    "flag, content, where",
+    [("--log", b"slot,bank,row_id,trigger,n_items,byte_ids\r\n0,\xff", "service log {} line 2"),
+     ("--state", b"bank,row_id,byte_id,value\r0,0,0,1\n\xe9,0,0,1\n", "state dump {} line 3"),
+     ("--report", b'{"counter_acts":\n 1, "x": "\xc3"}', "report {} line 2")],
+    ids=["log", "state", "report"],
+)  # fmt: skip
+def test_verify_non_utf8_file_is_runtime_error(tmp_path, capsys, flag, content, where):
+    """The first bad byte is named with its line, line breaks counted as
+    text mode reads them."""
+    message = verify_with_bad_file(tmp_path, capsys, flag, content)
+    byte = next(b for b in content if b >= 0x80)
+    assert message == f"{where.format(tmp_path / 'bad')}: non-UTF-8 byte 0x{byte:02x}"
+
+
+def test_verify_state_keeps_the_last_value_of_a_counter(tmp_path, capsys):
+    """Counter (0, 0, 5) is listed as 7, then as its true count 2."""
+    trace_file, log_file, state = tmp_path / "t.txt", tmp_path / "b.csv", tmp_path / "s"
+    trace_file.write_text("0 5\n0 5\n")
+    log_file.write_text("2,0,0,drain,1,5\n")
+    argv = ["verify", "--trace", str(trace_file), "--log", str(log_file)]
+    argv += ["--state", str(state)]
+    state.write_text("0,0,5,7\n0,0,5,2\n1,0,0,4\n")
+    assert main(argv) == EXIT_VERIFY
+    assert capsys.readouterr().out == (
+        "rule 4 violated at slot 2: stored counter (1, 0, 0) is 4, expected 0\n"
+    )
+    state.write_text("0,0,5,7\n0,0,5,2\n1,0,0,4\n1,0,0,0\n")
+    assert main(argv) == EXIT_OK
+    state.write_text("0,0,5,2\n1,0,0,0\n0,0,5,7\n")
+    assert main(argv) == EXIT_VERIFY
+    assert capsys.readouterr().out.endswith("stored counter (0, 0, 5) is 7, expected 2\n")
 
 
 def test_verify_truncated_report_is_runtime_error(tmp_path, capsys):

@@ -78,7 +78,7 @@ def test_every_design_matches_baseline_state(design):
         engine.batch_log,
         engine.geometry,
         m_batch=engine.config.buffer.m_batch,
-        staleness_bound=engine.config.buffer.k_limit,
+        staleness_bound=engine.config.buffer.pending_limit,
         reported_counter_acts=report.counter_acts,
         final_values=engine.store.values,
     )
@@ -91,7 +91,7 @@ def test_batch_log_round_trips_through_csv():
     engine.run()
     buf = io.StringIO()
     write_log(engine.batch_log, buf)
-    assert read_log(io.StringIO(buf.getvalue())) == engine.batch_log
+    assert list(read_log(io.StringIO(buf.getvalue()))) == list(engine.batch_log)
 
 
 def test_proactive_refresh_trims_the_maximum():

@@ -12,10 +12,10 @@ from pracsim import cli
 from pracsim.buffers import DESIGNS, K_TRIGGER_MODES, TRIGGERS
 from pracsim.config import resolve
 from pracsim.engine import Engine
-from pracsim.errors import LogFormatError, SimError
+from pracsim.errors import ConfigError, LogFormatError, SimError
 from pracsim.geometry import DramGeometry
 from pracsim.oracle import LoggedBatch, Verdict, as_log, read_log, verify, write_log
-from pracsim.trace import GENERATORS, ActivationEvent
+from pracsim.trace import GENERATORS, ActivationEvent, Trace
 
 
 def events_for(spots):
@@ -27,6 +27,14 @@ def repeat(bank, data_row, n):
     return events_for([(bank, data_row)] * n)
 
 
+def stored(counters):
+    """The toy geometry's store holding ``{(bank, row_id, byte_id): value}``."""
+    values = np.zeros((2, 4, 4), dtype=np.uint8)
+    for counter, value in counters.items():
+        values[counter] = value
+    return values
+
+
 def test_kept_up_to_date_passes(toy_geometry):
     events = repeat(0, 0, 4)
     batches = [LoggedBatch(3, 0, 0, "k_limit", (0,))]
@@ -35,7 +43,7 @@ def test_kept_up_to_date_passes(toy_geometry):
         batches,
         toy_geometry,
         reported_counter_acts=1,
-        final_values={(0, 0, 0): 4},
+        final_values=stored({(0, 0, 0): 4}),
     )
     assert verdict.ok
     assert str(verdict) == "pass"
@@ -128,7 +136,8 @@ def test_drain_batch_settles_conservation(toy_geometry):
 def test_wrong_final_value_is_reported(toy_geometry):
     events = repeat(0, 0, 2)
     batches = [LoggedBatch(2, 0, 0, "drain", (0,))]
-    verdict = verify(events, batches, toy_geometry, final_values={(0, 0, 0): 3})
+    final = stored({(0, 0, 0): 3})
+    verdict = verify(events, batches, toy_geometry, final_values=final)
     assert verdict.rule == 4
     assert "expected 2" in verdict.message
 
@@ -138,9 +147,18 @@ def test_final_values_saturate(toy_geometry):
     batches = [LoggedBatch(300, 0, 0, "drain", (0,))]
     verdict = verify(
         events, batches, toy_geometry, staleness_bound=300,
-        final_values={(0, 0, 0): 255},
+        final_values=stored({(0, 0, 0): 255}),
     )
     assert verdict.ok
+
+
+def test_final_values_take_only_the_store_array(toy_geometry):
+    """A mapping, a dump's columns or a wrongly shaped array is refused."""
+    events = repeat(0, 0, 2)
+    batches = [LoggedBatch(2, 0, 0, "drain", (0,))]
+    for final in ({(0, 0, 0): 2}, ([0], [0], [0], [2]), np.zeros((2, 16), np.uint8)):
+        with pytest.raises(ConfigError, match=r"final values have shape .*, not \(2, 4, 4\)"):
+            verify(events, batches, toy_geometry, final_values=final)
 
 
 def test_reported_total_mismatch(toy_geometry):
@@ -269,13 +287,29 @@ def test_the_first_violation_is_reported(toy_geometry):
 
 
 def test_conservation_reports_the_first_counter_in_key_order(toy_geometry):
-    events = events_for([(1, 2), (0, 9), (-1, 40), (0, 3), (1, 0)])
-    verdict = verify(events, [], toy_geometry)
-    assert str(verdict) == (
-        "rule 4 violated at slot 5: counter (-1, 10, 0) ends at 0 of 1 true activations"
+    events = events_for([(1, 2), (0, 9), (0, 3), (1, 0)])
+    assert str(verify(events, [], toy_geometry)) == (
+        "rule 4 violated at slot 4: counter (0, 0, 3) ends at 0 of 1 true activations"
     )
-    inside = events_for([(1, 2), (0, 9), (0, 3), (1, 0)])
-    assert "counter (0, 0, 3) ends at 0 of 1" in verify(inside, [], toy_geometry).message
+
+
+@pytest.mark.parametrize(
+    "spot, where",
+    [((-1, 40), "bank -1, data_row 40"), ((2, 0), "bank 2, data_row 0"),
+     ((0, 16), "bank 0, data_row 16"), ((1, -1), "bank 1, data_row -1"),
+     ((1, 2**70), f"bank 1, data_row {2**70}")],
+    ids=["negative_bank", "bank", "data_row", "negative_row", "huge_row"],
+)  # fmt: skip
+def test_an_activation_outside_the_geometry_is_unparseable(toy_geometry, spot, where):
+    """Named by its slot, for a Trace as for events, before any batch
+    problem; only the first such activation is named."""
+    events = events_for([(1, 2), (0, 9), spot, (0, 3), (7, 7)])
+    message = f"slot 2: {where} outside the geometry's 2 banks of 16 rows"
+    batches = [LoggedBatch(0, 1, 9, "drain", (0, 0))]
+    for trace in (events, Trace([e.bank for e in events], [e.data_row for e in events])):
+        with pytest.raises(LogFormatError) as exc:
+            verify(trace, batches, toy_geometry)
+        assert str(exc.value) == message
 
 
 def test_a_stray_stored_counter_fails_the_final_state(toy_geometry):
@@ -283,34 +317,19 @@ def test_a_stray_stored_counter_fails_the_final_state(toy_geometry):
     at the drain slot, in key order with the wrong activated ones."""
     events = repeat(0, 5, 2)
     batches = [LoggedBatch(2, 0, 1, "drain", (1,))]
-    assert verify(events, batches, toy_geometry, final_values={(0, 1, 1): 2}).ok
-    for stray in ({(0, 1, 1): 2, (1, 3, 3): 9}, ([0, 1], [1, 3], [1, 3], [2, 9])):
-        verdict = verify(events, batches, toy_geometry, final_values=stray)
-        assert str(verdict) == (
-            "rule 4 violated at slot 2: stored counter (1, 3, 3) is 9, expected 0"
-        )
-    values = np.zeros((2, 4, 4), dtype=np.uint8)
-    values[0, 1, 1] = 2
+    values = stored({(0, 1, 1): 2})
     assert verify(events, batches, toy_geometry, final_values=values).ok
+    stray = stored({(0, 1, 1): 2, (1, 3, 3): 9})
+    verdict = verify(events, batches, toy_geometry, final_values=stray)
+    assert str(verdict) == (
+        "rule 4 violated at slot 2: stored counter (1, 3, 3) is 9, expected 0"
+    )
     values[0, 0, 2] = 1
     verdict = verify(events, batches, toy_geometry, final_values=values)
     assert verdict.message == "stored counter (0, 0, 2) is 1, expected 0"
     values[0, 1, 1] = 3
     verdict = verify(events, batches, toy_geometry, final_values=values)
     assert verdict.message == "stored counter (0, 0, 2) is 1, expected 0"
-    outside = {(0, 1, 1): 2, (5, 0, 0): 7, (0, 0, 9): 0}
-    verdict = verify(events, batches, toy_geometry, final_values=outside)
-    assert verdict.message == "stored counter (5, 0, 0) is 7, expected 0"
-
-
-def test_a_dump_keeps_the_last_value_of_a_counter(toy_geometry):
-    events = repeat(0, 5, 2)
-    batches = [LoggedBatch(2, 0, 1, "drain", (1,))]
-    twice = ([0, 0, 1], [1, 1, 0], [1, 1, 0], [7, 2, 4])
-    verdict = verify(events, batches, toy_geometry, final_values=twice)
-    assert verdict.message == "stored counter (1, 0, 0) is 4, expected 0"
-    zeroed = ([0, 0, 1], [1, 1, 0], [1, 1, 0], [2, 2, 0])
-    assert verify(events, batches, toy_geometry, final_values=zeroed).ok
 
 
 def test_service_log_columns_and_batches():
@@ -325,7 +344,7 @@ def test_service_log_columns_and_batches():
     assert log.byte_ids == [0, 3, 1, 0, 1, 2, 3]
     assert len(log) == 3 and list(log) == batches
     assert [log[j] for j in range(3)] == batches
-    assert log == as_log(list(log)) and log != as_log(batches[:2])
+    assert list(as_log(list(log))) == list(log) != list(as_log(batches[:2]))
     with pytest.raises(LogFormatError, match="batch 1: unknown trigger 'soon'"):
         as_log([batches[0], LoggedBatch(1, 0, 0, "soon", (0,))])
 
@@ -434,7 +453,9 @@ def test_verify_matches_the_legacy_replay(
     elif state == "dump":
         items = engine.store.nonzero_items()
         legacy_final = defaultdict(int, {(b, r, c): v for b, r, c, v in items})
-        final = tuple(map(list, zip(*items))) if items else ([], [], [], [])
+        final = np.zeros_like(engine.store.values)
+        for b, r, c, v in items:
+            final[b, r, c] = v
     kwargs = dict(
         m_batch=config.buffer.m_batch,
         staleness_bound=config.buffer.pending_limit,
