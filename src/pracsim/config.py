@@ -16,7 +16,7 @@ from .energy import EnergyParams
 from .errors import ConfigError
 from .geometry import DramGeometry
 from .metrics import WINDOW_MODES
-from .trace import GENERATORS, TraceSpec
+from .trace import GENERATOR_PARAMS, TraceSpec
 
 # key -> (type tag, default). The n_bo default "auto" resolves against
 # the buffer design: full threshold for the immediate-service baseline,
@@ -147,35 +147,28 @@ class SimConfig:
         return resolve(self.flat, overrides)
 
 
+# TraceSpec parameter -> the config key that sets it.
+_TRACE_KEYS = {
+    "rows": "trace.rows",
+    "banks": "trace.banks",
+    "exponent": "trace.zipf_exponent",
+    "shuffle": "trace.zipf_shuffle",
+    "bank": "trace.bank",
+    "start_row": "trace.start_row",
+    "hot_rows": "trace.hot_rows",
+    "hot_fraction": "trace.hot_fraction",
+    "row": "trace.hammer_row",
+    "gap": "trace.hammer_gap",
+}
+
+
 def _trace_params(generator: str, v: dict, geometry: DramGeometry) -> dict:
-    rows = v["trace.rows"] or geometry.rows_per_bank
-    if generator == "uniform":
-        return {"rows": rows, "banks": v["trace.banks"]}
-    if generator == "zipf":
-        return {
-            "exponent": v["trace.zipf_exponent"],
-            "shuffle": v["trace.zipf_shuffle"],
-            "rows": rows,
-            "banks": v["trace.banks"],
-        }
-    if generator == "sequential":
-        return {"bank": v["trace.bank"], "start_row": v["trace.start_row"]}
-    if generator == "hotset":
-        return {
-            "hot_rows": v["trace.hot_rows"],
-            "hot_fraction": v["trace.hot_fraction"],
-            "rows": rows,
-            "banks": v["trace.banks"],
-        }
-    if generator == "hammer":
-        return {
-            "row": v["trace.hammer_row"],
-            "gap": v["trace.hammer_gap"],
-            "bank": v["trace.bank"],
-        }
-    if generator == "roundrobin":
-        return {"bank": v["trace.bank"]}
-    raise ConfigError(f"unknown generator {generator!r}, expected one of {GENERATORS}")
+    """The generator's params from the config; none for an unknown one,
+    which TraceSpec rejects.  ``trace.rows`` 0 means the whole bank."""
+    params = {p: v[_TRACE_KEYS[p]] for p in GENERATOR_PARAMS.get(generator, ())}
+    if "rows" in params:
+        params["rows"] = params["rows"] or geometry.rows_per_bank
+    return params
 
 
 def resolve(

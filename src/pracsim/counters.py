@@ -46,7 +46,6 @@ class CounterArray:
 
     ``n_bo`` is the effective back-off threshold; None disables the
     alert path entirely (counters still accumulate and saturate).
-    ``slot`` is maintained by the caller so recorded events carry time.
     ``on_mitigate(bank, row_id, byte_id)`` is told of every counter reset
     by a mitigation, so a copy held elsewhere (a counter cache) can be
     reset with it.
@@ -57,7 +56,6 @@ class CounterArray:
         geometry: DramGeometry,
         n_bo: Optional[int] = None,
         rfms_per_alert: int = 1,
-        record_events: bool = False,
         on_mitigate: Optional[Callable[[int, int, int], None]] = None,
     ):
         if n_bo is not None and not 1 <= n_bo <= COUNTER_MAX:
@@ -80,8 +78,6 @@ class CounterArray:
         )
         self.alerts = 0
         self.mitigations = 0
-        self.slot = -1
-        self.events: Optional[List[tuple]] = [] if record_events else None
         # Per bank: how many counters hold each value, made on the bank's
         # first write (None until then), and a bound that is at least the
         # largest value held (raised on write, lowered only when a refresh
@@ -125,7 +121,7 @@ class CounterArray:
             self._top[bank] = value
         self._cells[i] = value
         if self.n_bo is not None and value >= self.n_bo:
-            self._alert(bank, row_id, byte_id, value)
+            self._alert(bank, row_id, byte_id)
         return value
 
     def apply_writeback(self, bank: int, row_id: int, byte_id: int, value: int) -> int:
@@ -134,7 +130,7 @@ class CounterArray:
             raise ConfigError(f"writeback value {value} out of range [0, {COUNTER_MAX}]")
         self._set(bank, row_id, byte_id, value)
         if self.n_bo is not None and value >= self.n_bo:
-            self._alert(bank, row_id, byte_id, value)
+            self._alert(bank, row_id, byte_id)
         return value
 
     def external_alert(self, bank: int, row_id: int, byte_id: int, value: int) -> None:
@@ -143,12 +139,10 @@ class CounterArray:
         The reset writes through: the stored counter is mitigated, and
         ``on_mitigate`` resets the cached copy with it.
         """
-        self._alert(bank, row_id, byte_id, value)
+        self._alert(bank, row_id, byte_id)
 
-    def _alert(self, bank: int, row_id: int, byte_id: int, value: int) -> None:
+    def _alert(self, bank: int, row_id: int, byte_id: int) -> None:
         self.alerts += 1
-        if self.events is not None:
-            self.events.append(("alert", self.slot, bank, row_id, byte_id, value))
         self._mitigate(bank, row_id, byte_id)
         for _ in range(self.rfms_per_alert - 1):
             if self._mitigate_max(bank) is None:
@@ -159,8 +153,6 @@ class CounterArray:
         if self.on_mitigate is not None:
             self.on_mitigate(bank, row_id, byte_id)
         self.mitigations += 1
-        if self.events is not None:
-            self.events.append(("mitigation", self.slot, bank, row_id, byte_id))
 
     def _mitigate_max(self, bank: int) -> Optional[Tuple[int, int, int]]:
         """Mitigate the largest counter of ``bank``; returns its

@@ -34,12 +34,7 @@ from .trace import ActivationEvent, Trace, as_columns, generate, load
 class Engine:
     """One run's mutable state; step events, then finalize into a report."""
 
-    def __init__(
-        self,
-        config: SimConfig,
-        collect_log: bool = False,
-        record_events: bool = False,
-    ):
+    def __init__(self, config: SimConfig, collect_log: bool = False):
         self.config = config
         self.geometry = config.geometry
         self._cached = config.cache.kind != "none"
@@ -47,7 +42,6 @@ class Engine:
             config.geometry,
             n_bo=config.n_bo,
             rfms_per_alert=config.rfms_per_alert,
-            record_events=record_events,
             on_mitigate=self._reset_cached if self._cached else None,
         )
         self.ledger = EnergyLedger()
@@ -94,8 +88,8 @@ class Engine:
             cache.reset(row_id, byte_id)
             buf.reset_writeback(row_id, byte_id)
 
-    def step(self, slot: int, bank: int, data_row: int) -> Optional[ServiceBatch]:
-        """Process one activation; returns the batch it serviced, if any.
+    def step(self, slot: int, bank: int, data_row: int) -> None:
+        """Process one activation, servicing the batch it completes, if any.
 
         A cached copy whose live value reaches the back-off threshold
         alerts here; the mitigation resets it and any queued writeback.
@@ -105,13 +99,11 @@ class Engine:
                 f"slot {slot}: data_row {data_row} out of range [0, {self._rows})"
             )
         buf, cache = self._banks.get(bank) or self._bank(bank, slot)
-        self.store.slot = slot
         row_id, byte_id = divmod(data_row, self._cpc)
         ledger = self.ledger
         ledger.data_acts += 1
         ledger.data_cols += 1
 
-        serviced = None
         live = 0 if cache is None else cache.access(row_id, byte_id)
         if live:
             if live >= self._n_bo:
@@ -120,14 +112,12 @@ class Engine:
             batch = buf.insert(row_id, byte_id)
             if batch is not None:
                 self._service(batch, slot)
-                serviced = batch
 
         interval = self._proactive
         if interval and (slot + 1) % interval == 0:
             store = self.store
             for b in range(self.geometry.banks):
                 store.proactive_tick(b)
-        return serviced
 
     def _service(self, batch: ServiceBatch, slot: int) -> None:
         bank, row_id, items, trigger = batch
@@ -170,7 +160,6 @@ class Engine:
         if self.ledger.data_acts == 0:
             raise TraceError("cannot simulate an empty trace")
         drain_slot = self.ledger.data_acts
-        self.store.slot = drain_slot
         for bank in sorted(self._banks):
             for batch in self._banks[bank][0].drain():
                 self._service(batch, drain_slot)

@@ -43,7 +43,3 @@ class DramGeometry:
                 f"rows_per_bank ({self.rows_per_bank}) must equal "
                 f"counter_rows_per_bank * counters_per_counter_row ({expected})"
             )
-
-    @property
-    def counters_per_bank(self) -> int:
-        return self.rows_per_bank

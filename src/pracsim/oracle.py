@@ -147,12 +147,15 @@ class Verdict:
 
 
 def write_log(batches: Iterable[LoggedBatch], stream) -> None:
-    """Write the service-log CSV: slot,bank,row_id,trigger,n_items,bytes..."""
+    """Write the service-log CSV: slot,bank,row_id,trigger,n_items,bytes...
+
+    A batch without byte ids ends at its ``n_items`` field, 0.
+    """
     log = as_log(batches)
     ids = iter(log.byte_ids)
     lines = [
-        f"{slot},{bank},{row_id},{TRIGGERS[code]},{size},"
-        f"{','.join(map(str, islice(ids, size)))}\n"
+        f"{slot},{bank},{row_id},{TRIGGERS[code]},{size}"
+        f"{''.join([',' + str(i) for i in islice(ids, size)])}\n"
         for slot, bank, row_id, code, size in zip(
             log.slots, log.banks, log.row_ids, log.triggers, log.sizes
         )

@@ -25,18 +25,18 @@ import numpy as np
 from .errors import ConfigError, TraceError
 from .geometry import DramGeometry
 
-GENERATORS = ("uniform", "zipf", "sequential", "hotset", "hammer", "roundrobin")
+# Each generator's parameters, in the order a resolved config lists them.
+GENERATOR_PARAMS = {
+    "uniform": ("rows", "banks"),
+    "zipf": ("exponent", "shuffle", "rows", "banks"),
+    "sequential": ("bank", "start_row"),
+    "hotset": ("hot_rows", "hot_fraction", "rows", "banks"),
+    "hammer": ("row", "gap", "bank"),
+    "roundrobin": ("bank",),
+}
+GENERATORS = tuple(GENERATOR_PARAMS)
 
 _RECORD_DTYPE = np.dtype([("bank", "<u2"), ("row", "<u4")])
-
-_KNOWN_PARAMS = {
-    "uniform": {"rows", "banks"},
-    "zipf": {"exponent", "rows", "banks", "shuffle"},
-    "sequential": {"bank", "start_row"},
-    "hotset": {"hot_rows", "hot_fraction", "rows", "banks"},
-    "hammer": {"row", "gap", "bank"},
-    "roundrobin": {"bank"},
-}
 
 
 class ActivationEvent(NamedTuple):
@@ -108,7 +108,7 @@ class TraceSpec:
             )
         if self.length < 1:
             raise ConfigError(f"trace length must be positive, got {self.length}")
-        unknown = set(self.params) - _KNOWN_PARAMS[self.generator]
+        unknown = set(self.params).difference(GENERATOR_PARAMS[self.generator])
         if unknown:
             raise ConfigError(
                 f"unknown params for generator {self.generator!r}: {sorted(unknown)}"

@@ -313,10 +313,18 @@ def first_mitigation_true_count(design, staleness_bound):
         }
     )
     events = generate(config.trace_spec, config.geometry)
-    engine, report = run_events(config, events, collect_log=True, record_events=True)
-    mitigations = [e for e in engine.store.events if e[0] == "mitigation"]
+    engine = Engine(config, collect_log=True)
+    assert engine.store.on_mitigate is None  # an uncached run installs none
+    done = []
+    engine.store.on_mitigate = lambda *counter: done.append(counter)
+    mitigations = []
+    for ev in events:
+        engine.step(*ev)
+        mitigations += [(ev.slot, *counter) for counter in done]
+        done.clear()
+    report = engine.finalize()
     assert mitigations, "no mitigation fired"
-    _, slot, bank, row_id, byte_id = mitigations[0]
+    slot, bank, row_id, byte_id = mitigations[0]
     cpc = config.geometry.counters_per_counter_row
     target_row, target_byte = divmod(0, cpc)
     assert (bank, row_id, byte_id) == (0, target_row, target_byte)

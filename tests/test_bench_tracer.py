@@ -3,17 +3,27 @@
 ``bench/tracer.py`` replaces each ``owner.__dict__[attr]`` in its span
 table; a refactor that moves or renames one would break the traced
 benchmark run, so every one of them must exist where the table says.
+Its hooks count what crosses those attributes (returned batches, cache
+hits, alert tallies), so a refactor that changes a batch's shape or a
+hook's arguments must still give the counts the reports give.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from pracsim import buffers, config, engine, oracle
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    return _load_bench(TRACER)
+
+
+def _load_bench(path):
+    spec = importlib.util.spec_from_file_location("bench_" + path.stem, path)
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave no bytecode cache under bench/
@@ -32,3 +42,41 @@ def test_every_traced_attribute_exists():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_traced_counts_match_the_reports():
+    """A cached compare with two RFMs per alert, then a logged run and its
+    replay, all traced: the hooks' counts add up to the reports'."""
+    bench_tracer, checks = _load_tracer(), _load_bench(BENCH / "checks.py")
+    cfg = config.resolve(
+        overrides={
+            "trace.generator": "hotset",
+            "trace.hot_rows": "48",
+            "trace.length": "3000",
+            "cache.kind": "lru4way",
+            "mitigation.rfms_per_alert": "2",
+        }
+    )
+    plain = cfg.with_overrides({"cache.kind": "none"})
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        tracer.set_enabled(True)
+        reports = engine.compare(cfg, buffers.DESIGNS)
+        logged = engine.Engine(plain, collect_log=True)
+        reports.append(logged.run())
+        verdict = oracle.verify(
+            logged.load_events(),
+            logged.batch_log,
+            plain.geometry,
+            m_batch=plain.buffer.m_batch,
+            staleness_bound=plain.buffer.pending_limit,
+            reported_counter_acts=reports[-1].counter_acts,
+        )
+    finally:
+        tracer.uninstall()
+    assert verdict.ok, str(verdict)
+    dicts = [r.to_dict() for r in reports]
+    assert sum(r["alerts"] for r in dicts) > 0
+    assert any(r["cache"] and r["cache"]["hits"] for r in dicts)
+    checks.traced_counts(tracer.metrics(dicts), bench_tracer.expected_counts(dicts))

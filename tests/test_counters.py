@@ -149,16 +149,6 @@ def test_values_view_shares_the_counters(toy_geometry):
     assert store.get(0, 1, 3) == 9
 
 
-def test_event_recording(toy_geometry):
-    store = CounterArray(toy_geometry, n_bo=3, record_events=True)
-    store.slot = 17
-    store.apply_rmw(0, 0, 0, increments=3)
-    assert store.events == [
-        ("alert", 17, 0, 0, 0, 3),
-        ("mitigation", 17, 0, 0, 0),
-    ]
-
-
 def test_nonzero_tracking(toy_geometry):
     """The histogram's zero count lets a refresh skip a clean bank: it
     follows increments and alert resets, so the last refresh finds none."""
@@ -229,8 +219,12 @@ def test_rmw_matches_dict_model(ops):
 
 def test_rfm_event_order_is_deterministic(toy_geometry):
     rng = random.Random(11)
-    store = CounterArray(toy_geometry, n_bo=15, rfms_per_alert=2, record_events=True)
-    replay = CounterArray(toy_geometry, n_bo=15, rfms_per_alert=2, record_events=True)
+    seen, replayed = [], []
+    kwargs = dict(n_bo=15, rfms_per_alert=2)
+    store = CounterArray(toy_geometry, on_mitigate=lambda *r: seen.append(r), **kwargs)
+    replay = CounterArray(
+        toy_geometry, on_mitigate=lambda *r: replayed.append(r), **kwargs
+    )
     ops = [
         (rng.randrange(4), rng.randrange(4), rng.randrange(1, 6)) for _ in range(300)
     ]
@@ -238,8 +232,18 @@ def test_rfm_event_order_is_deterministic(toy_geometry):
         store.apply_rmw(0, row, byte, inc)
     for row, byte, inc in ops:
         replay.apply_rmw(0, row, byte, inc)
-    assert store.events == replay.events
+    assert seen and seen == replayed
     assert np.array_equal(store.values, replay.values)
+
+
+class Mitigations(list):
+    """An ``on_mitigate`` that records (slot, bank, row_id, byte_id); the
+    stepping loop sets ``slot``."""
+
+    slot = -1
+
+    def __call__(self, bank, row_id, byte_id):
+        self.append((self.slot, bank, row_id, byte_id))
 
 
 # Mostly read-modify-writes, so counters climb to ties, alerts and (with
@@ -269,12 +273,13 @@ def test_refresh_pick_matches_argmax_reference(
         counter_rows_per_bank=counter_rows,
         counters_per_counter_row=cpc,
     )
-    kwargs = dict(n_bo=n_bo, rfms_per_alert=rfms_per_alert, record_events=True)
-    store = CounterArray(geometry, **kwargs)
-    ref = ArgmaxCounterArray(geometry, **kwargs)
+    seen, expected = Mitigations(), Mitigations()
+    kwargs = dict(n_bo=n_bo, rfms_per_alert=rfms_per_alert)
+    store = CounterArray(geometry, on_mitigate=seen, **kwargs)
+    ref = ArgmaxCounterArray(geometry, on_mitigate=expected, **kwargs)
     rng = random.Random(seed)
     for slot in range(length):
-        store.slot = ref.slot = slot
+        seen.slot = expected.slot = slot
         op = rng.choice(COUNTER_OPS)
         bank = rng.randrange(banks)
         row, byte = rng.randrange(counter_rows), rng.randrange(cpc)
@@ -302,7 +307,7 @@ def test_refresh_pick_matches_argmax_reference(
             assert pick == ref.proactive_tick(bank)
             if pick is None:
                 break
-    assert store.events == ref.events
+    assert seen == expected
     assert not store.values.any()
 
 

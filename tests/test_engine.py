@@ -213,6 +213,20 @@ def test_compare_generates_the_trace_once(monkeypatch, extra):
         assert report.to_json() == alone.to_json()
 
 
+def record_mitigations(engine):
+    """The list that every mitigation of ``engine``'s store appends its
+    (bank, row_id, byte_id) to, after the engine's own callback runs."""
+    done = []
+    engine_reset = engine.store.on_mitigate
+
+    def on_mitigate(bank, row_id, byte_id):
+        engine_reset(bank, row_id, byte_id)
+        done.append((bank, row_id, byte_id))
+
+    engine.store.on_mitigate = on_mitigate
+    return done
+
+
 def test_mitigation_resets_the_cached_copy():
     """A refresh or alert that zeroes a stored counter also resets a dirty
     cached copy of it; a copy left dirty would write the removed count
@@ -227,21 +241,19 @@ def test_mitigation_resets_the_cached_copy():
             "seed": "1",
         }
     )
-    engine = Engine(config, record_events=True)
-    seen = 0
+    engine = Engine(config)
+    done = record_mitigations(engine)
     mitigations = 0
     left_dirty = []
     for ev in engine.load_events():
         engine.step(*ev)
-        for event in engine.store.events[seen:]:
-            if event[0] != "mitigation":
-                continue
+        for bank, row_id, byte_id in done:
             mitigations += 1
-            _, slot, bank, row_id, byte_id = event
             dirty = {(r, c): v for r, c, v in engine.cache(bank).dirty_lines()}
             if (row_id, byte_id) in dirty:
-                left_dirty.append((slot, bank, row_id, byte_id, dirty[row_id, byte_id]))
-        seen = len(engine.store.events)
+                value = dirty[row_id, byte_id]
+                left_dirty.append((ev.slot, bank, row_id, byte_id, value))
+        done.clear()
     assert mitigations > 0
     assert left_dirty == []
 
@@ -261,22 +273,19 @@ def test_mitigation_resets_a_queued_writeback():
             "seed": "1",
         }
     )
-    engine = Engine(config, record_events=True)
-    seen = 0
+    engine = Engine(config)
+    done = record_mitigations(engine)
     mitigations = 0
     restoring = []
     for ev in engine.load_events():
         engine.step(*ev)
-        for event in engine.store.events[seen:]:
-            if event[0] != "mitigation":
-                continue
+        for bank, row_id, byte_id in done:
             mitigations += 1
-            _, slot, bank, row_id, byte_id = event
             buf, _ = engine._bank(bank)
             queued = buf._rows.get(row_id, {}).get((byte_id, True))
             if queued:
-                restoring.append((slot, bank, row_id, byte_id, queued))
-        seen = len(engine.store.events)
+                restoring.append((ev.slot, bank, row_id, byte_id, queued))
+        done.clear()
     assert mitigations > 0
     assert restoring == []
 

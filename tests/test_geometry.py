@@ -39,7 +39,6 @@ def test_default_shape(geometry):
     assert geometry.rows_per_bank == 65536
     assert geometry.counter_rows_per_bank == 64
     assert geometry.counters_per_counter_row == 1024
-    assert geometry.counters_per_bank == 65536
 
 
 def test_known_mappings(geometry):

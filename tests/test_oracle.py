@@ -191,6 +191,19 @@ def test_log_roundtrip():
     assert list(read_log(io.StringIO(buf.getvalue()))) == batches
 
 
+def test_an_empty_batch_round_trips(toy_geometry):
+    """A batch without byte ids ends at its n_items field, which both
+    readers take back as that batch; the replay then flags it."""
+    batches = [LoggedBatch(0, 0, 0, "drain", ())]
+    buf = io.StringIO()
+    write_log(batches, buf)
+    assert buf.getvalue().splitlines()[1] == "0,0,0,drain,0"
+    assert list(read_log(io.StringIO(buf.getvalue()))) == batches
+    assert legacy_oracle.read_log(io.StringIO(buf.getvalue())) == batches
+    verdict = verify(repeat(0, 0, 1), batches, toy_geometry)
+    assert (verdict.rule, verdict.slot) == (2, 0)
+
+
 def test_read_log_skips_header_and_blanks():
     text = "slot,bank,row_id,trigger,n_items,byte_ids\n\n1,0,2,m_ready,1,5\n"
     assert list(read_log(io.StringIO(text))) == [LoggedBatch(1, 0, 2, "m_ready", (5,))]
@@ -541,9 +554,12 @@ def test_write_log_matches_the_legacy_writer(pairs):
     got, want = io.StringIO(), io.StringIO()
     write_log(as_log(batches), got)
     legacy_oracle.write_log(batches, want)
-    assert got.getvalue() == want.getvalue()
+    # The legacy writer ends an empty batch's line with a comma that
+    # neither reader accepts; every other line is the same.
+    assert got.getvalue() == want.getvalue().replace(",\n", "\n")
+    assert list(read_log(io.StringIO(got.getvalue()))) == batches
     assert _read(read_log, got.getvalue()) == _read(
-        legacy_oracle.read_log, want.getvalue()
+        legacy_oracle.read_log, got.getvalue()
     )
 
 
