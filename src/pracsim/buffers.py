@@ -21,6 +21,17 @@ four and a per-design function picks the victim: per-row buffers never
 fill a shared pool, FCFS evicts the row of the oldest entry, sorted
 eviction picks the row with the most entries, and approx-max tracks a
 running (row, count) pair instead of sorting.
+
+A row's entries live in one dict keyed by int: ``byte_id`` for an
+increment entry, valued at its pending updates, and ``~byte_id`` (a
+negative key) for a cache writeback, valued at the absolute value to
+write.  A serviced batch's ``items`` is that dict itself, taken out of
+the buffer whole, oldest entry first; the baseline's is ``{byte_id: 1}``.
+Only a row holding a writeback is rebuilt first (``_merge_items``), so
+that each byte appears once: a byte with a writeback keeps the key
+``~byte_id`` and its value becomes ``(value, increments)``, the absolute
+write followed by the increments queued beside it.  ``len(items)`` is
+the number of counters the batch touches.
 """
 
 from dataclasses import dataclass
@@ -76,24 +87,13 @@ class BufferConfig:
         return self.k_limit + 1 if self.k_trigger == "repcount" else self.k_limit
 
 
-class BatchItem(NamedTuple):
-    """One serviced counter: pending increments and an optional absolute write.
-
-    A writeback that coalesced with queued increments yields a single
-    item; the absolute value is written first, then the increments.
-    """
-
-    byte_id: int
-    increments: int
-    wb_value: Optional[int] = None
-
-
 class ServiceBatch(NamedTuple):
-    """One counter-row activation worth of work."""
+    """One counter-row activation worth of work; ``items`` as in the
+    module docstring."""
 
     bank: int
     row_id: int
-    items: Tuple[BatchItem, ...]
+    items: Dict[int, Union[int, Tuple[int, int]]]
     trigger: str
 
 
@@ -104,9 +104,7 @@ class ChronusBuffer:
         self.bank = bank
 
     def insert(self, row_id: int, byte_id: int) -> ServiceBatch:
-        return ServiceBatch(
-            self.bank, row_id, (BatchItem(byte_id, 1),), TRIG_M_READY
-        )
+        return ServiceBatch(self.bank, row_id, {byte_id: 1}, TRIG_M_READY)
 
     def drain(self) -> List[ServiceBatch]:
         return []
@@ -118,11 +116,13 @@ class ChronusBuffer:
 class _BufferedBase:
     """The coalescing buffer of every design but the baseline; one per bank.
 
-    Entries are kept per row as {(byte_id, is_wb): value}, where the
-    value of an increment entry is its pending updates and that of a
-    writeback entry the absolute value to write.  ``_capacity`` None
-    means no shared pool (per-row design).  ``_full_rows`` holds rows at
-    M entries whose service had to be deferred.
+    Entries are kept per row as {key: value}: key ``byte_id`` for an
+    increment entry, whose value is its pending updates, and ``~byte_id``
+    for a writeback entry, whose value is the absolute value to write.
+    ``_capacity`` None means no shared pool (per-row design).
+    ``_full_rows`` holds rows at M entries whose service had to be
+    deferred, and ``_wb_rows`` the rows holding a writeback entry, which
+    alone need merging when they are serviced.
 
     Both dict levels stay in arrival order: a row enters ``_rows`` with
     its first entry and leaves only whole, and entries are never removed
@@ -139,11 +139,13 @@ class _BufferedBase:
     def __init__(self, bank: int, config: BufferConfig):
         self.bank = bank
         self.config = config
-        self._rows: Dict[int, Dict[tuple, int]] = {}
+        self._rows: Dict[int, Dict[int, int]] = {}
         self._total = 0
         self._full_rows = set()
+        self._wb_rows = set()
         self._pick_victim = _VICTIM_PICKS[config.design]
         self._capacity = None if self._pick_victim is None else config.capacity
+        self._m_batch = config.m_batch
         self._pending_limit = config.pending_limit
         self._meta_row: Optional[int] = None
         self._meta_count = 0
@@ -155,83 +157,97 @@ class _BufferedBase:
         """Queue one activation's counter update; maybe service a batch."""
         entries = self._rows.get(row_id)
         if entries is not None:
-            key = (byte_id, False)
-            pending = entries.get(key)
+            pending = entries.get(byte_id)
             if pending is not None:
                 pending += 1
-                entries[key] = pending
+                entries[byte_id] = pending
                 count = len(entries)
                 if count > self._meta_count:
                     self._meta_row = row_id
                     self._meta_count = count
                 if pending >= self._pending_limit:
                     return self._flush_row(row_id, TRIG_K_LIMIT)
-                return self._service_deferred()
+                if self._full_rows:
+                    return self._flush_row(min(self._full_rows), TRIG_M_READY)
+                return None
         if row_id in self._full_rows:
             # Deferred from an earlier shadow; service it before growing it.
             batch = self._flush_row(row_id, TRIG_M_READY)
-            self._allocate(row_id, byte_id)
+            self._allocate(row_id, byte_id, 1)
             return batch
         if self._capacity is not None and self._total >= self._capacity:
             batch = self._flush_row(self._pick_victim(self), TRIG_BUFFER_FULL)
-            self._allocate(row_id, byte_id)
+            self._allocate(row_id, byte_id, 1)
             return batch
-        self._allocate(row_id, byte_id)
+        count = self._allocate(row_id, byte_id, 1)
         if self._pending_limit <= 1:
             return self._flush_row(row_id, TRIG_K_LIMIT)
-        if len(self._rows[row_id]) >= self.config.m_batch:
+        if count >= self._m_batch:
             return self._flush_row(row_id, TRIG_M_READY)
-        return self._service_deferred()
+        if self._full_rows:
+            return self._flush_row(min(self._full_rows), TRIG_M_READY)
+        return None
 
     def try_insert_writeback(self, row_id: int, byte_id: int, value: int) -> bool:
         """Queue an absolute counter write; False if no slot can take it."""
         entries = self._rows.get(row_id)
-        if entries is not None and (byte_id, True) in entries:
-            entries[byte_id, True] = value
+        if entries is not None and ~byte_id in entries:
+            entries[~byte_id] = value
             return True
         count = len(entries) if entries is not None else 0
-        if count >= self.config.m_batch:
+        if count >= self._m_batch:
             return False
         if self._capacity is not None and self._total >= self._capacity:
             return False
-        self._allocate(row_id, byte_id, True, value)
+        self._allocate(row_id, ~byte_id, value)
+        self._wb_rows.add(row_id)
         return True
 
     def reset_writeback(self, row_id: int, byte_id: int) -> None:
         """A mitigation zeroed this counter: a queued writeback now writes 0."""
         # The entry stays put: removing it would break arrival order.
         entries = self._rows.get(row_id)
-        if entries is not None and (byte_id, True) in entries:
-            entries[byte_id, True] = 0
+        if entries is not None and ~byte_id in entries:
+            entries[~byte_id] = 0
 
     def drain(self) -> List[ServiceBatch]:
         """Flush everything in deterministic order (rows ascending), one
         batch per row."""
+        wb_rows = self._wb_rows
         batches = [
-            ServiceBatch(self.bank, row_id, tuple(_merge_items(entries)), TRIG_DRAIN)
+            ServiceBatch(
+                self.bank,
+                row_id,
+                _merge_items(entries) if row_id in wb_rows else entries,
+                TRIG_DRAIN,
+            )
             for row_id, entries in sorted(self._rows.items())
         ]
         self._rows.clear()
         self._total = 0
         self._full_rows.clear()
+        wb_rows.clear()
         self._meta_row = None
         self._meta_count = 0
         return batches
 
-    def _allocate(self, row_id, byte_id, is_wb=False, value=1):
+    def _allocate(self, row_id: int, key: int, value: int) -> int:
+        """Add an entry to the row; returns the row's entry count."""
         entries = self._rows.get(row_id)
         if entries is None:
             entries = self._rows[row_id] = {}
-        entries[byte_id, is_wb] = value
+        entries[key] = value
         self._total += 1
         count = len(entries)
-        if count >= self.config.m_batch:
+        if count >= self._m_batch:
             self._full_rows.add(row_id)
         if count > self._meta_count:
             self._meta_row = row_id
             self._meta_count = count
+        return count
 
-    def _flush_row(self, row_id, trigger):
+    def _flush_row(self, row_id: int, trigger: str) -> ServiceBatch:
+        """Take the row out whole; its entry dict becomes the batch's items."""
         entries = self._rows.pop(row_id)
         self._total -= len(entries)
         self._full_rows.discard(row_id)
@@ -243,30 +259,29 @@ class _BufferedBase:
             else:
                 self._meta_row = None
                 self._meta_count = 0
-        return ServiceBatch(self.bank, row_id, tuple(_merge_items(entries)), trigger)
-
-    def _service_deferred(self):
-        if self._full_rows:
-            return self._flush_row(min(self._full_rows), TRIG_M_READY)
-        return None
+        if row_id in self._wb_rows:
+            self._wb_rows.discard(row_id)
+            entries = _merge_items(entries)
+        return ServiceBatch(self.bank, row_id, entries, trigger)
 
 
-def _merge_items(entries: Dict[tuple, int]) -> List[BatchItem]:
+def _merge_items(entries: Dict[int, int]) -> Dict[int, Union[int, Tuple[int, int]]]:
     """Collapse a row's entries, given in arrival order, into batch items.
 
-    A writeback and an increment entry for the same byte merge into one
-    item placed at the earlier arrival, so items come oldest first.
+    A byte with a writeback entry becomes the one key ``~byte_id``, whose
+    value is ``(value, increments)``: the absolute value, then the
+    increments queued for the same byte (0 if none).  The merged key
+    sits at the earlier of the two arrivals, so items come oldest first.
     """
-    by_byte: Dict[int, list] = {}
-    for (byte_id, is_wb), value in entries.items():
-        slot = by_byte.get(byte_id)
-        if slot is None:
-            by_byte[byte_id] = [0, value] if is_wb else [value, None]
-        elif is_wb:
-            slot[1] = value
+    merged: Dict[int, Union[int, Tuple[int, int]]] = {}
+    for key, value in entries.items():
+        if key < 0:
+            merged[key] = (value, entries.get(~key, 0))
+        elif ~key in entries:
+            merged[~key] = (entries[~key], value)
         else:
-            slot[0] += value
-    return [BatchItem(byte_id, inc, wb) for byte_id, (inc, wb) in by_byte.items()]
+            merged[key] = value
+    return merged
 
 
 def _oldest_row(buf: _BufferedBase) -> int:

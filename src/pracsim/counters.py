@@ -12,9 +12,10 @@ fragmented around earlier stores.
 Servicing a counter request applies its pending increments in one
 read-modify-write; a value crossing the back-off threshold raises an
 alert, which mitigates (and resets) that counter.  Additional refreshes
-granted per alert, and the periodic proactive refresh, always target the
-currently largest counter in the bank, modeling an ideal mitigation
-queue.
+granted per alert always target the currently largest counter in the
+bank, modeling an ideal mitigation queue.  So does the periodic
+proactive refresh: one ``proactive_tick`` per interval refreshes every
+bank once, in ascending bank order, skipping clean banks.
 
 The largest counter is found without scanning the bank's values: each
 bank keeps a histogram of how many of its counters hold each value
@@ -133,7 +134,7 @@ class CounterArray:
             self._alert(bank, row_id, byte_id)
         return value
 
-    def external_alert(self, bank: int, row_id: int, byte_id: int, value: int) -> None:
+    def external_alert(self, bank: int, row_id: int, byte_id: int) -> None:
         """Alert raised by a cached copy of this counter crossing the threshold.
 
         The reset writes through: the stored counter is mitigated, and
@@ -174,12 +175,19 @@ class CounterArray:
         self._mitigate(bank, row_id, byte_id)
         return bank, row_id, byte_id
 
-    def proactive_tick(self, bank: int) -> Optional[Tuple[int, int, int]]:
-        """Periodic refresh: mitigate the bank's current maximum counter.
+    def proactive_tick(self) -> List[Tuple[int, int, int]]:
+        """Periodic refresh: mitigate every bank's current maximum counter.
 
-        Counts as one mitigation and zero alerts; a no-op on a clean bank.
+        Banks are refreshed once each, in ascending order, and the picks
+        (bank, row_id, byte_id) are returned in that order; a clean bank
+        is skipped.  Each pick counts as one mitigation and zero alerts.
         """
-        return self._mitigate_max(bank)
+        picks = []
+        size = self._bank_size
+        for bank, hist in enumerate(self._hist):
+            if hist is not None and hist[0] != size:
+                picks.append(self._mitigate_max(bank))
+        return picks
 
     def nonzero_items(self) -> List[Tuple[int, int, int, int]]:
         """All nonzero counters as (bank, row_id, byte_id, value), sorted.

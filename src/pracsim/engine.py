@@ -107,7 +107,7 @@ class Engine:
         live = 0 if cache is None else cache.access(row_id, byte_id)
         if live:
             if live >= self._n_bo:
-                self.store.external_alert(bank, row_id, byte_id, live)
+                self.store.external_alert(bank, row_id, byte_id)
         else:
             batch = buf.insert(row_id, byte_id)
             if batch is not None:
@@ -115,17 +115,17 @@ class Engine:
 
         interval = self._proactive
         if interval and (slot + 1) % interval == 0:
-            store = self.store
-            for b in range(self.geometry.banks):
-                store.proactive_tick(b)
+            self.store.proactive_tick()
 
     def _service(self, batch: ServiceBatch, slot: int) -> None:
+        """Apply one batch; its items are as ``pracsim.buffers`` describes."""
         bank, row_id, items, trigger = batch
         ledger = self.ledger
         ledger.counter_acts += 1
         self.trigger_counts[trigger] += 1
         if self.batch_log is not None:
-            byte_ids = [item.byte_id for item in items]
+            # Only a cached run queues writebacks, whose keys are ~byte_id.
+            byte_ids = [~k if k < 0 else k for k in items] if self._cached else items
             self.batch_log.append(slot, bank, row_id, trigger, byte_ids)
         store = self.store
         buf, cache = self._banks[bank]
@@ -133,8 +133,10 @@ class Engine:
             # No fills while draining: an eviction writeback enqueued after
             # drain() would never be serviced.
             cache = None
-        for byte_id, increments, wb_value in items:
-            if wb_value is not None:
+        for byte_id, increments in items.items():
+            if byte_id < 0:
+                byte_id = ~byte_id
+                wb_value, increments = increments
                 store.apply_writeback(bank, row_id, byte_id, wb_value)
                 ledger.rmw_bytes += 1
             if increments:

@@ -6,18 +6,20 @@ from hypothesis import strategies as st
 
 from legacy_buffers import (
     LEGACY_CLASSES,
+    BatchItem,
+    ServiceBatch,
     UnifiedApproxMaxBuffer,
     UnifiedFcfsBuffer,
+    make_tuple_key_buffer,
 )
 from pracsim.buffers import (
+    DESIGNS,
     K_TRIGGER_MODES,
     TRIG_BUFFER_FULL,
     TRIG_DRAIN,
     TRIG_K_LIMIT,
     TRIG_M_READY,
-    BatchItem,
     BufferConfig,
-    ServiceBatch,
     _merge_items,
     make_buffer,
 )
@@ -41,11 +43,42 @@ def victim_of(buf):
     return buf._pick_victim(buf)
 
 
+def pairs(batch):
+    """A batch's items as (key, value) pairs, in service order."""
+    return list(batch.items.items())
+
+
+def normal_items(items):
+    """Items as [(byte_id, increments, wb_value or None)] in service order,
+    from an items dict or from a sequence of legacy ``BatchItem``."""
+    if not isinstance(items, dict):
+        return [tuple(item) for item in items]
+    out = []
+    for key, value in items.items():
+        if key < 0:
+            wb_value, increments = value
+            out.append((~key, increments, wb_value))
+        else:
+            out.append((key, value, None))
+    return out
+
+
+def normalize(batch):
+    """(bank, row_id, items as ``normal_items``, trigger); None stays None."""
+    if batch is None:
+        return None
+    return (batch.bank, batch.row_id, normal_items(batch.items), batch.trigger)
+
+
+def drained(buf):
+    return [normalize(batch) for batch in buf.drain()]
+
+
 def test_chronus_immediate():
     buf = make_buffer(0, cfg(design="chronus"))
     batch = buf.insert(3, 7)
     assert batch.row_id == 3
-    assert batch.items == (BatchItem(7, 1),)
+    assert batch.items == {7: 1}
     assert batch.trigger == TRIG_M_READY
     assert len(buf) == 0
     assert buf.drain() == []
@@ -69,7 +102,7 @@ def test_k_limit_flush_coalesces_repeats():
         batch = buf.insert(1, 9)
         assert batch is not None, design
         assert batch.trigger == TRIG_K_LIMIT
-        assert batch.items == (BatchItem(9, 4),)
+        assert batch.items == {9: 4}
         assert len(buf) == 0
 
 
@@ -80,7 +113,7 @@ def test_k_limit_flushes_whole_row():
     buf.insert(1, 0)
     batch = buf.insert(1, 0)
     assert batch.trigger == TRIG_K_LIMIT
-    assert batch.items == (BatchItem(0, 3), BatchItem(1, 1))
+    assert pairs(batch) == [(0, 3), (1, 1)]
 
 
 def test_m_ready_at_four_distinct_bytes():
@@ -91,7 +124,7 @@ def test_m_ready_at_four_distinct_bytes():
         batch = buf.insert(6, 3)
         assert batch is not None, design
         assert batch.trigger == TRIG_M_READY
-        assert batch.items == tuple(BatchItem(b, 1) for b in (0, 1, 2, 3))
+        assert pairs(batch) == [(b, 1) for b in (0, 1, 2, 3)]
         assert len(buf) == 0
 
 
@@ -184,12 +217,7 @@ def test_deferred_full_row_serviced_next_shadow():
     follow = buf.insert(5, 0)
     assert follow.trigger == TRIG_M_READY
     assert follow.row_id == 5
-    assert sorted(follow.items) == [
-        BatchItem(0, 2),
-        BatchItem(1, 1),
-        BatchItem(2, 1),
-        BatchItem(3, 1),
-    ]
+    assert sorted(pairs(follow)) == [(0, 2), (1, 1), (2, 1), (3, 1)]
     assert len(buf) == 0
 
 
@@ -217,7 +245,7 @@ def test_writeback_coexists_and_merges():
     buf.insert(3, 6)
     batch = buf.insert(3, 6)
     assert batch.trigger == TRIG_K_LIMIT
-    assert batch.items == (BatchItem(6, 3, wb_value=42),)
+    assert pairs(batch) == [(~6, (42, 3))]
 
 
 def test_writeback_alone_drains_as_pure_write():
@@ -225,7 +253,7 @@ def test_writeback_alone_drains_as_pure_write():
     assert buf.try_insert_writeback(2, 4, 17)
     batches = buf.drain()
     assert len(batches) == 1
-    assert batches[0].items == (BatchItem(4, 0, wb_value=17),)
+    assert pairs(batches[0]) == [(~4, (17, 0))]
     assert batches[0].trigger == TRIG_DRAIN
 
 
@@ -234,7 +262,7 @@ def test_writeback_supersedes_previous_value():
     assert buf.try_insert_writeback(2, 4, 10)
     assert buf.try_insert_writeback(2, 4, 11)
     assert len(buf) == 1
-    assert buf.drain()[0].items == (BatchItem(4, 0, wb_value=11),)
+    assert pairs(buf.drain()[0]) == [(~4, (11, 0))]
 
 
 def test_reset_writeback_zeroes_the_value_in_place():
@@ -246,11 +274,7 @@ def test_reset_writeback_zeroes_the_value_in_place():
     buf.reset_writeback(2, 5)  # an increment entry, not a writeback: untouched
     buf.reset_writeback(9, 4)  # no such row: a no-op
     assert len(buf) == 3
-    assert buf.drain()[0].items == (
-        BatchItem(1, 1),
-        BatchItem(4, 0, wb_value=0),
-        BatchItem(5, 1),
-    )
+    assert pairs(buf.drain()[0]) == [(1, 1), (~4, (0, 0)), (5, 1)]
 
 
 def test_writeback_refused_when_row_full():
@@ -275,7 +299,7 @@ def test_writeback_fills_row_to_deferred():
     batch = buf.insert(6, 0)
     assert batch.trigger == TRIG_M_READY
     assert batch.row_id == 4
-    assert batch.items == (BatchItem(0, 1), BatchItem(1, 0, wb_value=9))
+    assert pairs(batch) == [(0, 1), (~1, (9, 0))]
 
 
 def test_drain_orders_rows_ascending():
@@ -296,7 +320,7 @@ def test_k_trigger_repcount_mode_flushes_one_later():
         assert buf.insert(1, 1) is None
     batch = buf.insert(1, 1)
     assert batch.trigger == TRIG_K_LIMIT
-    assert batch.items == (BatchItem(1, 5),)
+    assert batch.items == {1: 5}
 
 
 @pytest.mark.parametrize("mode, limit", [("pending", 4), ("repcount", 5)])
@@ -309,7 +333,7 @@ def test_k_limit_one_flushes_immediately():
     batch = buf.insert(3, 3)
     assert batch is not None
     assert batch.trigger == TRIG_K_LIMIT
-    assert batch.items == (BatchItem(3, 1),)
+    assert batch.items == {3: 1}
 
 
 @pytest.mark.parametrize(
@@ -343,10 +367,10 @@ class _Replay:
 
     def absorb(self, batch, draining=False):
         assert 1 <= len(batch.items) <= self.config.m_batch
-        bytes_seen = [item.byte_id for item in batch.items]
+        bytes_seen = [byte_id for byte_id, _, _ in normal_items(batch.items)]
         assert len(set(bytes_seen)) == len(bytes_seen)
-        for item in batch.items:
-            key = (batch.row_id, item.byte_id)
+        for byte_id in bytes_seen:
+            key = (batch.row_id, byte_id)
             self.applied[key] = self.true.get(key, 0)
 
     def check_staleness(self):
@@ -524,21 +548,23 @@ def test_victim_and_merge_match_scanning_reference(
             got = buf.try_insert_writeback(row, byte, value)
             assert got == ref.try_insert_writeback(row, byte, value)
         else:
-            assert buf.insert(row, byte) == ref.insert(row, byte)
+            assert normalize(buf.insert(row, byte)) == normalize(ref.insert(row, byte))
         assert entry_counts(buf) == entry_counts(ref)
         if len(ref):
             assert victim_of(buf) == ref.victim_row()
         if design == "unified_approxmax":
             assert (buf._meta_row, buf._meta_count) == (ref._meta_row, ref._meta_count)
         for row_id, entries in buf._rows.items():
-            assert _merge_items(entries) == ref.reference_merge(ref._rows[row_id])
+            assert normal_items(_merge_items(entries)) == normal_items(
+                ref.reference_merge(ref._rows[row_id])
+            )
     expected = []
     for row_id in sorted(ref._rows):
         items = ref.reference_merge(ref._rows[row_id])
         for start in range(0, len(items), m_batch):
             chunk = tuple(items[start : start + m_batch])
-            expected.append(ServiceBatch(0, row_id, chunk, TRIG_DRAIN))
-    assert buf.drain() == expected
+            expected.append(normalize(ServiceBatch(0, row_id, chunk, TRIG_DRAIN)))
+    assert [normalize(b) for b in buf.drain()] == expected
 
 
 # Mostly inserts, so rows fill and evict between the rarer drains.  The
@@ -579,7 +605,7 @@ def test_one_class_matches_the_legacy_design_classes(
         op = rng.choice(STREAM_OPS)
         row, byte = rng.randrange(8), rng.randrange(4)
         if op == "insert":
-            assert buf.insert(row, byte) == ref.insert(row, byte)
+            assert normalize(buf.insert(row, byte)) == normalize(ref.insert(row, byte))
         elif op == "writeback":
             value = rng.randrange(41)
             got = buf.try_insert_writeback(row, byte, value)
@@ -588,12 +614,83 @@ def test_one_class_matches_the_legacy_design_classes(
             buf.reset_writeback(row, byte)
             ref.reset_writeback(row, byte)
         else:
-            assert buf.drain() == ref.drain()
+            assert drained(buf) == drained(ref)
         assert len(buf) == len(ref)
         assert entry_counts(buf) == entry_counts(ref)
         if design != "perrow" and len(ref):
             assert victim_of(buf) == ref.victim_row()
         if design == "unified_approxmax":
             assert (buf._meta_row, buf._meta_count) == (ref._meta_row, ref._meta_count)
-    assert buf.drain() == ref.drain()
+    assert drained(buf) == drained(ref)
+    assert len(buf) == len(ref) == 0
+
+
+def tuple_keyed(rows):
+    """Queued entries as [(row, [((byte_id, is_wb), value)])], in order,
+    from int-keyed or ``(byte_id, is_wb)``-keyed row dicts."""
+    out = []
+    for row_id, entries in rows.items():
+        pairs = []
+        for key, value in entries.items():
+            if isinstance(key, int):
+                key = (~key, True) if key < 0 else (key, False)
+            pairs.append((key, value))
+        out.append((row_id, pairs))
+    return out
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    design=st.sampled_from(DESIGNS),
+    k_trigger=st.sampled_from(K_TRIGGER_MODES),
+    capacity=st.sampled_from((4, 6, 8)),
+    m_batch=st.sampled_from((2, 4)),
+    k_limit=st.sampled_from((1, 2, 4)),
+    length=st.integers(100, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_entry_dict_batches_match_the_tuple_key_buffer(
+    design, k_trigger, capacity, m_batch, k_limit, length, seed
+):
+    """A batch whose items are its row's entry dict, merged only when the
+    row holds a writeback, services the same row, bytes, increments,
+    writeback values and trigger, in the same order, as the buffer that
+    keyed entries by (byte_id, is_wb) and merged every row into
+    ``BatchItem`` tuples.  The queued entries match key for key, and the
+    rows marked as holding a writeback are exactly those that do, after
+    every insert, writeback, writeback reset and drain."""
+    config = BufferConfig(
+        design=design,
+        capacity=max(capacity, m_batch),
+        m_batch=m_batch,
+        k_limit=k_limit,
+        k_trigger=k_trigger,
+    )
+    buf = make_buffer(0, config)
+    ref = make_tuple_key_buffer(0, config)
+    # The baseline queues nothing, so it takes inserts alone.
+    ops = ("insert",) if design == "chronus" else STREAM_OPS
+    rng = random.Random(seed)
+    for _ in range(length):
+        op = rng.choice(ops)
+        row, byte = rng.randrange(8), rng.randrange(4)
+        if op == "insert":
+            assert normalize(buf.insert(row, byte)) == normalize(ref.insert(row, byte))
+        elif op == "writeback":
+            value = rng.randrange(41)
+            got = buf.try_insert_writeback(row, byte, value)
+            assert got == ref.try_insert_writeback(row, byte, value)
+        elif op == "reset":
+            buf.reset_writeback(row, byte)
+            ref.reset_writeback(row, byte)
+        else:
+            assert drained(buf) == drained(ref)
+        if design != "chronus":
+            assert tuple_keyed(buf._rows) == tuple_keyed(ref._rows)
+            assert buf._wb_rows == {
+                row_id
+                for row_id, entries in ref._rows.items()
+                if any(is_wb for _, is_wb in entries)
+            }
+    assert drained(buf) == drained(ref)
     assert len(buf) == len(ref) == 0

@@ -2,7 +2,6 @@ from collections import Counter
 
 import pytest
 
-from pracsim.buffers import BatchItem
 from pracsim.cache import ASSOC, CacheConfig, CounterCache
 from pracsim.config import resolve
 from pracsim.engine import Engine
@@ -146,7 +145,7 @@ def test_cached_copy_reaching_n_bo_alerts_once(kind, rfms_per_alert):
     assert cache.dirty_lines() == []
     assert (cache.hits, cache.misses) == (4, 2)
     (batch,) = buf.drain()
-    assert batch.items == (BatchItem(byte_id, 0, 0),)
+    assert batch.items == {~byte_id: (0, 0)}
     assert cache.access(row_id, byte_id) == 1
 
 

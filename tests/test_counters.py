@@ -101,8 +101,7 @@ def test_proactive_tick_resets_max(toy_geometry):
     store = CounterArray(toy_geometry)
     store.apply_rmw(0, 1, 0, increments=4)
     store.apply_rmw(0, 3, 2, increments=9)
-    ref = store.proactive_tick(0)
-    assert ref == (0, 3, 2)
+    assert store.proactive_tick() == [(0, 3, 2)]
     assert store.get(0, 3, 2) == 0
     assert store.mitigations == 1
     assert store.alerts == 0
@@ -110,14 +109,29 @@ def test_proactive_tick_resets_max(toy_geometry):
 
 def test_proactive_tick_clean_bank(toy_geometry):
     store = CounterArray(toy_geometry)
-    assert store.proactive_tick(1) is None
+    assert store.proactive_tick() == []
     assert store.mitigations == 0
+
+
+def test_proactive_tick_refreshes_every_bank_once_in_order(toy_geometry):
+    """One tick takes one maximum from each bank, banks ascending, and
+    tells ``on_mitigate`` in that order; a second tick takes the next."""
+    reset = []
+    store = CounterArray(toy_geometry, on_mitigate=lambda *ref: reset.append(ref))
+    store.apply_rmw(1, 0, 3, increments=2)
+    store.apply_rmw(0, 2, 2, increments=5)
+    store.apply_rmw(0, 1, 0, increments=3)
+    assert store.proactive_tick() == [(0, 2, 2), (1, 0, 3)]
+    assert reset == [(0, 2, 2), (1, 0, 3)]
+    assert store.proactive_tick() == [(0, 1, 0)]
+    assert store.proactive_tick() == []
+    assert (store.mitigations, store.alerts) == (3, 0)
 
 
 def test_external_alert_writes_through(toy_geometry):
     store = CounterArray(toy_geometry, n_bo=28)
     store.apply_rmw(0, 2, 1, increments=20)
-    store.external_alert(0, 2, 1, 28)
+    store.external_alert(0, 2, 1)
     assert store.alerts == 1
     assert store.mitigations == 1
     assert store.get(0, 2, 1) == 0
@@ -135,7 +149,7 @@ def test_every_mitigation_is_reported(toy_geometry):
     store.apply_rmw(0, 1, 1, increments=7)
     store.apply_rmw(1, 2, 2, increments=3)
     store.apply_rmw(0, 0, 0, increments=10)
-    store.proactive_tick(1)
+    store.proactive_tick()
     assert reset == [(0, 0, 0), (0, 1, 1), (1, 2, 2)]
     assert len(reset) == store.mitigations
 
@@ -153,13 +167,13 @@ def test_nonzero_tracking(toy_geometry):
     """The histogram's zero count lets a refresh skip a clean bank: it
     follows increments and alert resets, so the last refresh finds none."""
     store = CounterArray(toy_geometry, n_bo=10)
-    assert store.proactive_tick(0) is None
+    assert store.proactive_tick() == []
     store.apply_rmw(0, 0, 0)
     store.apply_rmw(0, 1, 1, increments=2)
     store.apply_rmw(0, 0, 0, increments=9)  # alerts and resets (0, 0, 0)
     assert store.mitigations == 1
-    assert store.proactive_tick(0) == (0, 1, 1)
-    assert store.proactive_tick(0) is None
+    assert store.proactive_tick() == [(0, 1, 1)]
+    assert store.proactive_tick() == []
     assert store.mitigations == 2
 
 
@@ -246,6 +260,13 @@ class Mitigations(list):
         self.append((self.slot, bank, row_id, byte_id))
 
 
+def per_bank_ticks(ref):
+    """One all-bank refresh on the legacy store: its per-bank tick for
+    every bank in ascending order, clean banks left out."""
+    picks = [ref.proactive_tick(bank) for bank in range(ref.geometry.banks)]
+    return [pick for pick in picks if pick is not None]
+
+
 # Mostly read-modify-writes, so counters climb to ties, alerts and (with
 # alerts off) saturation; the stream comes from a seeded generator so that
 # every example is a long, evenly random stream.
@@ -266,7 +287,9 @@ def test_refresh_pick_matches_argmax_reference(
     banks, counter_rows, cpc, n_bo, rfms_per_alert, length, seed
 ):
     """Every refresh, alert and saturating add picks and leaves the same
-    counters as the argmax store the histogram replaced."""
+    counters as the argmax store the histogram replaced, and tells
+    ``on_mitigate`` in the same order: one all-bank tick against that
+    store's per-bank ticks over every bank, banks ascending."""
     geometry = DramGeometry(
         banks=banks,
         rows_per_bank=counter_rows * cpc,
@@ -295,18 +318,18 @@ def test_refresh_pick_matches_argmax_reference(
             )
         elif op == "external_alert":
             value = rng.randrange(COUNTER_MAX + 1)
-            store.external_alert(bank, row, byte, value)
+            # The legacy store still takes the cached copy's value.
+            store.external_alert(bank, row, byte)
             ref.external_alert(bank, row, byte, value)
         else:
-            assert store.proactive_tick(bank) == ref.proactive_tick(bank)
+            assert store.proactive_tick() == per_bank_ticks(ref)
         assert (store.alerts, store.mitigations) == (ref.alerts, ref.mitigations)
         assert np.array_equal(store.values, ref.values)
-    for bank in range(banks):
-        while True:
-            pick = store.proactive_tick(bank)
-            assert pick == ref.proactive_tick(bank)
-            if pick is None:
-                break
+    while True:
+        picks = store.proactive_tick()
+        assert picks == per_bank_ticks(ref)
+        if not picks:
+            break
     assert seen == expected
     assert not store.values.any()
 

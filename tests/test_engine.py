@@ -282,12 +282,49 @@ def test_mitigation_resets_a_queued_writeback():
         for bank, row_id, byte_id in done:
             mitigations += 1
             buf, _ = engine._bank(bank)
-            queued = buf._rows.get(row_id, {}).get((byte_id, True))
+            queued = buf._rows.get(row_id, {}).get(~byte_id)
             if queued:
                 restoring.append((ev.slot, bank, row_id, byte_id, queued))
         done.clear()
     assert mitigations > 0
     assert restoring == []
+
+
+def test_a_writeback_and_increments_of_one_byte_service_as_one_item():
+    """A dirty line evicted while its counter has no queued increment
+    waits as a writeback; a miss on that counter then queues an increment
+    in the same row.  The row's batch logs the byte once and writes the
+    absolute value before adding the increment.
+
+    Counter (0, 0) alerts through its cached copy, which resets the line
+    to 0 and leaves it resident; one hit makes it dirty at 1, four fills
+    of other counters into the one-set cache evict it, and the next
+    activation of (0, 0) misses."""
+    config = resolve(
+        overrides={
+            "buffer.design": "unified_fcfs",
+            "cache.kind": "lru4way",
+            "cache.entries": "4",
+            "mitigation.n_bo": "6",
+            "metrics.enabled": "false",
+        }
+    )
+    cpc = config.geometry.counters_per_counter_row
+    rows = [0] * 7  # K flush at 4, fill, a hit to 5, an alert at 6, a hit to 1
+    for byte_id in range(4):
+        rows += [cpc + byte_id] * 4  # K flush and fill: the fourth evicts (0, 0)
+    rows.append(0)
+    engine = Engine(config, collect_log=True)
+    for slot, data_row in enumerate(rows):
+        engine.step(slot, 0, data_row)
+    buf, cache = engine._bank(0)
+    assert engine.store.alerts == 1
+    assert cache.writebacks == 1
+    assert buf._rows[0] == {~0: 1, 0: 1}
+    engine.finalize()
+    assert engine.store.get(0, 0, 0) == 2
+    last = engine.batch_log[len(engine.batch_log) - 1]
+    assert (last.row_id, last.byte_ids, last.trigger) == (0, (0,), "drain")
 
 
 def test_compare_rejects_empty_policy_list():
