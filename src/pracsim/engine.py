@@ -3,11 +3,12 @@
 Each activation event consults the optional cache, and otherwise
 inserts a counter request into its bank's buffer; a returned batch is
 serviced against the stored counters in the shadow of that same
-activation.  After the last event every buffer is drained, which models
-idle time at the end of the run.  Workload shape is computed in one
-pass, by the same function that ``pracsim analyze`` calls, from the
-trace ``run`` steps; ``compare`` computes it once for all designs and
-hands it to each run.
+activation.  After the last event every buffer is drained, but dirty
+cache lines are not written back, so a cached run's final stored
+counters (``--dump-state``) lag the live values its cache still holds.
+Workload shape is computed in one pass, by the same function that
+``pracsim analyze`` calls, from the trace ``run`` steps; ``compare``
+computes it once for all designs and hands it to each run.
 """
 
 from collections import Counter

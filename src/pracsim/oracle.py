@@ -280,8 +280,6 @@ def _check_batch(batch: LoggedBatch, geometry: DramGeometry, m_batch: int) -> Op
     return None
 
 
-
-
 def _shadow_problem(
     batches: List[LoggedBatch], bank: int, geometry: DramGeometry, m_batch: int
 ) -> Tuple[int, str]:

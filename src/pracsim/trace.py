@@ -9,7 +9,11 @@ followed by u32 data_row.  Slots are implicit: event i occupies slot i.
 
 All generator randomness flows from the seed in the TraceSpec through a
 private random.Random instance, so a (spec, geometry) pair always
-produces the same trace on any platform.
+produces the same trace on any platform.  The generators draw each
+integer below n in line, as CPython's ``randrange(n)`` and ``shuffle``
+do: ``getrandbits(n.bit_length())``, drawn again while the result is at
+least n.  A trace therefore reproduces as long as that algorithm and the
+Mersenne Twister behind ``random.Random`` stay the same.
 """
 
 import io
@@ -161,17 +165,27 @@ def _bank_then_row(n: int, banks: int, rng: random.Random, row) -> Tuple[list, l
     and then its data row, ``row()``."""
     if banks == 1:
         return [0] * n, [row() for _ in range(n)]
-    randrange = rng.randrange
+    getrandbits, k = rng.getrandbits, banks.bit_length()
     bank_col, row_col = [], []
     for _ in range(n):
-        bank_col.append(randrange(banks))
+        bank = getrandbits(k)
+        while bank >= banks:
+            bank = getrandbits(k)
+        bank_col.append(bank)
         row_col.append(row())
     return bank_col, row_col
 
 
 def _gen_uniform(spec, geometry, rng, rows, banks):
-    randrange = rng.randrange
-    return _bank_then_row(spec.length, banks, rng, lambda: randrange(rows))
+    getrandbits, k = rng.getrandbits, rows.bit_length()
+
+    def row():
+        r = getrandbits(k)
+        while r >= rows:
+            r = getrandbits(k)
+        return r
+
+    return _bank_then_row(spec.length, banks, rng, row)
 
 
 @lru_cache(maxsize=4)
@@ -189,7 +203,7 @@ def _gen_zipf(spec, geometry, rng, rows, banks):
     if shuffle:
         # A child generator keeps the rank stream identical with and
         # without shuffling; only the rank-to-row renaming changes.
-        random.Random(spec.seed * 0x9E3779B97F4A7C15 + 1).shuffle(mapping)
+        _shuffle(mapping, random.Random(spec.seed * 0x9E3779B97F4A7C15 + 1))
     # A draw past the last cumulative weight (float rounding) is the last rank.
     mapping.append(mapping[-1])
     uniform = rng.random
@@ -199,6 +213,19 @@ def _gen_zipf(spec, geometry, rng, rows, banks):
         rng,
         lambda: mapping[bisect_left(cumulative, uniform() * total)],
     )
+
+
+def _shuffle(x: list, rng: random.Random) -> None:
+    """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` does: the same
+    Fisher-Yates swaps from the same draws."""
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def _gen_sequential(spec, geometry, rng, rows, banks):
@@ -218,13 +245,21 @@ def _gen_hotset(spec, geometry, rng, rows, banks):
     if hot_rows > rows:
         raise ConfigError(f"hot_rows {hot_rows} exceeds row population {rows}")
     hot = rng.sample(range(rows), hot_rows)
-    uniform, randrange = rng.random, rng.randrange
-    return _bank_then_row(
-        spec.length,
-        banks,
-        rng,
-        lambda: hot[randrange(hot_rows)] if uniform() < hot_fraction else randrange(rows),
-    )
+    uniform, getrandbits = rng.random, rng.getrandbits
+    k_hot, k_rows = hot_rows.bit_length(), rows.bit_length()
+
+    def row():
+        if uniform() < hot_fraction:
+            r = getrandbits(k_hot)
+            while r >= hot_rows:
+                r = getrandbits(k_hot)
+            return hot[r]
+        r = getrandbits(k_rows)
+        while r >= rows:
+            r = getrandbits(k_rows)
+        return r
+
+    return _bank_then_row(spec.length, banks, rng, row)
 
 
 def _gen_hammer(spec, geometry, rng, rows, banks):

@@ -22,6 +22,7 @@ from pracsim.trace import (
     read_binary,
     read_text,
     save,
+    _shuffle,
     write_binary,
     write_text,
 )
@@ -320,6 +321,81 @@ def test_generators_match_the_legacy_event_lists(spec):
     assert _outcome(generate, spec, geometry) == _outcome(
         legacy_trace.generate, spec, geometry
     )
+
+
+# Draw bounds at and around every power of two a draw loop meets: one
+# value, a rejecting width, the default 64 banks and 65536 rows.
+DRAW_SIZES = (1, 2, 3, 4, 63, 64, 65, 65535, 65536)
+SEEDS = (0, 1, 4242, 2**32 - 1)
+
+
+def _boundary_params(generator, geometry):
+    """Parameter sets for the boundary test.  ``uniform`` crosses every
+    bank count with every row count.  The bank draw is the same loop for
+    all three generators, so ``zipf`` and ``hotset`` sweep their own row
+    parameters under one bank and under a drawing bank count."""
+    banks_all = [b for b in DRAW_SIZES if b <= geometry.banks]
+    if generator == "uniform":
+        return [{"rows": r, "banks": b} for r in DRAW_SIZES for b in banks_all]
+    if generator == "zipf":
+        return [{"rows": r, "banks": b} for r in DRAW_SIZES for b in (1, 64)]
+    pairs = [(r, h) for r in DRAW_SIZES for h in (1, 3, 64) if h <= r]
+    pairs += [(65536, h) for h in DRAW_SIZES if h not in (1, 3, 64)]
+    return [
+        {"rows": r, "hot_rows": h, "banks": b} for r, h in pairs for b in (1, 3)
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("generator", ["uniform", "zipf", "hotset"])
+def test_draw_loops_match_the_legacy_generators_at_power_of_two_bounds(
+    generator, seed, geometry
+):
+    """The inlined rejection draws consume the same words as ``randrange``
+    at every bound where ``n.bit_length()`` changes."""
+    for params in _boundary_params(generator, geometry):
+        for length in (1, 3000):
+            spec = TraceSpec(generator, length, seed=seed, params=params)
+            got = generate(spec, geometry)
+            assert list(got) == legacy_trace.generate(spec, geometry), (length, params)
+
+
+def test_shuffle_matches_random_shuffle():
+    for seed in SEEDS:
+        for n in [*range(71), 65536]:
+            got, want = list(range(n)), list(range(n))
+            _shuffle(got, random.Random(seed))
+            random.Random(seed).shuffle(want)
+            assert got == want, (seed, n)
+
+
+# The first eight (bank, row) pairs of two benchmark traces.  The legacy
+# reference draws through CPython's ``random``, so only literals catch a
+# change in how a draw turns Mersenne Twister words into integers.
+PINNED_PREFIXES = {
+    "design_sweep zipf": (
+        TraceSpec("zipf", 20000, seed=1, params={"exponent": 1.0, "banks": 64}),
+        [(17, 27024), (8, 11104), (63, 58451), (60, 61692),
+         (26, 22645), (3, 43595), (49, 59155), (0, 26911)],
+    ),
+    # The first of hot_cache's 64 traces at seed 1: its sub-seed is
+    # random.Random(1).randrange(1 << 31).
+    "hot_cache hotset": (
+        TraceSpec(
+            "hotset", 2000, seed=577090037,
+            params={"hot_rows": 48, "hot_fraction": 0.9},
+        ),
+        [(0, 4919), (0, 12822), (0, 14522), (0, 49220),
+         (0, 21469), (0, 50350), (0, 19562), (0, 23807)],
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PREFIXES))
+def test_benchmark_traces_keep_their_pinned_prefixes(name, geometry):
+    spec, prefix = PINNED_PREFIXES[name]
+    trace = generate(spec, geometry)
+    assert list(zip(trace.banks[:8], trace.rows[:8])) == prefix, name
 
 
 @settings(deadline=None, max_examples=100)
