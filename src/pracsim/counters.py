@@ -189,8 +189,8 @@ class CounterArray:
                 picks.append(self._mitigate_max(bank))
         return picks
 
-    def nonzero_items(self) -> List[Tuple[int, int, int, int]]:
-        """All nonzero counters as (bank, row_id, byte_id, value), sorted.
+    def _nonzero_columns(self) -> np.ndarray:
+        """All nonzero counters as rows (bank, row_id, byte_id, value), sorted.
 
         Only banks ever written are scanned: one without a histogram holds
         only zeros, as every write through the methods makes it.
@@ -204,13 +204,17 @@ class CounterArray:
         )
         banks, offsets = np.divmod(flat, self._bank_size)
         row_ids, byte_ids = np.divmod(offsets, self._cpc)
-        columns = (banks, row_ids, byte_ids, cells[flat])
-        return list(zip(*(a.tolist() for a in columns)))
+        return np.stack((banks, row_ids, byte_ids, cells[flat]), axis=1)
+
+    def nonzero_items(self) -> List[Tuple[int, int, int, int]]:
+        """All nonzero counters as (bank, row_id, byte_id, value), sorted."""
+        return list(zip(*self._nonzero_columns().T.tolist()))
 
     def dump(self, stream) -> None:
         """Write nonzero counters as CSV: bank,row_id,byte_id,value."""
-        lines = [f"{b},{r},{c},{v}\n" for b, r, c, v in self.nonzero_items()]
-        stream.write("bank,row_id,byte_id,value\n" + "".join(lines))
+        items = self._nonzero_columns()
+        lines = "%d,%d,%d,%d\n" * len(items) % tuple(items.ravel().tolist())
+        stream.write("bank,row_id,byte_id,value\n" + lines)
 
 
 def effective_backoff(design: str, k_limit: int) -> int:

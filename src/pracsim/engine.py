@@ -11,7 +11,6 @@ Workload shape is computed in one pass, by the same function that
 computes it once for all designs and hands it to each run.
 """
 
-from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -252,21 +251,31 @@ def workload_shape(events: Sequence[ActivationEvent], config: SimConfig) -> dict
     ``events`` is a ``Trace`` or any sequence ``trace.as_columns`` takes.
     Banks are visited in ascending order; window maxima are taken within
     each bank's own stream of counter rows and pooled across banks.  An
-    empty trace has no footprint and raises ConfigError.
+    empty trace has no footprint and raises ConfigError; an activation
+    outside the geometry raises TraceError naming its slot.
     """
     trace = as_columns(events)
-    footprint = footprint_percentiles(Counter(zip(trace.banks, trace.rows)).values())
     geometry = config.geometry
-    banks = np.array(trace.banks)
-    row_ids = np.array(trace.rows) // geometry.counters_per_counter_row
-    bank_ids = sorted(set(trace.banks))
+    banks = np.array(trace.banks, dtype=np.int64)
+    rows = np.array(trace.rows, dtype=np.int64)
+    outside = (banks < 0) | (banks >= geometry.banks)
+    outside |= (rows < 0) | (rows >= geometry.rows_per_bank)
+    if outside.any():
+        slot = int(np.argmax(outside))
+        raise TraceError(
+            f"slot {slot}: bank {trace.banks[slot]}, data_row {trace.rows[slot]} "
+            "outside the geometry"
+        )
+    keys = banks * geometry.rows_per_bank + rows
+    footprint = footprint_percentiles(np.unique(keys, return_counts=True)[1])
+    row_ids = rows // geometry.counters_per_counter_row
     skew_by_bank: Dict[int, float] = {}
     maxima: List[int] = []
-    for bank in bank_ids:
-        stream = row_ids if len(bank_ids) == 1 else row_ids[banks == bank]
+    for bank in np.flatnonzero(np.bincount(banks)).tolist():
+        stream = row_ids[banks == bank]
         counts = np.bincount(stream, minlength=geometry.counter_rows_per_bank)
-        skew_by_bank[bank] = skew(counts.tolist())
-        maxima.extend(window_maxima(stream.tolist(), config.window, config.window_mode))
+        skew_by_bank[bank] = skew(counts)
+        maxima.extend(window_maxima(stream, config.window, config.window_mode))
     return {
         "skew_by_bank": skew_by_bank,
         "skew_mean": sum(skew_by_bank.values()) / len(skew_by_bank),

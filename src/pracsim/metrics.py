@@ -8,9 +8,12 @@ carry a given share of all activations.
 """
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -33,21 +36,24 @@ def skew(row_counts: Sequence[int]) -> float:
     """Max over mean of per-counter-row activation counts for one bank.
 
     Rows with zero activations still count toward the mean; a bank with
-    no activations at all has no defined skew.
+    no activations at all has no defined skew.  ``row_counts`` is a
+    sequence or a numpy array of ints.
     """
-    if not row_counts:
+    counts = np.asarray(row_counts)
+    if not counts.size:
         raise ConfigError("skew of an empty row-count vector is undefined")
-    total = sum(row_counts)
+    total = int(counts.sum())
     if total == 0:
         raise ConfigError("skew undefined for a bank with no activations")
-    return max(row_counts) * len(row_counts) / total
+    return int(counts.max()) * counts.size / total
 
 
 def window_maxima(stream: Sequence[int], window: int, mode: str = "tumbling") -> List[int]:
     """Per-window maximum count of requests to a single counter row.
 
     Tumbling windows partition the stream (remainder discarded);
-    sliding windows advance one request at a time.
+    sliding windows advance one request at a time.  ``stream`` is a
+    sequence or a numpy array of ints; either gives the same list.
     """
     if window < 1:
         raise ConfigError(f"window must be positive, got {window}")
@@ -57,11 +63,17 @@ def window_maxima(stream: Sequence[int], window: int, mode: str = "tumbling") ->
     if n < window:
         return []
     if mode == "tumbling":
-        out = []
-        for start in range(0, n - window + 1, window):
-            counts = Counter(stream[start : start + window])
-            out.append(max(counts.values()))
-        return out
+        # Sorted within each window, equal rows form runs; a window's
+        # largest run is its maximum.
+        flat = np.sort(np.asarray(stream[: n - n % window]).reshape(-1, window)).ravel()
+        new_run = np.ones(flat.size, dtype=bool)
+        new_run[1:] = flat[1:] != flat[:-1]
+        new_run[::window] = True
+        starts = np.flatnonzero(new_run)
+        runs = np.diff(starts, append=flat.size)
+        return np.maximum.reduceat(runs, np.flatnonzero(starts % window == 0)).tolist()
+    if isinstance(stream, np.ndarray):
+        stream = stream.tolist()
     counts = Counter(stream[:window])
     out = [max(counts.values())]
     for i in range(window, n):
@@ -81,22 +93,20 @@ def footprint_percentiles(
 
     For each percentile p, the smallest k such that the k most-activated
     rows together carry at least p percent of the activations.
+    ``counts`` is an iterable or a numpy array of ints.
     """
-    ordered = sorted((c for c in counts if c > 0), reverse=True)
-    if not ordered:
+    counts = np.asarray(counts if isinstance(counts, np.ndarray) else list(counts))
+    # Running totals of the counts from largest to smallest, zeros dropped.
+    running = np.cumsum(np.sort(counts[counts > 0])[::-1]).tolist()
+    if not running:
         raise ConfigError("footprint undefined with no activations")
-    total = sum(ordered)
+    total = running[-1]
     out = {}
     for p in percentiles:
         if not 0 < p <= 100:
             raise ConfigError(f"percentile must be in (0, 100], got {p}")
-        target = total * p / 100
-        running = 0.0
-        for k, c in enumerate(ordered, start=1):
-            running += c
-            if running >= target:
-                out[p] = k
-                break
+        # bisect_left finds the first running total >= the target.
+        out[p] = bisect_left(running, total * p / 100) + 1
     return out
 
 

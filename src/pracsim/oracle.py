@@ -149,18 +149,31 @@ class Verdict:
 def write_log(batches: Iterable[LoggedBatch], stream) -> None:
     """Write the service-log CSV: slot,bank,row_id,trigger,n_items,bytes...
 
-    A batch without byte ids ends at its ``n_items`` field, 0.
+    A batch without byte ids ends at its ``n_items`` field, 0.  Each
+    batch's line is a format piece, made once per (trigger, size), and
+    the joined pieces take every batch's slot, bank, row id and byte ids
+    from one flat tuple in a single ``%`` pass.
     """
     log = as_log(batches)
-    ids = iter(log.byte_ids)
-    lines = [
-        f"{slot},{bank},{row_id},{TRIGGERS[code]},{size}"
-        f"{''.join([',' + str(i) for i in islice(ids, size)])}\n"
-        for slot, bank, row_id, code, size in zip(
-            log.slots, log.banks, log.row_ids, log.triggers, log.sizes
-        )
-    ]
-    stream.write("slot,bank,row_id,trigger,n_items,byte_ids\n" + "".join(lines))
+    pieces = {
+        (code, size): f"%d,%d,%d,{TRIGGERS[code]},{size}" + ",%d" * size + "\n"
+        for code, size in set(zip(log.triggers, log.sizes))
+    }
+    sizes = np.asarray(log.sizes, dtype=np.int64)
+    # Batch j's fields start after j headers of three and the ids before it.
+    starts = 3 * np.arange(sizes.size)
+    starts[1:] += np.cumsum(sizes[:-1])
+    # Objects, not int64: a field of any size is written as it is.
+    fields = np.empty(3 * sizes.size + len(log.byte_ids), dtype=object)
+    is_id = np.ones(fields.size, dtype=bool)
+    for k, column in enumerate((log.slots, log.banks, log.row_ids)):
+        fields[starts + k] = column
+        is_id[starts + k] = False
+    fields[is_id] = log.byte_ids
+    text = "".join(map(pieces.__getitem__, zip(log.triggers, log.sizes)))
+    stream.write(
+        "slot,bank,row_id,trigger,n_items,byte_ids\n" + text % tuple(fields.tolist())
+    )
 
 
 def read_log(stream) -> ServiceLog:

@@ -307,7 +307,9 @@ def _gen_roundrobin(spec, geometry, rng, rows, banks):
 def write_text(events: Iterable[ActivationEvent], stream) -> None:
     """Write ``events`` (see ``as_columns``) as text to a text-mode stream."""
     trace = as_columns(events)
-    stream.write("".join(f"{b} {r}\n" for b, r in zip(trace.banks, trace.rows)))
+    fields = [None] * (2 * len(trace))
+    fields[::2], fields[1::2] = trace.banks, trace.rows
+    stream.write("%d %d\n" * len(trace) % tuple(fields))
 
 
 def write_binary(events: Iterable[ActivationEvent], stream) -> None:

@@ -3,7 +3,8 @@
 A verbatim copy of ``generate``, its per-generator builders, the text
 and binary readers and ``engine.workload_shape`` from when a trace was a
 list holding one ``ActivationEvent`` per activation, and of the text and
-binary writers from when they wrote one event at a time.  Tests run it
+binary writers from when they wrote one event at a time.  The shape
+pass calls the metrics of ``legacy_metrics``.  Tests run it
 beside ``pracsim.trace`` and ``pracsim.engine`` as the reference for
 differential tests; nothing under ``src/`` imports it.
 """
@@ -16,10 +17,10 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, Iterable, List, Sequence
 
+from legacy_metrics import footprint_percentiles, skew, window_maxima
 from pracsim.config import SimConfig
 from pracsim.errors import ConfigError, TraceError
 from pracsim.geometry import DramGeometry
-from pracsim.metrics import footprint_percentiles, skew, window_maxima
 from pracsim.trace import ActivationEvent, TraceSpec
 
 _RECORD = struct.Struct("<HI")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legacy_writers
 from legacy_counters import CounterArray as ArgmaxCounterArray
 from pracsim.counters import COUNTER_MAX, CounterArray, effective_backoff
 from pracsim.errors import ConfigError
@@ -390,3 +391,39 @@ def test_dump_bytes_match_the_per_counter_loop(banks, counter_rows, cpc, writes)
     ref.dump(want)
     assert got.getvalue() == want.getvalue()
     assert store.nonzero_items() == ref.nonzero_items()
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    banks=st.integers(1, 4),
+    counter_rows=st.integers(1, 5),
+    cpc=st.integers(1, 9),
+    writes=st.lists(
+        st.tuples(
+            st.integers(0, 3), st.integers(0, 4), st.integers(0, 8), st.integers(0, 255)
+        ),
+        max_size=80,
+    ),
+)
+def test_dump_matches_the_per_counter_writer(banks, counter_rows, cpc, writes):
+    """One ``%`` pass over the scan's columns writes the bytes, and the
+    scan gives the items, of the per-counter f-strings and tuples."""
+    geometry = DramGeometry(
+        banks=banks,
+        rows_per_bank=counter_rows * cpc,
+        counter_rows_per_bank=counter_rows,
+        counters_per_counter_row=cpc,
+    )
+    store = CounterArray(geometry)
+    ref = legacy_writers.CounterArray(geometry)
+    for bank, row, byte, value in writes:
+        at = (bank % banks, row % counter_rows, byte % cpc)
+        store.apply_writeback(*at, value)
+        ref.apply_writeback(*at, value)
+    got, want = io.StringIO(), io.StringIO()
+    store.dump(got)
+    ref.dump(want)
+    assert got.getvalue() == want.getvalue()
+    items = store.nonzero_items()
+    assert items == ref.nonzero_items()
+    assert all(type(x) is int for item in items for x in item)

@@ -2,10 +2,12 @@ import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legacy_metrics
 from pracsim.config import resolve
 from pracsim.engine import workload_shape
 from pracsim.errors import ConfigError
@@ -147,6 +149,103 @@ def test_footprint_is_monotone_in_percentile(counts):
     assert values == sorted(values)
     assert all(1 <= v <= len(counts) for v in values)
     assert result[100] == len([c for c in counts if c > 0])
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives: its result's repr, or its ConfigError."""
+    try:
+        return repr(fn(*args))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+# Small counts give zeros, duplicates and totals whose share is fractional.
+COUNTS = st.lists(st.integers(0, 12), max_size=40)
+PERCENTILES = st.lists(
+    st.one_of(st.integers(1, 100), st.sampled_from([100, 33, 67, 99, 0, 101, -5])),
+    min_size=1,
+    max_size=6,
+).map(tuple)
+
+
+@settings(deadline=None, max_examples=300)
+@given(counts=COUNTS, percentiles=PERCENTILES, as_array=st.booleans())
+def test_footprint_matches_the_legacy_pass(counts, percentiles, as_array):
+    """Sort, running totals and a search give the walk's rows per
+    percentile, in the same key order, or its error for the same cause."""
+    arg = np.array(counts, dtype=np.int64) if as_array else iter(counts)
+    assert _outcome(footprint_percentiles, arg, percentiles) == _outcome(
+        legacy_metrics.footprint_percentiles, counts, percentiles
+    )
+    assert _outcome(footprint_percentiles, counts) == _outcome(
+        legacy_metrics.footprint_percentiles, counts
+    )
+
+
+@pytest.mark.parametrize(
+    "counts, percentiles, want",
+    [
+        # total 7: 25% is 1.75 activations, 50% is 3.5, 90% is 6.3.
+        ([3, 2, 1, 1], (25, 50, 90, 100), {25: 1, 50: 2, 90: 4, 100: 4}),
+        # total 3: 33% is 0.99, 67% is 2.01.
+        ([1, 1, 1], (33, 67, 100), {33: 1, 67: 3, 100: 3}),
+        # total 8: 50% and 75% are met exactly, at 4 and 6.
+        ([2, 0, 2, 0, 2, 2], (50, 75, 100), {50: 2, 75: 3, 100: 4}),
+    ],
+)
+def test_footprint_fractional_targets(counts, percentiles, want):
+    got = footprint_percentiles(counts, percentiles)
+    assert got == want == legacy_metrics.footprint_percentiles(counts, percentiles)
+    assert list(got) == list(percentiles)
+
+
+@pytest.mark.parametrize(
+    "counts, percentiles, message",
+    [
+        ([], (25,), "footprint undefined with no activations"),
+        ([0, 0], (25,), "footprint undefined with no activations"),
+        # No activations is named before a bad percentile.
+        ([0], (0,), "footprint undefined with no activations"),
+        ([5], (50, 0, 101), "percentile must be in (0, 100], got 0"),
+        ([5], (101, 0), "percentile must be in (0, 100], got 101"),
+    ],
+)
+def test_footprint_error_messages_and_order(counts, percentiles, message):
+    for fn in (footprint_percentiles, legacy_metrics.footprint_percentiles):
+        with pytest.raises(ConfigError) as exc:
+            fn(counts, percentiles)
+        assert str(exc.value) == message
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    stream=st.lists(st.integers(0, 9), max_size=300),
+    window=st.integers(1, 70),
+    mode=st.sampled_from(["tumbling", "sliding"]),
+)
+def test_window_maxima_match_the_legacy_pass(stream, window, mode):
+    """A list and a numpy array of the same stream give the Counter
+    walk's list of Python ints."""
+    want = legacy_metrics.window_maxima(stream, window, mode)
+    for arg in (stream, np.array(stream, dtype=np.int64)):
+        got = window_maxima(arg, window, mode)
+        assert got == want
+        assert all(type(m) is int for m in got)
+
+
+@pytest.mark.parametrize("mode", ["tumbling", "sliding"])
+def test_window_longer_than_stream_has_no_maxima(mode):
+    for stream in ([4, 4, 5], np.array([4, 4, 5])):
+        assert window_maxima(stream, 4, mode) == []
+        assert window_maxima(stream, 3, mode) == [2]
+
+
+@settings(deadline=None, max_examples=150)
+@given(counts=st.lists(st.integers(0, 1000), max_size=70))
+def test_skew_matches_the_legacy_pass(counts):
+    want = _outcome(legacy_metrics.skew, counts)
+    assert _outcome(skew, counts) == want
+    assert _outcome(skew, np.array(counts, dtype=np.int64)) == want
 
 
 def make_report(policy="perrow", cache=None):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_oracle
+import legacy_writers
 from pracsim import cli
 from pracsim.buffers import DESIGNS, K_TRIGGER_MODES, TRIGGERS
 from pracsim.config import resolve
@@ -561,6 +562,53 @@ def test_write_log_matches_the_legacy_writer(pairs):
     assert _read(read_log, got.getvalue()) == _read(
         legacy_oracle.read_log, got.getvalue()
     )
+
+
+# Any Python int: past int64 either way, and negative.
+WIDE_INT = st.one_of(
+    st.integers(0, 2**40),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([2**63 - 1, 2**63, 2**64, 2**70, -1, -(2**63) - 1]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            WIDE_INT, WIDE_INT, WIDE_INT, st.sampled_from(TRIGGERS),
+            st.lists(WIDE_INT, max_size=6),
+        ),
+        max_size=30,
+    )
+)  # fmt: skip
+def test_write_log_matches_the_per_batch_writer(pairs):
+    """The single ``%`` pass writes the per-batch f-strings' bytes for
+    fields of any size, from a ServiceLog or from a list of batches."""
+    batches = [LoggedBatch(s, b, r, t, tuple(ids)) for s, b, r, t, ids in pairs]
+    want = io.StringIO()
+    legacy_writers.write_log(batches, want)
+    for arg in (batches, as_log(batches)):
+        got = io.StringIO()
+        write_log(arg, got)
+        assert got.getvalue() == want.getvalue()
+
+
+def test_write_log_takes_fields_beyond_int64():
+    """A slot of 2**70, a negative byte id and a bank of 2**64 are written
+    as the f-string writer wrote them, not refused by an int64 array."""
+    batches = [
+        LoggedBatch(2**70, 2**64, 3, "m_ready", (-1, 2**65, 7)),
+        LoggedBatch(5, -(2**64), 2**63, "drain", ()),
+    ]
+    got, want = io.StringIO(), io.StringIO()
+    write_log(batches, got)
+    legacy_writers.write_log(batches, want)
+    assert got.getvalue() == want.getvalue()
+    assert got.getvalue().splitlines()[1:] == [
+        f"{2**70},{2**64},3,m_ready,3,-1,{2**65},7",
+        f"5,{-(2**64)},{2**63},drain,0",
+    ]
 
 
 STATE_LINE = st.one_of(

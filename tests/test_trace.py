@@ -419,6 +419,24 @@ def test_workload_shape_matches_the_legacy_pass(spec, window, mode):
     assert repr(workload_shape(events, config)) == repr(want)
 
 
+@pytest.mark.parametrize(
+    "spots, slot",
+    [
+        ([(0, 5), (64, 0)], 1),
+        ([(0, 5), (1, -1), (3, 0)], 1),
+        ([(2, 65536)], 0),
+        ([(0, 1), (0, 2), (-1, 3)], 2),
+    ],
+)
+def test_workload_shape_refuses_activations_outside_the_geometry(spots, slot):
+    """The shape grid has one cell per counter row of the geometry, so an
+    activation outside it is named, not counted in a neighbouring cell."""
+    config = resolve()
+    events = [ActivationEvent(i, b, r) for i, (b, r) in enumerate(spots)]
+    with pytest.raises(TraceError, match=f"^slot {slot}: bank "):
+        workload_shape(events, config)
+
+
 # Text lines and binary records: mostly good, some malformed or out of range.
 GOOD_LINE = st.builds(
     "{} {}".format, st.integers(0, 63), st.integers(0, 65535)
@@ -472,6 +490,16 @@ def test_writers_match_the_legacy_writers(pairs, as_list):
         write(events, got)
         legacy(list(trace), want)
         assert got.getvalue() == want.getvalue()
+
+
+def test_write_text_takes_fields_beyond_int64():
+    """Banks and rows past int64, or negative, are written as the
+    event-at-a-time writer wrote them, not refused by an int64 array."""
+    trace = Trace([2**64, -3, 0], [-1, 2**70, 2**63])
+    got, want = io.StringIO(), io.StringIO()
+    write_text(trace, got)
+    legacy_trace.write_text(list(trace), want)
+    assert got.getvalue() == want.getvalue() == f"{2**64} -1\n-3 {2**70}\n0 {2**63}\n"
 
 
 @settings(deadline=None, max_examples=150)
