@@ -4,10 +4,12 @@ Counters are 1-byte saturating values held in one anonymous memory
 mapping per device and exposed as a numpy view of shape (banks,
 counter_rows, bytes_per_row): single counters are read and written
 through the mapping by flat index.  A mapping of its own keeps the store
-out of the allocator's heap: its pages stay unbacked until a bank is
-first written, and freeing the store unmaps them, so a process's memory
-follows the banks its runs touch, not how its heap happens to be
-fragmented around earlier stores.
+out of the allocator's heap, and freeing the store unmaps it.  It is
+private, so a page never written reads as the kernel's zero page: a read
+of the whole store (a verifier's nonzero count, the dump's search for
+written banks) makes no page resident.  Huge pages are declined where
+the platform allows, so one written counter makes one page resident,
+not 2 MB.
 
 Servicing a counter request applies its pending increments in one
 read-modify-write; a value crossing the back-off threshold raises an
@@ -17,19 +19,24 @@ bank, modeling an ideal mitigation queue.  So does the periodic
 proactive refresh: one ``proactive_tick`` per interval refreshes every
 bank once, in ascending bank order, skipping clean banks.
 
-The largest counter is found without scanning the bank's values: each
-bank keeps a histogram of how many of its counters hold each value
+Only a store that can pick a largest counter, one built with
+``refresh`` or with more than one refresh per alert, keeps the
+bookkeeping a pick needs; any other store's writes only write the value.
+Per bank it keeps a histogram of how many counters hold each value
 0..255, made on the bank's first write, and an upper bound on its
-largest value.  A refresh lowers the bound to the highest non-empty
-value, then takes that value's first byte in the bank, which is the
-first maximum in row-major order.  A bank never written, or whose
-histogram holds every counter at zero, is clean.  Every write made
-through the methods keeps the histogram and bound current; a direct
-write through ``values`` bypasses them, so a later refresh may pick
+largest value; per counter row, an upper bound on the row's largest
+value, never above the bank's.  A refresh lowers the bank's bound to the
+highest non-empty value, clamping the row bounds to it, then searches
+the first row whose bound equals it; a row without that value has its
+bound lowered and the search goes on from the next row, so the first
+match is the first maximum in row-major order.  A bank never written, or
+whose histogram holds every counter at zero, is clean.  A direct write
+through ``values`` bypasses the bookkeeping, so a later refresh may pick
 wrongly.
 """
 
-from typing import Callable, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +49,12 @@ BASE_BACKOFF = 32
 _BYTES = [bytes((v,)) for v in range(COUNTER_MAX + 1)]
 
 
+@lru_cache(maxsize=None)
+def _clamp_table(top: int) -> bytes:
+    """A ``bytes.translate`` table that lowers every value above ``top`` to it."""
+    return bytes(range(top)) + _BYTES[top] * (COUNTER_MAX + 1 - top)
+
+
 class CounterArray:
     """Stored counter values for every bank, plus alert bookkeeping.
 
@@ -49,7 +62,9 @@ class CounterArray:
     alert path entirely (counters still accumulate and saturate).
     ``on_mitigate(bank, row_id, byte_id)`` is told of every counter reset
     by a mitigation, so a copy held elsewhere (a counter cache) can be
-    reset with it.
+    reset with it.  ``refresh`` says whether ``proactive_tick`` may be
+    called; without it and with one refresh per alert, the store keeps
+    no refresh bookkeeping.
     """
 
     def __init__(
@@ -58,6 +73,7 @@ class CounterArray:
         n_bo: Optional[int] = None,
         rfms_per_alert: int = 1,
         on_mitigate: Optional[Callable[[int, int, int], None]] = None,
+        refresh: bool = True,
     ):
         if n_bo is not None and not 1 <= n_bo <= COUNTER_MAX:
             raise ConfigError(f"n_bo must be in [1, {COUNTER_MAX}], got {n_bo}")
@@ -67,24 +83,38 @@ class CounterArray:
         self.n_bo = n_bo
         self.rfms_per_alert = rfms_per_alert
         self.on_mitigate = on_mitigate
+        self.refresh = refresh
         self._counter_rows = geometry.counter_rows_per_bank
         self._cpc = geometry.counters_per_counter_row
         self._bank_size = self._counter_rows * self._cpc
         import mmap  # on first use, so that ``import pracsim`` loads nothing more
 
-        self._cells = mmap.mmap(-1, geometry.banks * self._bank_size)
+        self._cells = mmap.mmap(
+            -1, geometry.banks * self._bank_size, flags=mmap.MAP_PRIVATE
+        )
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            try:
+                self._cells.madvise(mmap.MADV_NOHUGEPAGE)
+            except OSError:  # a kernel without huge pages: nothing to decline
+                pass
         # A writable view of the same bytes: writes through either show in both.
         self.values = np.frombuffer(self._cells, dtype=np.uint8).reshape(
             geometry.banks, self._counter_rows, self._cpc
         )
         self.alerts = 0
         self.mitigations = 0
-        # Per bank: how many counters hold each value, made on the bank's
-        # first write (None until then), and a bound that is at least the
-        # largest value held (raised on write, lowered only when a refresh
-        # looks for the maximum).
-        self._hist: List[Optional[List[int]]] = [None] * geometry.banks
-        self._top = [0] * geometry.banks
+        # Refresh bookkeeping, or None where no pick can happen.  Per bank:
+        # how many counters hold each value, made on the bank's first write
+        # (None until then), and a bound that is at least the largest value
+        # held (raised on write, lowered only when a refresh looks for the
+        # maximum).  Per counter row, at flat row index bank * counter_rows
+        # + row_id: a bound that is at least the row's largest value and at
+        # most its bank's bound.
+        self._hist: Optional[List[Optional[List[int]]]] = None
+        if refresh or rfms_per_alert > 1:
+            self._hist = [None] * geometry.banks
+            self._top = [0] * geometry.banks
+            self._row_top = bytearray(geometry.banks * self._counter_rows)
 
     def get(self, bank: int, row_id: int, byte_id: int) -> int:
         return self._cells[(bank * self._counter_rows + row_id) * self._cpc + byte_id]
@@ -94,12 +124,16 @@ class CounterArray:
         return hist
 
     def _set(self, bank: int, row_id: int, byte_id: int, value: int) -> None:
-        i = (bank * self._counter_rows + row_id) * self._cpc + byte_id
-        hist = self._hist[bank] or self._new_hist(bank)
-        hist[self._cells[i]] -= 1
-        hist[value] += 1
-        if value > self._top[bank]:
-            self._top[bank] = value
+        r = bank * self._counter_rows + row_id
+        i = r * self._cpc + byte_id
+        if self._hist is not None:
+            hist = self._hist[bank] or self._new_hist(bank)
+            hist[self._cells[i]] -= 1
+            hist[value] += 1
+            if value > self._row_top[r]:
+                self._row_top[r] = value
+                if value > self._top[bank]:
+                    self._top[bank] = value
         self._cells[i] = value
 
     def apply_rmw(self, bank: int, row_id: int, byte_id: int, increments: int = 1) -> int:
@@ -110,17 +144,21 @@ class CounterArray:
         """
         if increments < 0:
             raise ConfigError(f"increments must be non-negative, got {increments}")
-        i = (bank * self._counter_rows + row_id) * self._cpc + byte_id
+        r = bank * self._counter_rows + row_id
+        i = r * self._cpc + byte_id
         old = self._cells[i]
         value = old + increments
         if value > COUNTER_MAX:
             value = COUNTER_MAX
-        hist = self._hist[bank] or self._new_hist(bank)
-        hist[old] -= 1
-        hist[value] += 1
-        if value > self._top[bank]:
-            self._top[bank] = value
         self._cells[i] = value
+        if self._hist is not None:
+            hist = self._hist[bank] or self._new_hist(bank)
+            hist[old] -= 1
+            hist[value] += 1
+            if value > self._row_top[r]:
+                self._row_top[r] = value
+                if value > self._top[bank]:
+                    self._top[bank] = value
         if self.n_bo is not None and value >= self.n_bo:
             self._alert(bank, row_id, byte_id)
         return value
@@ -144,36 +182,56 @@ class CounterArray:
 
     def _alert(self, bank: int, row_id: int, byte_id: int) -> None:
         self.alerts += 1
-        self._mitigate(bank, row_id, byte_id)
-        for _ in range(self.rfms_per_alert - 1):
-            if self._mitigate_max(bank) is None:
-                break
-
-    def _mitigate(self, bank: int, row_id: int, byte_id: int) -> None:
         self._set(bank, row_id, byte_id, 0)
         if self.on_mitigate is not None:
             self.on_mitigate(bank, row_id, byte_id)
         self.mitigations += 1
+        if self.rfms_per_alert > 1:
+            # Once the bank is clean, its remaining refreshes find nothing.
+            self._refresh([bank] * (self.rfms_per_alert - 1))
 
-    def _mitigate_max(self, bank: int) -> Optional[Tuple[int, int, int]]:
-        """Mitigate the largest counter of ``bank``; returns its
-        (bank, row_id, byte_id), or None if the bank is clean.
+    def _refresh(self, banks: Iterable[int]) -> List[Tuple[int, int, int]]:
+        """Mitigate the largest counter of each bank of ``banks`` in turn;
+        returns the picks (bank, row_id, byte_id), a clean bank skipped.
 
         Ties break toward the lowest (row_id, byte_id), the first maximum
         in row-major order.
         """
-        hist = self._hist[bank]
-        if hist is None or hist[0] == self._bank_size:
-            return None
-        top = self._top[bank]
-        while not hist[top]:
-            top -= 1
-        self._top[bank] = top
-        start = bank * self._bank_size
-        flat = self._cells.find(_BYTES[top], start, start + self._bank_size) - start
-        row_id, byte_id = divmod(flat, self._cpc)
-        self._mitigate(bank, row_id, byte_id)
-        return bank, row_id, byte_id
+        picks = []
+        cells, hists, tops, bounds = self._cells, self._hist, self._top, self._row_top
+        size, rows, cpc = self._bank_size, self._counter_rows, self._cpc
+        for bank in banks:
+            hist = hists[bank]
+            if hist is None or hist[0] == size:
+                continue
+            first = bank * rows
+            end = first + rows
+            top = tops[bank]
+            if not hist[top]:
+                top -= 1
+                while not hist[top]:
+                    top -= 1
+                tops[bank] = top
+                bounds[first:end] = bounds[first:end].translate(_clamp_table(top))
+            # The first row holding ``top`` has bound ``top``; a row before
+            # it with that bound holds less, so its bound drops below top.
+            r = bounds.index(top, first, end)
+            start = r * cpc
+            i = cells.find(_BYTES[top], start, start + cpc)
+            while i < 0:
+                bounds[r] = top - 1
+                r = bounds.index(top, r + 1, end)
+                start = r * cpc
+                i = cells.find(_BYTES[top], start, start + cpc)
+            hist[top] -= 1
+            hist[0] += 1
+            cells[i] = 0
+            row_id, byte_id = r - first, i - start
+            if self.on_mitigate is not None:
+                self.on_mitigate(bank, row_id, byte_id)
+            self.mitigations += 1
+            picks.append((bank, row_id, byte_id))
+        return picks
 
     def proactive_tick(self) -> List[Tuple[int, int, int]]:
         """Periodic refresh: mitigate every bank's current maximum counter.
@@ -181,38 +239,29 @@ class CounterArray:
         Banks are refreshed once each, in ascending order, and the picks
         (bank, row_id, byte_id) are returned in that order; a clean bank
         is skipped.  Each pick counts as one mitigation and zero alerts.
+        Raises ConfigError on a store built without ``refresh``.
         """
-        picks = []
-        size = self._bank_size
-        for bank, hist in enumerate(self._hist):
-            if hist is not None and hist[0] != size:
-                picks.append(self._mitigate_max(bank))
-        return picks
-
-    def _nonzero_columns(self) -> np.ndarray:
-        """All nonzero counters as rows (bank, row_id, byte_id, value), sorted.
-
-        Only banks ever written are scanned: one without a histogram holds
-        only zeros, as every write through the methods makes it.
-        """
-        cells = np.frombuffer(self._cells, dtype=np.uint8)
-        size = self._bank_size
-        written = [b * size for b, hist in enumerate(self._hist) if hist is not None]
-        flat = np.concatenate(
-            [start + np.flatnonzero(cells[start : start + size]) for start in written]
-            or [np.zeros(0, dtype=np.intp)]
-        )
-        banks, offsets = np.divmod(flat, self._bank_size)
-        row_ids, byte_ids = np.divmod(offsets, self._cpc)
-        return np.stack((banks, row_ids, byte_ids, cells[flat]), axis=1)
-
-    def nonzero_items(self) -> List[Tuple[int, int, int, int]]:
-        """All nonzero counters as (bank, row_id, byte_id, value), sorted."""
-        return list(zip(*self._nonzero_columns().T.tolist()))
+        if not self.refresh:
+            raise ConfigError("proactive_tick on a counter store built without refresh")
+        return self._refresh(range(self.geometry.banks))
 
     def dump(self, stream) -> None:
-        """Write nonzero counters as CSV: bank,row_id,byte_id,value."""
-        items = self._nonzero_columns()
+        """Write nonzero counters as CSV: bank,row_id,byte_id,value, sorted.
+
+        Only banks holding a nonzero value are scanned for positions;
+        finding them reads the whole store, which costs no memory for
+        pages never written.
+        """
+        size = self._bank_size
+        cells = np.frombuffer(self._cells, dtype=np.uint8)
+        written = np.flatnonzero(cells.reshape(-1, size).max(axis=1)).tolist()
+        flat = np.concatenate(
+            [b * size + np.flatnonzero(cells[b * size : (b + 1) * size]) for b in written]
+            or [np.zeros(0, dtype=np.intp)]
+        )
+        banks, offsets = np.divmod(flat, size)
+        row_ids, byte_ids = np.divmod(offsets, self._cpc)
+        items = np.stack((banks, row_ids, byte_ids, cells[flat]), axis=1)
         lines = "%d,%d,%d,%d\n" * len(items) % tuple(items.ravel().tolist())
         stream.write("bank,row_id,byte_id,value\n" + lines)
 

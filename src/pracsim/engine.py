@@ -43,6 +43,7 @@ class Engine:
             n_bo=config.n_bo,
             rfms_per_alert=config.rfms_per_alert,
             on_mitigate=self._reset_cached if self._cached else None,
+            refresh=config.proactive_interval > 0,
         )
         self.ledger = EnergyLedger()
         self.trigger_counts = {t: 0 for t in TRIGGERS}

@@ -45,8 +45,9 @@ def test_every_traced_attribute_exists():
 
 
 def test_traced_counts_match_the_reports():
-    """A cached compare with two RFMs per alert, then a logged run and its
-    replay, all traced: the hooks' counts add up to the reports'."""
+    """A cached compare with two RFMs per alert, a hammer run whose only
+    picks are those RFMs, then a logged run and its replay, all traced:
+    the hooks' counts add up to the reports'."""
     bench_tracer, checks = _load_tracer(), _load_bench(BENCH / "checks.py")
     cfg = config.resolve(
         overrides={
@@ -58,11 +59,15 @@ def test_traced_counts_match_the_reports():
         }
     )
     plain = cfg.with_overrides({"cache.kind": "none"})
+    hammer = plain.with_overrides(
+        {"trace.generator": "hammer", "mitigation.proactive_interval": "0"}
+    )
     tracer = bench_tracer.Tracer()
     tracer.install()
     try:
         tracer.set_enabled(True)
         reports = engine.compare(cfg, buffers.DESIGNS)
+        reports.append(engine.Engine(hammer).run())
         logged = engine.Engine(plain, collect_log=True)
         reports.append(logged.run())
         verdict = oracle.verify(
@@ -78,5 +83,6 @@ def test_traced_counts_match_the_reports():
     assert verdict.ok, str(verdict)
     dicts = [r.to_dict() for r in reports]
     assert sum(r["alerts"] for r in dicts) > 0
+    assert dicts[-2]["mitigations"] > dicts[-2]["alerts"] > 0
     assert any(r["cache"] and r["cache"]["hits"] for r in dicts)
     checks.traced_counts(tracer.metrics(dicts), bench_tracer.expected_counts(dicts))

@@ -1,4 +1,5 @@
 import io
+import os
 import random
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 import legacy_writers
 from legacy_counters import CounterArray as ArgmaxCounterArray
+from legacy_counters import HistogramCounterArray
 from pracsim.counters import COUNTER_MAX, CounterArray, effective_backoff
 from pracsim.errors import ConfigError
 from pracsim.geometry import DramGeometry
+from store_items import nonzero_items
 
 
 def test_rmw_accumulates(toy_geometry):
@@ -176,6 +179,53 @@ def test_nonzero_tracking(toy_geometry):
     assert store.proactive_tick() == [(0, 1, 1)]
     assert store.proactive_tick() == []
     assert store.mitigations == 2
+
+
+def test_refresh_skips_a_stale_row_bound():
+    """Equal maxima in rows 0 and 2: the first tick takes row 0's, which
+    leaves row 0's bound at the bank's top; the second tick must find
+    that row without the value, lower its bound, and take row 2's."""
+    geometry = DramGeometry(
+        banks=1, rows_per_bank=16, counter_rows_per_bank=4, counters_per_counter_row=4
+    )
+    store = CounterArray(geometry)
+    store.apply_rmw(0, 2, 3, increments=5)
+    store.apply_rmw(0, 1, 0, increments=2)
+    store.apply_rmw(0, 0, 1, increments=5)
+    assert store.proactive_tick() == [(0, 0, 1)]
+    assert store.proactive_tick() == [(0, 2, 3)]
+    assert store._row_top[:3] == bytearray((4, 2, 5))
+    assert store.proactive_tick() == [(0, 1, 0)]
+    assert store.proactive_tick() == []
+
+
+def test_proactive_tick_needs_a_refresh_store(toy_geometry):
+    store = CounterArray(toy_geometry, refresh=False)
+    store.apply_rmw(0, 1, 1, increments=3)
+    with pytest.raises(ConfigError, match="without refresh"):
+        store.proactive_tick()
+
+
+def _resident_bytes() -> int:
+    fields = {}
+    with open("/proc/self/status") as f:
+        for line in f:
+            key, _, rest = line.partition(":")
+            fields[key] = rest
+    return sum(int(fields[key].split()[0]) * 1024 for key in ("RssAnon", "RssShmem"))
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+def test_reading_the_store_makes_no_page_resident(geometry):
+    """A full read of a written store (a verifier's nonzero count) costs
+    memory for the pages written, not for the whole 4 MB store."""
+    store = CounterArray(geometry)
+    store.apply_rmw(5, 3, 7)
+    before = _resident_bytes()
+    assert np.count_nonzero(store.values) == 1
+    assert _resident_bytes() - before < 1 << 20
 
 
 def test_dump_csv(toy_geometry):
@@ -353,9 +403,8 @@ def test_dump_matches_the_per_counter_reference():
     store.dump(got)
     ref.dump(want)
     assert got.getvalue() == want.getvalue()
-    assert store.nonzero_items() == ref.nonzero_items()
-    assert {v for *_, v in store.nonzero_items()} >= {1, 255}
-    assert all(type(x) is int for item in store.nonzero_items() for x in item)
+    assert nonzero_items(store) == ref.nonzero_items()
+    assert {v for *_, v in nonzero_items(store)} >= {1, 255}
 
 
 @settings(deadline=None, max_examples=100)
@@ -390,7 +439,7 @@ def test_dump_bytes_match_the_per_counter_loop(banks, counter_rows, cpc, writes)
     store.dump(got)
     ref.dump(want)
     assert got.getvalue() == want.getvalue()
-    assert store.nonzero_items() == ref.nonzero_items()
+    assert nonzero_items(store) == ref.nonzero_items()
 
 
 @settings(deadline=None, max_examples=100)
@@ -424,6 +473,113 @@ def test_dump_matches_the_per_counter_writer(banks, counter_rows, cpc, writes):
     store.dump(got)
     ref.dump(want)
     assert got.getvalue() == want.getvalue()
-    items = store.nonzero_items()
-    assert items == ref.nonzero_items()
-    assert all(type(x) is int for item in items for x in item)
+    assert nonzero_items(store) == ref.nonzero_items()
+
+
+def _replay(store, ref, rng, banks, counter_rows, cpc, length, ops):
+    """Drive two stores through one random stream and check after each
+    step that they return, count and hold the same."""
+    for _ in range(length):
+        op = rng.choice(ops)
+        bank = rng.randrange(banks)
+        row, byte = rng.randrange(counter_rows), rng.randrange(cpc)
+        if op in ("rmw", "big_rmw"):
+            inc = rng.randint(1, 6) if op == "rmw" else rng.randint(50, 300)
+            assert store.apply_rmw(bank, row, byte, inc) == ref.apply_rmw(
+                bank, row, byte, inc
+            )
+        elif op == "writeback":
+            value = rng.randrange(COUNTER_MAX + 1)
+            assert store.apply_writeback(bank, row, byte, value) == ref.apply_writeback(
+                bank, row, byte, value
+            )
+        elif op == "external_alert":
+            store.external_alert(bank, row, byte)
+            ref.external_alert(bank, row, byte)
+        else:
+            assert store.proactive_tick() == ref.proactive_tick()
+        assert (store.alerts, store.mitigations) == (ref.alerts, ref.mitigations)
+        assert np.array_equal(store.values, ref.values)
+
+
+def _dump_bytes(store) -> str:
+    buf = io.StringIO()
+    store.dump(buf)
+    return buf.getvalue()
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    banks=st.integers(1, 3),
+    counter_rows=st.one_of(st.integers(1, 4), st.integers(8, 64)),
+    cpc=st.integers(1, 8),
+    n_bo=st.one_of(st.none(), st.integers(1, 40)),
+    rfms_per_alert=st.integers(1, 4),
+    length=st.integers(100, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_refresh_pick_matches_the_histogram_store(
+    banks, counter_rows, cpc, n_bo, rfms_per_alert, length, seed
+):
+    """Every refresh, alert and saturating add picks and leaves the same
+    counters, tells ``on_mitigate`` in the same order and dumps the same
+    bytes as the store that searched each pick's value from its bank's
+    first byte.  Many short counter rows leave many stale row bounds for
+    a pick to skip."""
+    geometry = DramGeometry(
+        banks=banks,
+        rows_per_bank=counter_rows * cpc,
+        counter_rows_per_bank=counter_rows,
+        counters_per_counter_row=cpc,
+    )
+    seen, expected = [], []
+    kwargs = dict(n_bo=n_bo, rfms_per_alert=rfms_per_alert)
+    store = CounterArray(geometry, on_mitigate=lambda *r: seen.append(r), **kwargs)
+    ref = HistogramCounterArray(
+        geometry, on_mitigate=lambda *r: expected.append(r), **kwargs
+    )
+    rng = random.Random(seed)
+    _replay(store, ref, rng, banks, counter_rows, cpc, length, COUNTER_OPS)
+    assert seen == expected
+    assert _dump_bytes(store) == _dump_bytes(ref)
+    while True:
+        picks = store.proactive_tick()
+        assert picks == ref.proactive_tick()
+        if not picks:
+            break
+    assert seen == expected
+    assert not store.values.any()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    banks=st.integers(1, 3),
+    counter_rows=st.sampled_from((1, 2, 4, 16)),
+    cpc=st.sampled_from((1, 4, 8)),
+    n_bo=st.one_of(st.none(), st.integers(1, 40)),
+    length=st.integers(100, 1000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_store_without_bookkeeping_matches_a_refresh_store(
+    banks, counter_rows, cpc, n_bo, length, seed
+):
+    """Without refresh and with one refresh per alert, a store only writes
+    values; its returns, counts, values and dump are a refresh store's."""
+    geometry = DramGeometry(
+        banks=banks,
+        rows_per_bank=counter_rows * cpc,
+        counter_rows_per_bank=counter_rows,
+        counters_per_counter_row=cpc,
+    )
+    seen, expected = [], []
+    store = CounterArray(
+        geometry, n_bo=n_bo, refresh=False, on_mitigate=lambda *r: seen.append(r)
+    )
+    ref = CounterArray(
+        geometry, n_bo=n_bo, refresh=True, on_mitigate=lambda *r: expected.append(r)
+    )
+    assert store._hist is None
+    ops = ("rmw",) * 10 + ("big_rmw", "writeback", "external_alert")
+    _replay(store, ref, random.Random(seed), banks, counter_rows, cpc, length, ops)
+    assert seen == expected
+    assert _dump_bytes(store) == _dump_bytes(ref)

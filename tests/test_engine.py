@@ -109,6 +109,22 @@ def test_proactive_refresh_trims_the_maximum():
     assert report.mitigations == 10
 
 
+@pytest.mark.parametrize("interval", [0, 10])
+@pytest.mark.parametrize("rfms", [1, 2])
+def test_store_keeps_refresh_bookkeeping_only_where_a_pick_can_happen(interval, rfms):
+    """A proactive refresh or an alert's extra refreshes pick a largest
+    counter; a run with neither builds its store without the bookkeeping."""
+    config = resolve(
+        overrides={
+            "mitigation.proactive_interval": str(interval),
+            "mitigation.rfms_per_alert": str(rfms),
+        }
+    )
+    store = Engine(config).store
+    assert store.refresh == (interval > 0)
+    assert (store._hist is None) == (interval == 0 and rfms == 1)
+
+
 def test_alert_fires_on_threshold_crossing():
     config = resolve(
         overrides={

@@ -17,6 +17,7 @@ from pracsim.errors import ConfigError, LogFormatError, SimError
 from pracsim.geometry import DramGeometry
 from pracsim.oracle import LoggedBatch, Verdict, as_log, read_log, verify, write_log
 from pracsim.trace import GENERATORS, ActivationEvent, Trace
+from store_items import nonzero_items
 
 
 def events_for(spots):
@@ -465,7 +466,7 @@ def test_verify_matches_the_legacy_replay(
     if state == "store":
         legacy_final = final = engine.store.values
     elif state == "dump":
-        items = engine.store.nonzero_items()
+        items = nonzero_items(engine.store)
         legacy_final = defaultdict(int, {(b, r, c): v for b, r, c, v in items})
         final = np.zeros_like(engine.store.values)
         for b, r, c, v in items:
