@@ -292,13 +292,18 @@ def _open_text(path: str, what: str) -> io.StringIO:
 
 
 def _read_report(path: str) -> dict:
-    """A run report as ``verify`` needs it: a JSON object with counter_acts."""
+    """A run report as ``verify`` needs it: a JSON object with an integer
+    counter_acts and, if it has a config, a config object whose cache.kind,
+    if any, is a string."""
     try:
         report = json.load(_open_text(path, "report"))
     except json.JSONDecodeError as exc:
         raise SimError(f"report {path} line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(report, dict) or not isinstance(report.get("counter_acts"), int):
+    if not isinstance(report, dict) or type(report.get("counter_acts")) is not int:
         raise SimError(f"report {path}: no integer counter_acts")
+    config = report.get("config", {})
+    if not isinstance(config, dict) or not isinstance(config.get("cache.kind", ""), str):
+        raise SimError(f"report {path}: config is not an object with a string cache.kind")
     return report
 
 

@@ -11,7 +11,7 @@ Workload shape is computed in one pass, by the same function that
 computes it once for all designs and hands it to each run.
 """
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .metrics import (
     window_maxima,
 )
 from .oracle import ServiceLog
-from .trace import ActivationEvent, Trace, as_columns, generate, load
+from .trace import Trace, generate, load
 
 
 class Engine:
@@ -218,18 +218,15 @@ class Engine:
         return load_trace(self.config)
 
     def run(
-        self,
-        events: Optional[Sequence[ActivationEvent]] = None,
-        shape: Optional[dict] = None,
+        self, trace: Optional[Trace] = None, shape: Optional[dict] = None
     ) -> SimReport:
-        """Step every event, then finalize; the configured trace if None.
-
-        ``events`` is a ``Trace`` or a sequence of events in consecutive
-        slots (see ``trace.as_columns``).  ``shape`` is
-        ``workload_shape(events, config)`` when the caller already holds
-        it; otherwise the report's shape is computed from ``events``.
+        """Step every activation of ``trace``, then finalize; the configured
+        trace if None.  ``shape`` is ``workload_shape(trace, config)`` when
+        the caller already holds it; otherwise the report's shape is
+        computed from ``trace``.
         """
-        trace = as_columns(self.load_events() if events is None else events)
+        if trace is None:
+            trace = self.load_events()
         step = self.step
         for slot, (bank, data_row) in enumerate(zip(trace.banks, trace.rows)):
             step(slot, bank, data_row)
@@ -246,16 +243,14 @@ def load_trace(config: SimConfig) -> Trace:
     return generate(config.trace_spec, config.geometry)
 
 
-def workload_shape(events: Sequence[ActivationEvent], config: SimConfig) -> dict:
+def workload_shape(trace: Trace, config: SimConfig) -> dict:
     """Skew per bank and its mean, window locality, and footprint of a trace.
 
-    ``events`` is a ``Trace`` or any sequence ``trace.as_columns`` takes.
     Banks are visited in ascending order; window maxima are taken within
     each bank's own stream of counter rows and pooled across banks.  An
     empty trace has no footprint and raises ConfigError; an activation
     outside the geometry raises TraceError naming its slot.
     """
-    trace = as_columns(events)
     geometry = config.geometry
     banks = np.array(trace.banks, dtype=np.int64)
     rows = np.array(trace.rows, dtype=np.int64)

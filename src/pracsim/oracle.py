@@ -37,15 +37,14 @@ geometry, raise LogFormatError instead of producing a verdict.
 """
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .buffers import TRIG_DRAIN, TRIGGERS
 from .errors import ConfigError, LogFormatError
 from .geometry import DramGeometry
-from .trace import ActivationEvent, as_columns
+from .trace import Trace
 
 _TRIGGER_CODE = {t: i for i, t in enumerate(TRIGGERS)}
 _DRAIN = _TRIGGER_CODE[TRIG_DRAIN]
@@ -56,17 +55,6 @@ _CSV_BYTES[[ord(c) for c in "0123456789,\n"]] = True
 _CLIP = 1 << 62
 
 
-@dataclass(frozen=True)
-class LoggedBatch:
-    """One serviced batch as recorded in a run's service log."""
-
-    slot: int
-    bank: int
-    row_id: int
-    trigger: str
-    byte_ids: Tuple[int, ...]
-
-
 class ServiceLog:
     """A service log as int columns, one entry per batch.
 
@@ -74,7 +62,7 @@ class ServiceLog:
     ``row_ids[j]`` of bank ``banks[j]``, for trigger
     ``TRIGGERS[triggers[j]]``; its ``sizes[j]`` byte ids follow those of
     the batches before it in the flat ``byte_ids``.  ``len`` is the batch
-    count; iterating or indexing yields ``LoggedBatch`` objects.
+    count.
     """
 
     __slots__ = ("slots", "banks", "row_ids", "triggers", "sizes", "byte_ids")
@@ -98,38 +86,6 @@ class ServiceLog:
     def __len__(self) -> int:
         return len(self.slots)
 
-    def __iter__(self):
-        ids = iter(self.byte_ids)
-        for slot, bank, row_id, code, size in zip(
-            self.slots, self.banks, self.row_ids, self.triggers, self.sizes
-        ):
-            byte_ids = tuple(islice(ids, size))
-            yield LoggedBatch(slot, bank, row_id, TRIGGERS[code], byte_ids)
-
-    def __getitem__(self, j: int) -> LoggedBatch:
-        start = sum(self.sizes[:j])
-        return LoggedBatch(
-            self.slots[j],
-            self.banks[j],
-            self.row_ids[j],
-            TRIGGERS[self.triggers[j]],
-            tuple(self.byte_ids[start : start + self.sizes[j]]),
-        )
-
-
-def as_log(batches: Iterable[LoggedBatch]) -> ServiceLog:
-    """``batches`` as a ServiceLog: a ServiceLog as it is, else a sequence
-    of ``LoggedBatch``; an unknown trigger raises LogFormatError."""
-    if isinstance(batches, ServiceLog):
-        return batches
-    log = ServiceLog()
-    for j, b in enumerate(batches):
-        try:
-            log.append(b.slot, b.bank, b.row_id, b.trigger, b.byte_ids)
-        except KeyError:
-            raise LogFormatError(f"batch {j}: unknown trigger {b.trigger!r}") from None
-    return log
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -146,7 +102,7 @@ class Verdict:
         return f"rule {self.rule} violated at slot {self.slot}: {self.message}"
 
 
-def write_log(batches: Iterable[LoggedBatch], stream) -> None:
+def write_log(log: ServiceLog, stream) -> None:
     """Write the service-log CSV: slot,bank,row_id,trigger,n_items,bytes...
 
     A batch without byte ids ends at its ``n_items`` field, 0.  Each
@@ -154,7 +110,6 @@ def write_log(batches: Iterable[LoggedBatch], stream) -> None:
     the joined pieces take every batch's slot, bank, row id and byte ids
     from one flat tuple in a single ``%`` pass.
     """
-    log = as_log(batches)
     pieces = {
         (code, size): f"%d,%d,%d,{TRIGGERS[code]},{size}" + ",%d" * size + "\n"
         for code, size in set(zip(log.triggers, log.sizes))
@@ -278,34 +233,44 @@ def split_decimal_csv(
     return values, first, counts, texts
 
 
-def _check_batch(batch: LoggedBatch, geometry: DramGeometry, m_batch: int) -> Optional[str]:
-    if not 0 <= batch.bank < geometry.banks:
-        return f"bank {batch.bank} out of range"
-    if not 0 <= batch.row_id < geometry.counter_rows_per_bank:
-        return f"row_id {batch.row_id} out of range"
-    if not 1 <= len(batch.byte_ids) <= m_batch:
-        return f"batch has {len(batch.byte_ids)} items, legal range is [1, {m_batch}]"
-    if len(set(batch.byte_ids)) != len(batch.byte_ids):
+def _check_batch(
+    log: ServiceLog, sizes: np.ndarray, j: int, geometry: DramGeometry, m_batch: int
+) -> Optional[str]:
+    """Batch ``j``'s first legality problem; ``sizes`` is ``log.sizes``."""
+    start = int(sizes[:j].sum())
+    byte_ids = log.byte_ids[start : start + log.sizes[j]]
+    if not 0 <= log.banks[j] < geometry.banks:
+        return f"bank {log.banks[j]} out of range"
+    if not 0 <= log.row_ids[j] < geometry.counter_rows_per_bank:
+        return f"row_id {log.row_ids[j]} out of range"
+    if not 1 <= len(byte_ids) <= m_batch:
+        return f"batch has {len(byte_ids)} items, legal range is [1, {m_batch}]"
+    if len(set(byte_ids)) != len(byte_ids):
         return "duplicate byte ids in one batch"
-    for byte_id in batch.byte_ids:
+    for byte_id in byte_ids:
         if not 0 <= byte_id < geometry.counters_per_counter_row:
             return f"byte_id {byte_id} out of range"
     return None
 
 
 def _shadow_problem(
-    batches: List[LoggedBatch], bank: int, geometry: DramGeometry, m_batch: int
+    log: ServiceLog,
+    sizes: np.ndarray,
+    batches: List[int],
+    bank: int,
+    geometry: DramGeometry,
+    m_batch: int,
 ) -> Tuple[int, str]:
     """(rule, message) of a body slot's batches, checked in priority order."""
     if len(batches) > 1:
         return 3, f"{len(batches)} batches in one shadow"
-    (b,) = batches
-    if b.trigger == TRIG_DRAIN:
+    (j,) = batches
+    if log.triggers[j] == _DRAIN:
         return 2, "drain-trigger batch inside the trace body"
-    problem = _check_batch(b, geometry, m_batch)
+    problem = _check_batch(log, sizes, j, geometry, m_batch)
     if problem:
         return 2, problem
-    return 3, f"batch bank {b.bank} but activation bank {bank}"
+    return 3, f"batch bank {log.banks[j]} but activation bank {bank}"
 
 
 def _int64(values) -> np.ndarray:
@@ -355,19 +320,16 @@ def _replay(act_keys: np.ndarray, item_keys: np.ndarray, item_slots: np.ndarray)
 
 
 def verify(
-    events: Sequence[ActivationEvent],
-    batches: Sequence[LoggedBatch],
+    trace: Trace,
+    log: ServiceLog,
     geometry: DramGeometry,
     m_batch: int = 4,
     staleness_bound: int = 4,
     reported_counter_acts: Optional[int] = None,
     final_values=None,
 ) -> Verdict:
-    """Replay ``events`` against ``batches`` and return the first violation.
+    """Replay ``trace`` against ``log`` and return the first violation.
 
-    ``events`` is a ``Trace`` or a sequence of events in consecutive slots;
-    a gap raises LogFormatError.  ``batches`` is a ``ServiceLog`` or a
-    sequence of ``LoggedBatch`` (see ``as_log``).
     An activation outside the geometry raises LogFormatError naming its
     slot.  ``final_values``, when given, is the run's post-drain store:
     its ``values`` array, shaped (banks, counter rows, counters per row).
@@ -376,8 +338,6 @@ def verify(
     mitigation disabled, since the log does not carry cache hits or
     alert resets.
     """
-    trace = as_columns(events, LogFormatError)
-    log = as_log(batches)
     n = len(trace)
     act_banks, act_rows = _int64(trace.banks), _int64(trace.rows)
     outside = (act_banks < 0) | (act_banks >= geometry.banks)
@@ -435,7 +395,9 @@ def verify(
     if shadow_fail < n and shadow_fail <= lag_fail:
         slot = int(shadow_fail)
         rule, message = _shadow_problem(
-            [log[j] for j in np.flatnonzero(slots == slot).tolist()],
+            log,
+            sizes,
+            np.flatnonzero(slots == slot).tolist(),
             trace.banks[slot],
             geometry,
             m_batch,
@@ -456,7 +418,7 @@ def verify(
             trigger = TRIGGERS[codes[j]]
             return Verdict(False, 2, n, f"trigger {trigger!r} at the drain slot")
         if not legal[j]:
-            return Verdict(False, 2, n, _check_batch(log[j], geometry, m_batch))
+            return Verdict(False, 2, n, _check_batch(log, sizes, j, geometry, m_batch))
 
     behind = np.flatnonzero(applied != totals)
     if behind.size:

@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, count
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -77,23 +77,6 @@ class Trace:
         if not isinstance(other, Trace):
             return NotImplemented
         return self.banks == other.banks and self.rows == other.rows
-
-
-def as_columns(events, error=TraceError) -> Trace:
-    """``events`` as a Trace: a Trace as it is, else a sequence of
-    ``(slot, bank, data_row)`` whose slots run 0, 1, 2, ...; a gap raises
-    ``error``."""
-    if isinstance(events, Trace):
-        return events
-    banks, rows = [], []
-    for i, (slot, bank, data_row) in enumerate(events):
-        if slot != i:
-            raise error(
-                f"events must occupy consecutive slots; event {i} has slot {slot}"
-            )
-        banks.append(bank)
-        rows.append(data_row)
-    return Trace(banks, rows)
 
 
 @dataclass(frozen=True)
@@ -304,24 +287,16 @@ def _gen_roundrobin(spec, geometry, rng, rows, banks):
     ]
 
 
-def write_text(events: Iterable[ActivationEvent], stream) -> None:
-    """Write ``events`` (see ``as_columns``) as text to a text-mode stream."""
-    trace = as_columns(events)
+def write_text(trace: Trace, stream) -> None:
+    """Write ``trace`` as text to a text-mode stream."""
     fields = [None] * (2 * len(trace))
     fields[::2], fields[1::2] = trace.banks, trace.rows
     stream.write("%d %d\n" * len(trace) % tuple(fields))
 
 
-def write_binary(events: Iterable[ActivationEvent], stream) -> None:
-    """Write ``events`` (see ``as_columns``) as packed 6-byte records to a
-    binary-mode stream."""
-    stream.write(_records(events).tobytes())
-
-
-def _records(events) -> np.ndarray:
-    """``events`` as binary records; a bank or data row that does not fit
+def _records(trace: Trace) -> np.ndarray:
+    """``trace`` as binary records; a bank or data row that does not fit
     its u16 or u32 field raises TraceError naming the first such record."""
-    trace = as_columns(events)
     records = np.empty(len(trace), dtype=_RECORD_DTYPE)
     try:
         records["bank"] = trace.banks
@@ -422,16 +397,16 @@ def load(path: str, geometry: DramGeometry, fmt: str = "auto") -> Trace:
     return read_text(io.StringIO(text, newline=None), geometry)
 
 
-def save(events, path: str, fmt: str = "auto") -> None:
-    """Write a trace file in the chosen format (see :func:`load`).
+def save(trace: Trace, path: str, fmt: str = "auto") -> None:
+    """Write ``trace`` to a file in the chosen format (see :func:`load`).
 
     A trace the binary format cannot hold raises TraceError before the
     file is opened, so an existing file is left as it was.
     """
     if _is_binary(path, fmt):
-        records = _records(events)
+        records = _records(trace)
         with open(path, "wb") as f:
             f.write(records.tobytes())
     else:
         with open(path, "w", encoding="ascii") as f:
-            write_text(events, f)
+            write_text(trace, f)

@@ -2,20 +2,39 @@
 as they were before the log became columnar, kept verbatim as the
 reference for the differential tests in ``tests/test_oracle.py``.
 
-``read_log`` returns a list of ``LoggedBatch``; ``verify`` replays one
-activation at a time against a dict per slot; ``_read_state`` is the
-CLI's per-line reader of a ``--state`` dump.  Nothing in ``src/``
-imports this module.
+``LoggedBatch`` is the per-batch record these functions take and give,
+and ``batches_of`` turns a ``ServiceLog`` into a list of them.
+``read_log`` returns such a list; ``verify`` replays one activation at a
+time against a dict per slot; ``_read_state`` is the CLI's per-line
+reader of a ``--state`` dump.  Nothing in ``src/`` imports this module.
 """
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from pracsim.buffers import TRIG_DRAIN, TRIGGERS
 from pracsim.errors import LogFormatError, SimError
 from pracsim.geometry import DramGeometry
-from pracsim.oracle import LoggedBatch, Verdict
-from pracsim.trace import ActivationEvent, as_columns
+from pracsim.oracle import ServiceLog, Verdict
+from pracsim.trace import Trace
+from service_logs import batches_of as tuples_of
+
+
+@dataclass(frozen=True)
+class LoggedBatch:
+    """One serviced batch as recorded in a run's service log."""
+
+    slot: int
+    bank: int
+    row_id: int
+    trigger: str
+    byte_ids: Tuple[int, ...]
+
+
+def batches_of(log: ServiceLog) -> List[LoggedBatch]:
+    """``log``'s batches as ``LoggedBatch`` records."""
+    return [LoggedBatch(*batch) for batch in tuples_of(log)]
 
 
 def write_log(batches: Iterable[LoggedBatch], stream) -> None:
@@ -75,7 +94,7 @@ def _check_batch(batch: LoggedBatch, geometry: DramGeometry, m_batch: int) -> Op
 
 
 def verify(
-    events: Sequence[ActivationEvent],
+    trace: Trace,
     batches: Sequence[LoggedBatch],
     geometry: DramGeometry,
     m_batch: int = 4,
@@ -83,17 +102,14 @@ def verify(
     reported_counter_acts: Optional[int] = None,
     final_values=None,
 ) -> Verdict:
-    """Replay ``events`` against ``batches`` and return the first violation.
+    """Replay ``trace`` against ``batches`` and return the first violation.
 
-    ``events`` is a ``Trace`` or a sequence of events in consecutive slots;
-    a gap raises LogFormatError.
     ``final_values``, when given, is a mapping or array indexable as
     [bank, row_id, byte_id] holding the run's post-drain stored counters;
     they must equal the saturated true counts.  Only applies to runs
     without a cache and with mitigation disabled, since the log does not
     carry cache hits or alert resets.
     """
-    trace = as_columns(events, LogFormatError)
     n = len(trace)
     by_slot: Dict[int, List[LoggedBatch]] = {}
     for b in batches:

@@ -11,21 +11,20 @@ under ``src/`` imports this module.
 """
 
 from itertools import islice
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from pracsim import counters
 from pracsim.buffers import TRIGGERS
-from pracsim.oracle import LoggedBatch, as_log
+from pracsim.oracle import ServiceLog
 
 
-def write_log(batches: Iterable[LoggedBatch], stream) -> None:
+def write_log(log: ServiceLog, stream) -> None:
     """Write the service-log CSV: slot,bank,row_id,trigger,n_items,bytes...
 
     A batch without byte ids ends at its ``n_items`` field, 0.
     """
-    log = as_log(batches)
     ids = iter(log.byte_ids)
     lines = [
         f"{slot},{bank},{row_id},{TRIGGERS[code]},{size}"

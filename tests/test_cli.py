@@ -280,6 +280,25 @@ def test_verify_report_without_counter_acts_is_runtime_error(tmp_path, capsys):
     assert "counter_acts" in message
 
 
+@pytest.mark.parametrize(
+    "content, problem",
+    [('{"counter_acts": 0, "config": []}', "config is not an object with a string cache.kind"),
+     ('{"counter_acts": 0, "config": "x"}', "config is not an object with a string cache.kind"),
+     ('{"counter_acts": 0, "config": 5}', "config is not an object with a string cache.kind"),
+     ('{"counter_acts": 0, "config": null}', "config is not an object with a string cache.kind"),
+     ('{"counter_acts": 0, "config": {"cache.kind": ["x"]}}',
+      "config is not an object with a string cache.kind"),
+     ('{"counter_acts": true}', "no integer counter_acts")],
+    ids=["config_list", "config_string", "config_number", "config_null", "cache_kind_list",
+         "counter_acts_bool"],
+)  # fmt: skip
+def test_verify_malformed_report_is_runtime_error(tmp_path, capsys, content, problem):
+    """A report's config must be an object with a string cache.kind, and a
+    boolean is not an integer counter_acts: each is a located error."""
+    message = verify_with_bad_file(tmp_path, capsys, "--report", content)
+    assert message == f"report {tmp_path / 'bad'}: {problem}"
+
+
 def test_no_command_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err

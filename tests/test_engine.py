@@ -11,7 +11,8 @@ from pracsim.config import resolve
 from pracsim.engine import Engine, compare, run
 from pracsim.errors import ConfigError, TraceError
 from pracsim.oracle import read_log, verify, write_log
-from pracsim.trace import ActivationEvent, TraceSpec, generate, save
+from pracsim.trace import TraceSpec, generate, save
+from service_logs import batches_of
 
 
 def sequential_overrides(length=100, **extra):
@@ -91,7 +92,8 @@ def test_batch_log_round_trips_through_csv():
     engine.run()
     buf = io.StringIO()
     write_log(engine.batch_log, buf)
-    assert list(read_log(io.StringIO(buf.getvalue()))) == list(engine.batch_log)
+    back = read_log(io.StringIO(buf.getvalue()))
+    assert batches_of(back) == batches_of(engine.batch_log)
 
 
 def test_proactive_refresh_trims_the_maximum():
@@ -339,8 +341,8 @@ def test_a_writeback_and_increments_of_one_byte_service_as_one_item():
     assert buf._rows[0] == {~0: 1, 0: 1}
     engine.finalize()
     assert engine.store.get(0, 0, 0) == 2
-    last = engine.batch_log[len(engine.batch_log) - 1]
-    assert (last.row_id, last.byte_ids, last.trigger) == (0, (0,), "drain")
+    _, _, row_id, trigger, byte_ids = batches_of(engine.batch_log)[-1]
+    assert (row_id, byte_ids, trigger) == (0, (0,), "drain")
 
 
 def test_compare_rejects_empty_policy_list():
@@ -446,17 +448,9 @@ def test_a_finished_cached_engine_is_freed_without_the_collector(kind):
         gc.enable()
 
 
-def test_run_refuses_events_in_gapped_slots():
-    """Slots are implicit: a run's events must occupy slots 0, 1, 2, ..."""
-    engine = Engine(resolve(overrides=sequential_overrides(1)))
-    with pytest.raises(TraceError, match="consecutive slots; event 1 has slot 2"):
-        engine.run([ActivationEvent(0, 0, 5), ActivationEvent(2, 0, 6)])
-
-
-def test_run_of_an_event_list_matches_its_trace():
-    """A list of events and the trace it came from make the same report."""
+def test_run_of_a_given_trace_matches_the_configured_run():
+    """A run handed the configured trace makes the report of a run that
+    loads it itself."""
     config = resolve(overrides={"trace.generator": "zipf", "trace.banks": "4"})
     trace = generate(config.trace_spec, config.geometry)
-    from_list = Engine(config).run(list(trace))
-    from_trace = Engine(config).run(trace)
-    assert from_list.to_json() == from_trace.to_json()
+    assert Engine(config).run(trace).to_json() == Engine(config).run().to_json()

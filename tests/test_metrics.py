@@ -19,7 +19,7 @@ from pracsim.metrics import (
     skew,
     window_maxima,
 )
-from pracsim.trace import ActivationEvent
+from pracsim.trace import Trace
 
 
 def stream_locality(rows, window=64):
@@ -27,8 +27,8 @@ def stream_locality(rows, window=64):
     the shape pass a run report uses."""
     config = resolve(overrides={"metrics.window": str(window)})
     cpc = config.geometry.counters_per_counter_row
-    events = [ActivationEvent(i, 0, row * cpc) for i, row in enumerate(rows)]
-    return workload_shape(events, config)["window_locality"]
+    trace = Trace([0] * len(rows), [row * cpc for row in rows])
+    return workload_shape(trace, config)["window_locality"]
 
 
 def test_skew_uniform_is_one():

@@ -1,6 +1,6 @@
 import io
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -15,14 +15,15 @@ from pracsim.config import resolve
 from pracsim.engine import Engine
 from pracsim.errors import ConfigError, LogFormatError, SimError
 from pracsim.geometry import DramGeometry
-from pracsim.oracle import LoggedBatch, Verdict, as_log, read_log, verify, write_log
-from pracsim.trace import GENERATORS, ActivationEvent, Trace
+from pracsim.oracle import Verdict, read_log, verify, write_log
+from pracsim.trace import GENERATORS, Trace
+from service_logs import batches_of, make_log
 from store_items import nonzero_items
 
 
 def events_for(spots):
-    """Build consecutive-slot events from (bank, data_row) pairs."""
-    return [ActivationEvent(i, bank, row) for i, (bank, row) in enumerate(spots)]
+    """A Trace of (bank, data_row) pairs, the first in slot 0."""
+    return Trace([bank for bank, _ in spots], [row for _, row in spots])
 
 
 def repeat(bank, data_row, n):
@@ -39,7 +40,7 @@ def stored(counters):
 
 def test_kept_up_to_date_passes(toy_geometry):
     events = repeat(0, 0, 4)
-    batches = [LoggedBatch(3, 0, 0, "k_limit", (0,))]
+    batches = make_log((3, 0, 0, "k_limit", (0,)))
     verdict = verify(
         events,
         batches,
@@ -52,7 +53,7 @@ def test_kept_up_to_date_passes(toy_geometry):
 
 
 def test_unserviced_counter_violates_staleness(toy_geometry):
-    verdict = verify(repeat(0, 0, 5), [], toy_geometry, staleness_bound=4)
+    verdict = verify(repeat(0, 0, 5), make_log(), toy_geometry, staleness_bound=4)
     assert not verdict.ok
     assert verdict.rule == 1
     assert verdict.slot == 4
@@ -61,23 +62,23 @@ def test_unserviced_counter_violates_staleness(toy_geometry):
 
 def test_batch_in_shadow_resets_staleness(toy_geometry):
     events = repeat(0, 0, 9)
-    batches = [
-        LoggedBatch(3, 0, 0, "k_limit", (0,)),
-        LoggedBatch(7, 0, 0, "k_limit", (0,)),
-        LoggedBatch(9, 0, 0, "drain", (0,)),
-    ]
+    batches = make_log(
+        (3, 0, 0, "k_limit", (0,)),
+        (7, 0, 0, "k_limit", (0,)),
+        (9, 0, 0, "drain", (0,)),
+    )
     assert verify(events, batches, toy_geometry).ok
 
 
 def test_oversized_batch_is_illegal(toy_geometry):
     events = repeat(0, 0, 1)
-    batches = [LoggedBatch(0, 0, 0, "m_ready", (0, 1, 2, 3, 0))]
+    batches = make_log((0, 0, 0, "m_ready", (0, 1, 2, 3, 0)))
     verdict = verify(events, batches, toy_geometry, m_batch=4)
     assert (verdict.rule, verdict.slot) == (2, 0)
 
 
 def test_duplicate_bytes_are_illegal(toy_geometry):
-    batches = [LoggedBatch(0, 0, 0, "m_ready", (1, 1))]
+    batches = make_log((0, 0, 0, "m_ready", (1, 1)))
     verdict = verify(repeat(0, 0, 1), batches, toy_geometry)
     assert verdict.rule == 2
     assert "duplicate" in verdict.message
@@ -85,59 +86,56 @@ def test_duplicate_bytes_are_illegal(toy_geometry):
 
 def test_out_of_range_fields_are_illegal(toy_geometry):
     for bad in [
-        LoggedBatch(0, 9, 0, "m_ready", (0,)),
-        LoggedBatch(0, 0, 7, "m_ready", (0,)),
-        LoggedBatch(0, 0, 0, "m_ready", (6,)),
+        (0, 9, 0, "m_ready", (0,)),
+        (0, 0, 7, "m_ready", (0,)),
+        (0, 0, 0, "m_ready", (6,)),
     ]:
-        verdict = verify(repeat(0, 0, 1), [bad], toy_geometry)
+        verdict = verify(repeat(0, 0, 1), make_log(bad), toy_geometry)
         assert verdict.rule == 2, bad
 
 
 def test_drain_trigger_inside_body_is_illegal(toy_geometry):
-    batches = [LoggedBatch(0, 0, 0, "drain", (0,))]
+    batches = make_log((0, 0, 0, "drain", (0,)))
     verdict = verify(repeat(0, 0, 2), batches, toy_geometry)
     assert (verdict.rule, verdict.slot) == (2, 0)
 
 
 def test_non_drain_trigger_at_drain_slot_is_illegal(toy_geometry):
     events = repeat(0, 0, 2)
-    batches = [LoggedBatch(2, 0, 0, "m_ready", (0,))]
+    batches = make_log((2, 0, 0, "m_ready", (0,)))
     verdict = verify(events, batches, toy_geometry)
     assert (verdict.rule, verdict.slot) == (2, 2)
 
 
 def test_two_batches_in_one_shadow_are_illegal(toy_geometry):
     events = repeat(0, 0, 2)
-    batches = [
-        LoggedBatch(1, 0, 0, "m_ready", (0,)),
-        LoggedBatch(1, 0, 1, "m_ready", (0,)),
-    ]
+    batches = make_log((1, 0, 0, "m_ready", (0,)), (1, 0, 1, "m_ready", (0,)))
     verdict = verify(events, batches, toy_geometry)
     assert (verdict.rule, verdict.slot) == (3, 1)
 
 
 def test_batch_outside_activated_bank_is_illegal(toy_geometry):
     events = events_for([(0, 0), (0, 0)])
-    batches = [LoggedBatch(1, 1, 0, "m_ready", (0,))]
+    batches = make_log((1, 1, 0, "m_ready", (0,)))
     verdict = verify(events, batches, toy_geometry)
     assert (verdict.rule, verdict.slot) == (3, 1)
 
 
 def test_missing_service_fails_conservation(toy_geometry):
-    verdict = verify(repeat(0, 0, 2), [], toy_geometry)
+    verdict = verify(repeat(0, 0, 2), make_log(), toy_geometry)
     assert (verdict.rule, verdict.slot) == (4, 2)
     assert "ends at 0 of 2" in verdict.message
 
 
 def test_drain_batch_settles_conservation(toy_geometry):
     events = repeat(0, 5, 3)
-    batches = [LoggedBatch(3, 0, 1, "drain", (1,))]
+    batches = make_log((3, 0, 1, "drain", (1,)))
     assert verify(events, batches, toy_geometry).ok
 
 
 def test_wrong_final_value_is_reported(toy_geometry):
     events = repeat(0, 0, 2)
-    batches = [LoggedBatch(2, 0, 0, "drain", (0,))]
+    batches = make_log((2, 0, 0, "drain", (0,)))
     final = stored({(0, 0, 0): 3})
     verdict = verify(events, batches, toy_geometry, final_values=final)
     assert verdict.rule == 4
@@ -146,7 +144,7 @@ def test_wrong_final_value_is_reported(toy_geometry):
 
 def test_final_values_saturate(toy_geometry):
     events = repeat(0, 0, 300)
-    batches = [LoggedBatch(300, 0, 0, "drain", (0,))]
+    batches = make_log((300, 0, 0, "drain", (0,)))
     verdict = verify(
         events, batches, toy_geometry, staleness_bound=300,
         final_values=stored({(0, 0, 0): 255}),
@@ -157,7 +155,7 @@ def test_final_values_saturate(toy_geometry):
 def test_final_values_take_only_the_store_array(toy_geometry):
     """A mapping, a dump's columns or a wrongly shaped array is refused."""
     events = repeat(0, 0, 2)
-    batches = [LoggedBatch(2, 0, 0, "drain", (0,))]
+    batches = make_log((2, 0, 0, "drain", (0,)))
     for final in ({(0, 0, 0): 2}, ([0], [0], [0], [2]), np.zeros((2, 16), np.uint8)):
         with pytest.raises(ConfigError, match=r"final values have shape .*, not \(2, 4, 4\)"):
             verify(events, batches, toy_geometry, final_values=final)
@@ -165,7 +163,7 @@ def test_final_values_take_only_the_store_array(toy_geometry):
 
 def test_reported_total_mismatch(toy_geometry):
     events = repeat(0, 0, 4)
-    batches = [LoggedBatch(3, 0, 0, "k_limit", (0,))]
+    batches = make_log((3, 0, 0, "k_limit", (0,)))
     verdict = verify(events, batches, toy_geometry, reported_counter_acts=2)
     assert verdict.rule == 5
     assert "reported 2" in verdict.message
@@ -173,42 +171,37 @@ def test_reported_total_mismatch(toy_geometry):
 
 def test_batch_beyond_drain_slot_is_unparseable(toy_geometry):
     with pytest.raises(LogFormatError):
-        verify(repeat(0, 0, 1), [LoggedBatch(5, 0, 0, "drain", (0,))], toy_geometry)
-
-
-def test_gapped_event_slots_are_unparseable(toy_geometry):
-    events = [ActivationEvent(0, 0, 0), ActivationEvent(2, 0, 0)]
-    with pytest.raises(LogFormatError):
-        verify(events, [], toy_geometry)
+        verify(repeat(0, 0, 1), make_log((5, 0, 0, "drain", (0,))), toy_geometry)
 
 
 def test_log_roundtrip():
     batches = [
-        LoggedBatch(0, 0, 1, "m_ready", (0, 3)),
-        LoggedBatch(7, 1, 2, "k_limit", (1,)),
-        LoggedBatch(10, 0, 0, "drain", (0, 1, 2, 3)),
+        (0, 0, 1, "m_ready", (0, 3)),
+        (7, 1, 2, "k_limit", (1,)),
+        (10, 0, 0, "drain", (0, 1, 2, 3)),
     ]
     buf = io.StringIO()
-    write_log(batches, buf)
-    assert list(read_log(io.StringIO(buf.getvalue()))) == batches
+    write_log(make_log(*batches), buf)
+    assert batches_of(read_log(io.StringIO(buf.getvalue()))) == batches
 
 
 def test_an_empty_batch_round_trips(toy_geometry):
     """A batch without byte ids ends at its n_items field, which both
     readers take back as that batch; the replay then flags it."""
-    batches = [LoggedBatch(0, 0, 0, "drain", ())]
+    log = make_log((0, 0, 0, "drain", ()))
     buf = io.StringIO()
-    write_log(batches, buf)
+    write_log(log, buf)
     assert buf.getvalue().splitlines()[1] == "0,0,0,drain,0"
-    assert list(read_log(io.StringIO(buf.getvalue()))) == batches
-    assert legacy_oracle.read_log(io.StringIO(buf.getvalue())) == batches
-    verdict = verify(repeat(0, 0, 1), batches, toy_geometry)
+    assert batches_of(read_log(io.StringIO(buf.getvalue()))) == batches_of(log)
+    want = legacy_oracle.batches_of(log)
+    assert legacy_oracle.read_log(io.StringIO(buf.getvalue())) == want
+    verdict = verify(repeat(0, 0, 1), log, toy_geometry)
     assert (verdict.rule, verdict.slot) == (2, 0)
 
 
 def test_read_log_skips_header_and_blanks():
     text = "slot,bank,row_id,trigger,n_items,byte_ids\n\n1,0,2,m_ready,1,5\n"
-    assert list(read_log(io.StringIO(text))) == [LoggedBatch(1, 0, 2, "m_ready", (5,))]
+    assert batches_of(read_log(io.StringIO(text))) == [(1, 0, 2, "m_ready", (5,))]
 
 
 @pytest.mark.parametrize(
@@ -238,49 +231,49 @@ def test_verdict_strings():
 # staleness (rule 1).  Counter (0, 0, 0) lags by 5 at slot 4 unless a
 # batch in that slot's shadow services it.
 def _at_slot_4(*batches, **kwargs):
-    return verify(repeat(0, 0, 6), list(batches), DramGeometry(
+    return verify(repeat(0, 0, 6), make_log(*batches), DramGeometry(
         banks=2, rows_per_bank=16, counter_rows_per_bank=4, counters_per_counter_row=4
     ), **kwargs)
 
 
 def test_several_batches_come_before_everything_in_their_slot():
     verdict = _at_slot_4(
-        LoggedBatch(4, 1, 9, "drain", (0, 0)), LoggedBatch(4, 0, 0, "k_limit", (0,))
+        (4, 1, 9, "drain", (0, 0)), (4, 0, 0, "k_limit", (0,))
     )
     assert (verdict.rule, verdict.slot) == (3, 4)
     assert verdict.message == "2 batches in one shadow"
 
 
 def test_a_drain_trigger_comes_before_the_batch_fields():
-    verdict = _at_slot_4(LoggedBatch(4, 1, 9, "drain", (0,)))
+    verdict = _at_slot_4((4, 1, 9, "drain", (0,)))
     assert (verdict.rule, verdict.slot) == (2, 4)
     assert verdict.message == "drain-trigger batch inside the trace body"
 
 
 def test_batch_legality_comes_before_its_bank():
-    verdict = _at_slot_4(LoggedBatch(4, 1, 9, "m_ready", (0,)))
+    verdict = _at_slot_4((4, 1, 9, "m_ready", (0,)))
     assert (verdict.rule, verdict.slot) == (2, 4)
     assert verdict.message == "row_id 9 out of range"
 
 
 def test_the_batch_bank_comes_before_staleness():
-    verdict = _at_slot_4(LoggedBatch(4, 1, 0, "m_ready", (0,)))
+    verdict = _at_slot_4((4, 1, 0, "m_ready", (0,)))
     assert (verdict.rule, verdict.slot) == (3, 4)
     assert verdict.message == "batch bank 1 but activation bank 0"
 
 
 def test_staleness_is_checked_after_the_slot_batch():
-    verdict = _at_slot_4(LoggedBatch(4, 0, 1, "m_ready", (0,)))
+    verdict = _at_slot_4((4, 0, 1, "m_ready", (0,)))
     assert (verdict.rule, verdict.slot) == (1, 4)
     assert verdict.message == "counter (0, 0, 0) lags by 5 > bound 4"
     serviced = _at_slot_4(
-        LoggedBatch(4, 0, 0, "k_limit", (0,)), LoggedBatch(6, 0, 0, "drain", (0,))
+        (4, 0, 0, "k_limit", (0,)), (6, 0, 0, "drain", (0,))
     )
     assert serviced.ok
 
 
 def test_a_batch_counts_the_activation_of_its_own_slot(toy_geometry):
-    batches = [LoggedBatch(0, 0, 0, "m_ready", (0,))]
+    batches = make_log((0, 0, 0, "m_ready", (0,)))
     assert verify(repeat(0, 0, 1), batches, toy_geometry).ok
     verdict = verify(repeat(0, 0, 2), batches, toy_geometry)
     assert str(verdict) == (
@@ -290,12 +283,9 @@ def test_a_batch_counts_the_activation_of_its_own_slot(toy_geometry):
 
 def test_the_first_violation_is_reported(toy_geometry):
     events = events_for([(0, 0)] * 5 + [(1, 5)] * 3 + [(0, 0)] * 2)
-    verdict = verify(events, [], toy_geometry, staleness_bound=2)
+    verdict = verify(events, make_log(), toy_geometry, staleness_bound=2)
     assert (verdict.rule, verdict.slot) == (1, 2)
-    batches = [
-        LoggedBatch(1, 0, 0, "m_ready", (0, 0)),
-        LoggedBatch(6, 1, 9, "m_ready", (0,)),
-    ]
+    batches = make_log((1, 0, 0, "m_ready", (0, 0)), (6, 1, 9, "m_ready", (0,)))
     verdict = verify(events, batches, toy_geometry, staleness_bound=9)
     assert (verdict.rule, verdict.slot) == (2, 1)
     assert "duplicate" in verdict.message
@@ -303,7 +293,7 @@ def test_the_first_violation_is_reported(toy_geometry):
 
 def test_conservation_reports_the_first_counter_in_key_order(toy_geometry):
     events = events_for([(1, 2), (0, 9), (0, 3), (1, 0)])
-    assert str(verify(events, [], toy_geometry)) == (
+    assert str(verify(events, make_log(), toy_geometry)) == (
         "rule 4 violated at slot 4: counter (0, 0, 3) ends at 0 of 1 true activations"
     )
 
@@ -316,22 +306,21 @@ def test_conservation_reports_the_first_counter_in_key_order(toy_geometry):
     ids=["negative_bank", "bank", "data_row", "negative_row", "huge_row"],
 )  # fmt: skip
 def test_an_activation_outside_the_geometry_is_unparseable(toy_geometry, spot, where):
-    """Named by its slot, for a Trace as for events, before any batch
-    problem; only the first such activation is named."""
+    """Named by its slot, before any batch problem; only the first such
+    activation is named."""
     events = events_for([(1, 2), (0, 9), spot, (0, 3), (7, 7)])
     message = f"slot 2: {where} outside the geometry's 2 banks of 16 rows"
-    batches = [LoggedBatch(0, 1, 9, "drain", (0, 0))]
-    for trace in (events, Trace([e.bank for e in events], [e.data_row for e in events])):
-        with pytest.raises(LogFormatError) as exc:
-            verify(trace, batches, toy_geometry)
-        assert str(exc.value) == message
+    batches = make_log((0, 1, 9, "drain", (0, 0)))
+    with pytest.raises(LogFormatError) as exc:
+        verify(events, batches, toy_geometry)
+    assert str(exc.value) == message
 
 
 def test_a_stray_stored_counter_fails_the_final_state(toy_geometry):
     """A nonzero counter the trace never activated is reported as rule 4
     at the drain slot, in key order with the wrong activated ones."""
     events = repeat(0, 5, 2)
-    batches = [LoggedBatch(2, 0, 1, "drain", (1,))]
+    batches = make_log((2, 0, 1, "drain", (1,)))
     values = stored({(0, 1, 1): 2})
     assert verify(events, batches, toy_geometry, final_values=values).ok
     stray = stored({(0, 1, 1): 2, (1, 3, 3): 9})
@@ -349,19 +338,14 @@ def test_a_stray_stored_counter_fails_the_final_state(toy_geometry):
 
 def test_service_log_columns_and_batches():
     batches = [
-        LoggedBatch(0, 0, 1, "m_ready", (0, 3)),
-        LoggedBatch(7, 1, 2, "k_limit", (1,)),
-        LoggedBatch(10, 0, 0, "drain", (0, 1, 2, 3)),
+        (0, 0, 1, "m_ready", (0, 3)),
+        (7, 1, 2, "k_limit", (1,)),
+        (10, 0, 0, "drain", (0, 1, 2, 3)),
     ]
-    log = as_log(batches)
-    assert as_log(log) is log
+    log = make_log(*batches)
     assert (log.slots, log.triggers, log.sizes) == ([0, 7, 10], [0, 2, 3], [2, 1, 4])
     assert log.byte_ids == [0, 3, 1, 0, 1, 2, 3]
-    assert len(log) == 3 and list(log) == batches
-    assert [log[j] for j in range(3)] == batches
-    assert list(as_log(list(log))) == list(log) != list(as_log(batches[:2]))
-    with pytest.raises(LogFormatError, match="batch 1: unknown trigger 'soon'"):
-        as_log([batches[0], LoggedBatch(1, 0, 0, "soon", (0,))])
+    assert len(log) == 3 and batches_of(log) == batches
 
 
 SMALL_GEOMETRY = {
@@ -439,7 +423,7 @@ def test_verify_matches_the_legacy_replay(
 ):
     """A real run's log, corrupted up to three times, gets the verdict or
     the error the one-activation-at-a-time replay gives, whichever form
-    the log and the final state take."""
+    the final state takes."""
     overrides = dict(
         SMALL_GEOMETRY,
         **{
@@ -458,7 +442,7 @@ def test_verify_matches_the_legacy_replay(
     engine = Engine(config, collect_log=True)
     report = engine.run()
     events = engine.load_events()
-    batches = list(engine.batch_log)
+    batches = legacy_oracle.batches_of(engine.batch_log)
     for _ in range(data.draw(st.integers(0, 3))):
         batches = _mutated(data, batches, len(events))
     state = data.draw(st.sampled_from((None, "store", "dump")))
@@ -480,11 +464,9 @@ def test_verify_matches_the_legacy_replay(
         legacy_oracle.verify, events, batches, config.geometry,
         final_values=legacy_final, **kwargs,
     )  # fmt: skip
-    for log in (batches, as_log(batches)):
-        got = _outcome(
-            verify, events, log, config.geometry, final_values=final, **kwargs
-        )
-        assert got == want
+    log = make_log(*map(astuple, batches))
+    got = _outcome(verify, events, log, config.geometry, final_values=final, **kwargs)
+    assert got == want
 
 
 LOG_FIELD = st.one_of(
@@ -519,6 +501,11 @@ LOG_LINE = st.one_of(
 )  # fmt: skip
 
 
+def _read_batches(stream):
+    """``read_log``'s log as the legacy reader's per-batch records."""
+    return legacy_oracle.batches_of(read_log(stream))
+
+
 def _read(reader, text):
     try:
         return "ok", list(reader(io.StringIO(text)))
@@ -538,7 +525,7 @@ def test_read_log_matches_the_legacy_reader(lines, header, final_newline):
     head = ["slot,bank,row_id,trigger,n_items,byte_ids"] if header else []
     text = "\n".join(head + lines)
     text += "\n" if final_newline else ""
-    assert _read(read_log, text) == _read(legacy_oracle.read_log, text)
+    assert _read(_read_batches, text) == _read(legacy_oracle.read_log, text)
 
 
 @settings(deadline=None, max_examples=150)
@@ -552,15 +539,16 @@ def test_read_log_matches_the_legacy_reader(lines, header, final_newline):
     )
 )  # fmt: skip
 def test_write_log_matches_the_legacy_writer(pairs):
-    batches = [LoggedBatch(s, b, 3, t, tuple(ids)) for s, b, t, ids in pairs]
+    batches = [(s, b, 3, t, tuple(ids)) for s, b, t, ids in pairs]
+    log = make_log(*batches)
     got, want = io.StringIO(), io.StringIO()
-    write_log(as_log(batches), got)
-    legacy_oracle.write_log(batches, want)
+    write_log(log, got)
+    legacy_oracle.write_log(legacy_oracle.batches_of(log), want)
     # The legacy writer ends an empty batch's line with a comma that
     # neither reader accepts; every other line is the same.
     assert got.getvalue() == want.getvalue().replace(",\n", "\n")
-    assert list(read_log(io.StringIO(got.getvalue()))) == batches
-    assert _read(read_log, got.getvalue()) == _read(
+    assert batches_of(read_log(io.StringIO(got.getvalue()))) == batches
+    assert _read(_read_batches, got.getvalue()) == _read(
         legacy_oracle.read_log, got.getvalue()
     )
 
@@ -585,26 +573,24 @@ WIDE_INT = st.one_of(
 )  # fmt: skip
 def test_write_log_matches_the_per_batch_writer(pairs):
     """The single ``%`` pass writes the per-batch f-strings' bytes for
-    fields of any size, from a ServiceLog or from a list of batches."""
-    batches = [LoggedBatch(s, b, r, t, tuple(ids)) for s, b, r, t, ids in pairs]
-    want = io.StringIO()
-    legacy_writers.write_log(batches, want)
-    for arg in (batches, as_log(batches)):
-        got = io.StringIO()
-        write_log(arg, got)
-        assert got.getvalue() == want.getvalue()
+    fields of any size."""
+    log = make_log(*((s, b, r, t, tuple(ids)) for s, b, r, t, ids in pairs))
+    got, want = io.StringIO(), io.StringIO()
+    write_log(log, got)
+    legacy_writers.write_log(log, want)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_write_log_takes_fields_beyond_int64():
     """A slot of 2**70, a negative byte id and a bank of 2**64 are written
     as the f-string writer wrote them, not refused by an int64 array."""
-    batches = [
-        LoggedBatch(2**70, 2**64, 3, "m_ready", (-1, 2**65, 7)),
-        LoggedBatch(5, -(2**64), 2**63, "drain", ()),
-    ]
+    log = make_log(
+        (2**70, 2**64, 3, "m_ready", (-1, 2**65, 7)),
+        (5, -(2**64), 2**63, "drain", ()),
+    )
     got, want = io.StringIO(), io.StringIO()
-    write_log(batches, got)
-    legacy_writers.write_log(batches, want)
+    write_log(log, got)
+    legacy_writers.write_log(log, want)
     assert got.getvalue() == want.getvalue()
     assert got.getvalue().splitlines()[1:] == [
         f"{2**70},{2**64},3,m_ready,3,-1,{2**65},7",

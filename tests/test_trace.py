@@ -16,14 +16,12 @@ from pracsim.trace import (
     ActivationEvent,
     Trace,
     TraceSpec,
-    as_columns,
     generate,
     load,
     read_binary,
     read_text,
     save,
     _shuffle,
-    write_binary,
     write_text,
 )
 
@@ -169,11 +167,11 @@ def test_text_skips_comments_and_blanks(geometry):
     assert list(events) == [ActivationEvent(0, 0, 10), ActivationEvent(1, 1, 20)]
 
 
-def test_binary_roundtrip(geometry):
+def test_binary_roundtrip(geometry, tmp_path):
     events = generate(TraceSpec("uniform", 100, seed=6, params={"banks": 2}), geometry)
-    buf = io.BytesIO()
-    write_binary(events, buf)
-    back = read_binary(io.BytesIO(buf.getvalue()), geometry)
+    path = tmp_path / "t.trace"
+    save(events, str(path), fmt="binary")
+    back = read_binary(io.BytesIO(path.read_bytes()), geometry)
     assert back == events
 
 
@@ -262,10 +260,6 @@ def test_trace_columns_and_events(geometry):
     assert [ev.bank for ev in events] == events.banks
     assert [ev.data_row for ev in events] == events.rows
     assert list(events)[-1] == ActivationEvent(4, events.banks[4], events.rows[4])
-    assert as_columns(events) is events
-    assert as_columns(list(events)) == events
-    with pytest.raises(TraceError, match="event 1 has slot 0"):
-        as_columns([ActivationEvent(0, 0, 0), ActivationEvent(0, 0, 1)])
 
 
 def _outcome(fn, *args):
@@ -416,7 +410,6 @@ def test_workload_shape_matches_the_legacy_pass(spec, window, mode):
         return
     want = legacy_trace.workload_shape(events, config)
     assert repr(workload_shape(generate(spec, config.geometry), config)) == repr(want)
-    assert repr(workload_shape(events, config)) == repr(want)
 
 
 @pytest.mark.parametrize(
@@ -432,9 +425,9 @@ def test_workload_shape_refuses_activations_outside_the_geometry(spots, slot):
     """The shape grid has one cell per counter row of the geometry, so an
     activation outside it is named, not counted in a neighbouring cell."""
     config = resolve()
-    events = [ActivationEvent(i, b, r) for i, (b, r) in enumerate(spots)]
+    trace = Trace([b for b, _ in spots], [r for _, r in spots])
     with pytest.raises(TraceError, match=f"^slot {slot}: bank "):
-        workload_shape(events, config)
+        workload_shape(trace, config)
 
 
 # Text lines and binary records: mostly good, some malformed or out of range.
@@ -474,22 +467,21 @@ def test_read_text_matches_the_legacy_reader(lines):
     pairs=st.lists(
         st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**32 - 1)), max_size=60
     ),
-    as_list=st.booleans(),
 )
-def test_writers_match_the_legacy_writers(pairs, as_list):
-    """Both writers give the bytes of the event-at-a-time writers they
-    replaced, from a Trace or from a list of its events, over the whole
-    range of each binary field."""
+def test_writers_match_the_legacy_writers(tmp_path_factory, pairs):
+    """Both writers, the binary one through ``save``, give the bytes of the
+    event-at-a-time writers they replaced, over the whole range of each
+    binary field."""
     trace = Trace([b for b, _ in pairs], [r for _, r in pairs])
-    events = list(trace) if as_list else trace
-    for write, legacy, stream in (
-        (write_text, legacy_trace.write_text, io.StringIO),
-        (write_binary, legacy_trace.write_binary, io.BytesIO),
-    ):
-        got, want = stream(), stream()
-        write(events, got)
-        legacy(list(trace), want)
-        assert got.getvalue() == want.getvalue()
+    got, want = io.StringIO(), io.StringIO()
+    write_text(trace, got)
+    legacy_trace.write_text(list(trace), want)
+    assert got.getvalue() == want.getvalue()
+    path = tmp_path_factory.mktemp("writers") / "t.trace"
+    save(trace, str(path), fmt="binary")
+    want = io.BytesIO()
+    legacy_trace.write_binary(list(trace), want)
+    assert path.read_bytes() == want.getvalue()
 
 
 def test_write_text_takes_fields_beyond_int64():
@@ -589,11 +581,11 @@ def test_load_reads_any_line_ending(tmp_path, geometry):
 def test_write_binary_names_the_first_record_that_does_not_fit(
     tmp_path, banks, rows, message
 ):
-    with pytest.raises(TraceError) as exc:
-        write_binary(Trace(banks, rows), io.BytesIO())
-    assert str(exc.value) == message
-    path = tmp_path / "t.bin"
+    """A binary save names the first record that does not fit before it
+    opens the file, so an existing file is left as it was."""
+    path = tmp_path / "t.trace"
     path.write_bytes(b"kept")
-    with pytest.raises(TraceError):
-        save(Trace(banks, rows), str(path))
+    with pytest.raises(TraceError) as exc:
+        save(Trace(banks, rows), str(path), fmt="binary")
+    assert str(exc.value) == message
     assert path.read_bytes() == b"kept"
