@@ -291,10 +291,11 @@ def _open_text(path: str, what: str) -> io.StringIO:
         ) from None
 
 
-def _read_report(path: str) -> dict:
-    """A run report as ``verify`` needs it: a JSON object with an integer
-    counter_acts and, if it has a config, a config object whose cache.kind,
-    if any, is a string."""
+def _read_report(path: str) -> Tuple[int, str, bool]:
+    """A run report's counter_acts and its config's cache.kind ("none" if
+    unset) and mitigation.enabled (False if unset); a report that is not an
+    object with an integer counter_acts, a config object, a string
+    cache.kind and a bool by the config's own rule is a located SimError."""
     try:
         report = json.load(_open_text(path, "report"))
     except json.JSONDecodeError as exc:
@@ -304,7 +305,12 @@ def _read_report(path: str) -> dict:
     config = report.get("config", {})
     if not isinstance(config, dict) or not isinstance(config.get("cache.kind", ""), str):
         raise SimError(f"report {path}: config is not an object with a string cache.kind")
-    return report
+    enabled = config_mod.format_value(config.get("mitigation.enabled", False))
+    try:
+        mitigated = config_mod._coerce("mitigation.enabled", enabled)
+    except ConfigError:
+        raise SimError(f"report {path}: mitigation.enabled is not a bool") from None
+    return report["counter_acts"], config.get("cache.kind", "none"), mitigated
 
 
 def _read_state(path: str) -> Tuple[Sequence[int], ...]:
@@ -373,19 +379,22 @@ def _state_values(path: str, geometry) -> np.ndarray:
 
 def _cmd_verify(args) -> int:
     cfg = _resolve(args)
-    report = _read_report(args.report) if args.report else None
-    cache_kinds = {cfg.cache.kind}
-    if report is not None:
-        cache_kinds.add(report.get("config", {}).get("cache.kind", "none"))
-    if cache_kinds != {"none"}:
+    reported, cache_kind, mitigated = (
+        _read_report(args.report) if args.report else (None, "none", False)
+    )
+    if {cfg.cache.kind, cache_kind} != {"none"}:
         raise ConfigError(
             "cannot verify a run with a counter cache: cache hits are not in "
             "the service log, so replay would see stored counters lag"
         )
     events = engine.load_trace(cfg)
     batches = oracle.read_log(_open_text(args.log, "service log"))
-    reported = report["counter_acts"] if report is not None else None
     final_values = _state_values(args.state, cfg.geometry) if args.state else None
+    if final_values is not None and (mitigated or cfg.n_bo is not None):
+        raise ConfigError(
+            "cannot check the final state of a run with mitigation enabled: "
+            "mitigations reset counters the service log does not record"
+        )
     verdict = oracle.verify(
         events,
         batches,

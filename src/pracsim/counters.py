@@ -20,22 +20,22 @@ proactive refresh: one ``proactive_tick`` per interval refreshes every
 bank once, in ascending bank order, skipping clean banks.
 
 Only a store that can pick a largest counter, one built with
-``refresh`` or with more than one refresh per alert, keeps the
-bookkeeping a pick needs; any other store's writes only write the value.
-Per bank it keeps a histogram of how many counters hold each value
-0..255, made on the bank's first write, and an upper bound on its
-largest value; per counter row, an upper bound on the row's largest
-value, never above the bank's.  A refresh lowers the bank's bound to the
-highest non-empty value, clamping the row bounds to it, then searches
-the first row whose bound equals it; a row without that value has its
-bound lowered and the search goes on from the next row, so the first
-match is the first maximum in row-major order.  A bank never written, or
-whose histogram holds every counter at zero, is clean.  A direct write
-through ``values`` bypasses the bookkeeping, so a later refresh may pick
-wrongly.
+``refresh`` or with an alert threshold and more than one refresh per
+alert, keeps the bookkeeping a pick needs; any other store's writes only
+write the value.  Per bank it keeps a histogram of how many counters
+hold each value 0..255, made on the bank's first write, an upper bound
+on its largest value, and an offset before which every counter of the
+bank holds less than that bound.  A write above the bound raises it and
+moves the offset to the written counter; a write of the bound's value
+before the offset moves the offset back to it.  A refresh lowers the
+bound to the highest non-empty value, restarting the offset at the
+bank's first counter if it fell, takes the first counter holding it at
+or after the offset, the first maximum in row-major order, and resumes
+the offset just past it.  A bank never written, or whose histogram holds
+every counter at zero, is clean.  A direct write through ``values``
+bypasses the bookkeeping, so a later refresh may pick wrongly.
 """
 
-from functools import lru_cache
 from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -49,12 +49,6 @@ BASE_BACKOFF = 32
 _BYTES = [bytes((v,)) for v in range(COUNTER_MAX + 1)]
 
 
-@lru_cache(maxsize=None)
-def _clamp_table(top: int) -> bytes:
-    """A ``bytes.translate`` table that lowers every value above ``top`` to it."""
-    return bytes(range(top)) + _BYTES[top] * (COUNTER_MAX + 1 - top)
-
-
 class CounterArray:
     """Stored counter values for every bank, plus alert bookkeeping.
 
@@ -63,8 +57,8 @@ class CounterArray:
     ``on_mitigate(bank, row_id, byte_id)`` is told of every counter reset
     by a mitigation, so a copy held elsewhere (a counter cache) can be
     reset with it.  ``refresh`` says whether ``proactive_tick`` may be
-    called; without it and with one refresh per alert, the store keeps
-    no refresh bookkeeping.
+    called; without it, and without ``n_bo`` or with one refresh per
+    alert, the store keeps no refresh bookkeeping.
     """
 
     def __init__(
@@ -105,16 +99,15 @@ class CounterArray:
         self.mitigations = 0
         # Refresh bookkeeping, or None where no pick can happen.  Per bank:
         # how many counters hold each value, made on the bank's first write
-        # (None until then), and a bound that is at least the largest value
-        # held (raised on write, lowered only when a refresh looks for the
-        # maximum).  Per counter row, at flat row index bank * counter_rows
-        # + row_id: a bound that is at least the row's largest value and at
-        # most its bank's bound.
+        # (None until then); a bound that is at least the largest value held
+        # (raised on write, lowered only when a refresh looks for the
+        # maximum); and a flat offset before which every counter of the
+        # bank holds less than that bound.
         self._hist: Optional[List[Optional[List[int]]]] = None
-        if refresh or rfms_per_alert > 1:
+        if refresh or (n_bo is not None and rfms_per_alert > 1):
             self._hist = [None] * geometry.banks
             self._top = [0] * geometry.banks
-            self._row_top = bytearray(geometry.banks * self._counter_rows)
+            self._from = list(range(0, len(self._cells), self._bank_size))
 
     def get(self, bank: int, row_id: int, byte_id: int) -> int:
         return self._cells[(bank * self._counter_rows + row_id) * self._cpc + byte_id]
@@ -124,16 +117,16 @@ class CounterArray:
         return hist
 
     def _set(self, bank: int, row_id: int, byte_id: int, value: int) -> None:
-        r = bank * self._counter_rows + row_id
-        i = r * self._cpc + byte_id
+        i = (bank * self._counter_rows + row_id) * self._cpc + byte_id
         if self._hist is not None:
             hist = self._hist[bank] or self._new_hist(bank)
             hist[self._cells[i]] -= 1
             hist[value] += 1
-            if value > self._row_top[r]:
-                self._row_top[r] = value
-                if value > self._top[bank]:
-                    self._top[bank] = value
+            if value > self._top[bank]:
+                self._top[bank] = value
+                self._from[bank] = i
+            elif value == self._top[bank] and i < self._from[bank]:
+                self._from[bank] = i
         self._cells[i] = value
 
     def apply_rmw(self, bank: int, row_id: int, byte_id: int, increments: int = 1) -> int:
@@ -144,8 +137,7 @@ class CounterArray:
         """
         if increments < 0:
             raise ConfigError(f"increments must be non-negative, got {increments}")
-        r = bank * self._counter_rows + row_id
-        i = r * self._cpc + byte_id
+        i = (bank * self._counter_rows + row_id) * self._cpc + byte_id
         old = self._cells[i]
         value = old + increments
         if value > COUNTER_MAX:
@@ -155,10 +147,11 @@ class CounterArray:
             hist = self._hist[bank] or self._new_hist(bank)
             hist[old] -= 1
             hist[value] += 1
-            if value > self._row_top[r]:
-                self._row_top[r] = value
-                if value > self._top[bank]:
-                    self._top[bank] = value
+            if value > self._top[bank]:
+                self._top[bank] = value
+                self._from[bank] = i
+            elif value == self._top[bank] and i < self._from[bank]:
+                self._from[bank] = i
         if self.n_bo is not None and value >= self.n_bo:
             self._alert(bank, row_id, byte_id)
         return value
@@ -176,8 +169,12 @@ class CounterArray:
         """Alert raised by a cached copy of this counter crossing the threshold.
 
         The reset writes through: the stored counter is mitigated, and
-        ``on_mitigate`` resets the cached copy with it.
+        ``on_mitigate`` resets the cached copy with it.  A store without
+        refresh bookkeeping cannot grant the alert's extra refreshes, so
+        with more than one refresh per alert it raises ConfigError.
         """
+        if self._hist is None and self.rfms_per_alert > 1:
+            raise ConfigError("external_alert's extra refreshes need n_bo or refresh")
         self._alert(bank, row_id, byte_id)
 
     def _alert(self, bank: int, row_id: int, byte_id: int) -> None:
@@ -198,35 +195,25 @@ class CounterArray:
         in row-major order.
         """
         picks = []
-        cells, hists, tops, bounds = self._cells, self._hist, self._top, self._row_top
-        size, rows, cpc = self._bank_size, self._counter_rows, self._cpc
+        cells, hists, tops, starts = self._cells, self._hist, self._top, self._from
+        size, cpc = self._bank_size, self._cpc
         for bank in banks:
             hist = hists[bank]
             if hist is None or hist[0] == size:
                 continue
-            first = bank * rows
-            end = first + rows
+            first = bank * size
             top = tops[bank]
             if not hist[top]:
-                top -= 1
                 while not hist[top]:
                     top -= 1
                 tops[bank] = top
-                bounds[first:end] = bounds[first:end].translate(_clamp_table(top))
-            # The first row holding ``top`` has bound ``top``; a row before
-            # it with that bound holds less, so its bound drops below top.
-            r = bounds.index(top, first, end)
-            start = r * cpc
-            i = cells.find(_BYTES[top], start, start + cpc)
-            while i < 0:
-                bounds[r] = top - 1
-                r = bounds.index(top, r + 1, end)
-                start = r * cpc
-                i = cells.find(_BYTES[top], start, start + cpc)
+                starts[bank] = first
+            i = cells.find(_BYTES[top], starts[bank], first + size)
+            starts[bank] = i + 1
             hist[top] -= 1
             hist[0] += 1
             cells[i] = 0
-            row_id, byte_id = r - first, i - start
+            row_id, byte_id = divmod(i - first, cpc)
             if self.on_mitigate is not None:
                 self.on_mitigate(bank, row_id, byte_id)
             self.mitigations += 1

@@ -257,7 +257,7 @@ def test_verify_state_keeps_the_last_value_of_a_counter(tmp_path, capsys):
     trace_file.write_text("0 5\n0 5\n")
     log_file.write_text("2,0,0,drain,1,5\n")
     argv = ["verify", "--trace", str(trace_file), "--log", str(log_file)]
-    argv += ["--state", str(state)]
+    argv += ["--state", str(state), "--set", "mitigation.enabled=false"]
     state.write_text("0,0,5,7\n0,0,5,2\n1,0,0,4\n")
     assert main(argv) == EXIT_VERIFY
     assert capsys.readouterr().out == (
@@ -268,6 +268,32 @@ def test_verify_state_keeps_the_last_value_of_a_counter(tmp_path, capsys):
     state.write_text("0,0,5,2\n1,0,0,0\n0,0,5,7\n")
     assert main(argv) == EXIT_VERIFY
     assert capsys.readouterr().out.endswith("stored counter (0, 0, 5) is 7, expected 2\n")
+
+
+def test_verify_refuses_the_final_state_of_a_mitigated_run(tmp_path, capsys):
+    """Mitigations reset counters that the service log does not record, so
+    a valid mitigated run's dump would fail rule 4; a final-state check is
+    refused when the settings or the report enable mitigation, after the
+    dump parses.  The replay of the log alone still passes."""
+    trace_file = tmp_path / "hm.trace"
+    log, state, report = tmp_path / "l.csv", tmp_path / "s.csv", tmp_path / "r.json"
+    gen = ["gen", "--generator", "hammer", "--length", "3000", "--out", str(trace_file)]
+    assert main(gen + ["--trace-format", "binary"]) == EXIT_OK
+    trace = ["--trace", str(trace_file), "--trace-format", "binary"]
+    run = ["run", *trace, "--set", "buffer.design=unified_approxmax", "--log", str(log)]
+    assert main(run + ["--dump-state", str(state), "--out", str(report)]) == EXIT_OK
+    verify = ["verify", *trace, "--log", str(log)]
+    assert main(verify + ["--report", str(report)]) == EXIT_OK
+    assert capsys.readouterr().out == "pass\n"
+    refusal = (
+        "error: cannot check the final state of a run with mitigation enabled: "
+        "mitigations reset counters the service log does not record\n"
+    )
+    verify += ["--state", str(state)]
+    off = ["--set", "mitigation.enabled=false"]
+    for argv in (verify, verify + ["--report", str(report), *off]):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == refusal
 
 
 def test_verify_truncated_report_is_runtime_error(tmp_path, capsys):
@@ -288,13 +314,18 @@ def test_verify_report_without_counter_acts_is_runtime_error(tmp_path, capsys):
      ('{"counter_acts": 0, "config": null}', "config is not an object with a string cache.kind"),
      ('{"counter_acts": 0, "config": {"cache.kind": ["x"]}}',
       "config is not an object with a string cache.kind"),
-     ('{"counter_acts": true}', "no integer counter_acts")],
+     ('{"counter_acts": true}', "no integer counter_acts"),
+     ('{"counter_acts": 0, "config": {"mitigation.enabled": "maybe"}}',
+      "mitigation.enabled is not a bool"),
+     ('{"counter_acts": 0, "config": {"mitigation.enabled": [true]}}',
+      "mitigation.enabled is not a bool")],
     ids=["config_list", "config_string", "config_number", "config_null", "cache_kind_list",
-         "counter_acts_bool"],
+         "counter_acts_bool", "mitigation_word", "mitigation_list"],
 )  # fmt: skip
 def test_verify_malformed_report_is_runtime_error(tmp_path, capsys, content, problem):
-    """A report's config must be an object with a string cache.kind, and a
-    boolean is not an integer counter_acts: each is a located error."""
+    """A report's config must be an object with a string cache.kind and a
+    bool mitigation.enabled, and a boolean is not an integer counter_acts:
+    each is a located error."""
     message = verify_with_bad_file(tmp_path, capsys, "--report", content)
     assert message == f"report {tmp_path / 'bad'}: {problem}"
 

@@ -181,21 +181,49 @@ def test_nonzero_tracking(toy_geometry):
     assert store.mitigations == 2
 
 
-def test_refresh_skips_a_stale_row_bound():
-    """Equal maxima in rows 0 and 2: the first tick takes row 0's, which
-    leaves row 0's bound at the bank's top; the second tick must find
-    that row without the value, lower its bound, and take row 2's."""
+def _one_bank_store():
+    """A refresh store of one bank of 4 counter rows of 4 bytes."""
     geometry = DramGeometry(
         banks=1, rows_per_bank=16, counter_rows_per_bank=4, counters_per_counter_row=4
     )
-    store = CounterArray(geometry)
-    store.apply_rmw(0, 2, 3, increments=5)
-    store.apply_rmw(0, 1, 0, increments=2)
+    return CounterArray(geometry)
+
+
+def test_refresh_resumes_past_its_last_pick():
+    """After a pick the search resumes past it: a top value put back at
+    the picked counter through ``values``, which the bookkeeping does not
+    see, is passed over for the next equal maximum."""
+    store = _one_bank_store()
+    store.apply_rmw(0, 2, 1, increments=5)
     store.apply_rmw(0, 0, 1, increments=5)
     assert store.proactive_tick() == [(0, 0, 1)]
-    assert store.proactive_tick() == [(0, 2, 3)]
-    assert store._row_top[:3] == bytearray((4, 2, 5))
-    assert store.proactive_tick() == [(0, 1, 0)]
+    store.values[0, 0, 1] = 5
+    assert store.proactive_tick() == [(0, 2, 1)]
+
+
+def test_refresh_finds_a_top_value_written_before_its_last_pick():
+    """A write of the bank's top value before the last pick is the first
+    maximum in row-major order, and the next pick takes it."""
+    store = _one_bank_store()
+    store.apply_rmw(0, 2, 1, increments=5)
+    store.apply_rmw(0, 3, 1, increments=5)
+    assert store.proactive_tick() == [(0, 2, 1)]
+    store.apply_rmw(0, 0, 1, increments=5)
+    assert store.proactive_tick() == [(0, 0, 1)]
+    assert store.proactive_tick() == [(0, 3, 1)]
+    assert store.proactive_tick() == []
+
+
+def test_refresh_restarts_at_the_bank_start_when_the_top_falls():
+    """Once the last counter at the top is picked, the next largest value
+    is searched from the bank's first counter, before the last pick."""
+    store = _one_bank_store()
+    store.apply_rmw(0, 2, 1, increments=5)
+    store.apply_rmw(0, 0, 1, increments=3)
+    store.apply_rmw(0, 3, 0, increments=3)
+    assert store.proactive_tick() == [(0, 2, 1)]
+    assert store.proactive_tick() == [(0, 0, 1)]
+    assert store.proactive_tick() == [(0, 3, 0)]
     assert store.proactive_tick() == []
 
 
@@ -204,6 +232,16 @@ def test_proactive_tick_needs_a_refresh_store(toy_geometry):
     store.apply_rmw(0, 1, 1, increments=3)
     with pytest.raises(ConfigError, match="without refresh"):
         store.proactive_tick()
+
+
+def test_a_store_without_alerts_or_refresh_keeps_no_bookkeeping(toy_geometry):
+    """Without ``n_bo`` no alert fires, so no extra refresh can pick a
+    counter; an outside alert asking for extra refreshes is refused."""
+    store = CounterArray(toy_geometry, n_bo=None, rfms_per_alert=3, refresh=False)
+    assert store._hist is None
+    assert store.apply_rmw(0, 1, 1, increments=300) == COUNTER_MAX
+    with pytest.raises(ConfigError, match="extra refreshes"):
+        store.external_alert(0, 1, 1)
 
 
 def _resident_bytes() -> int:
@@ -524,8 +562,7 @@ def test_refresh_pick_matches_the_histogram_store(
     """Every refresh, alert and saturating add picks and leaves the same
     counters, tells ``on_mitigate`` in the same order and dumps the same
     bytes as the store that searched each pick's value from its bank's
-    first byte.  Many short counter rows leave many stale row bounds for
-    a pick to skip."""
+    first byte."""
     geometry = DramGeometry(
         banks=banks,
         rows_per_bank=counter_rows * cpc,

@@ -1,10 +1,12 @@
 import gc
 import io
+import json
 import weakref
 
 import numpy as np
 import pytest
 
+from legacy_counters import HistogramCounterArray
 from pracsim import engine as engine_mod
 from pracsim.buffers import DESIGNS
 from pracsim.config import resolve
@@ -454,3 +456,41 @@ def test_run_of_a_given_trace_matches_the_configured_run():
     config = resolve(overrides={"trace.generator": "zipf", "trace.banks": "4"})
     trace = generate(config.trace_spec, config.geometry)
     assert Engine(config).run(trace).to_json() == Engine(config).run().to_json()
+
+
+def _run_outputs(config):
+    """A logged run's report JSON, service log columns and state dump."""
+    engine = Engine(config, collect_log=True)
+    report = engine.run()
+    dump = io.StringIO()
+    engine.store.dump(dump)
+    columns = [getattr(engine.batch_log, name) for name in engine.batch_log.__slots__]
+    return report.to_json(), columns, dump.getvalue()
+
+
+@pytest.mark.parametrize("cache", ["none", "tinylfu"])
+@pytest.mark.parametrize("rfms", [1, 3])
+@pytest.mark.parametrize("generator", ["hammer", "hotset"])
+def test_runs_match_the_histogram_store(monkeypatch, generator, rfms, cache):
+    """Alerts, their extra refreshes and proactive refreshes, a cached
+    copy reset with each, run as with the store that searched each pick
+    from its bank's first byte: same report, service log and dump."""
+    config = resolve(
+        overrides={
+            "trace.generator": generator,
+            "trace.hot_rows": "48",
+            "trace.length": "6000",
+            "mitigation.proactive_interval": "64",
+            "mitigation.rfms_per_alert": str(rfms),
+            "cache.kind": cache,
+        }
+    )
+    outputs = _run_outputs(config)
+    report = json.loads(outputs[0])
+    assert report["mitigations"] > report["alerts"] > 0
+    monkeypatch.setattr(
+        engine_mod,
+        "CounterArray",
+        lambda geometry, refresh=True, **kw: HistogramCounterArray(geometry, **kw),
+    )
+    assert _run_outputs(config) == outputs
