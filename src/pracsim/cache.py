@@ -11,11 +11,16 @@ slot, the fill is abandoned rather than losing the delta.
 Two kinds are provided: plain 4-way set-associative LRU, and the same
 structure gated by a frequency-sketch admission filter that only evicts
 a line for a candidate that has been seen more often.
+
+A dict finds a counter's resident line by its flat index; each set's
+list keeps only the LRU order.  A second dict keeps a counter's sketch
+slots after one hash, for up to as many counters as the sketch has slots.
 """
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, Dict, List, Tuple
 
+from .counters import COUNTER_MAX
 from .errors import ConfigError
 from .geometry import DramGeometry
 
@@ -79,7 +84,9 @@ class CounterCache:
 
     A hit returns the live value, so the caller can alert when it reaches
     the back-off threshold; the mitigation that follows resets the line
-    through ``reset``.
+    through ``reset``.  ``_lines`` and ``_slots`` map a counter's flat
+    index, ``row_id * counters_per_counter_row + byte_id``, to its line
+    and to its sketch slots; ``sets`` holds each set's lines, newest first.
     """
 
     def __init__(self, bank: int, config: CacheConfig, geometry: DramGeometry):
@@ -90,6 +97,7 @@ class CounterCache:
         self._cpc = geometry.counters_per_counter_row
         self.num_sets = config.entries // ASSOC
         self.sets: List[List[_Line]] = [[] for _ in range(self.num_sets)]
+        self._lines: Dict[int, _Line] = {}
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -97,37 +105,40 @@ class CounterCache:
         self.fills_rejected = 0
         self._lfu = config.kind == "tinylfu"
         if self._lfu:
-            self._sketch = [
-                [0] * config.sketch_width for _ in range(config.sketch_rows)
-            ]
+            # Row r of the count-min sketch is sketch[r * width:(r + 1) * width].
+            self._sketch = [0] * (config.sketch_width * config.sketch_rows)
             self._seeds = [
                 (_SEED_BASE + r * _SEED_STEP) & _M64 for r in range(config.sketch_rows)
             ]
+            self._slots: Dict[int, Tuple[int, ...]] = {}
             self._halve_every = config.halving_period or 10 * config.entries
             self._accesses = 0
-
-    def _flat(self, row_id: int, byte_id: int) -> int:
-        return row_id * self._cpc + byte_id
 
     def access(self, row_id: int, byte_id: int) -> int:
         """Look up one activation's counter: a hit absorbs the increment and
         returns the live value, at least 1; a miss returns 0."""
-        flat = self._flat(row_id, byte_id)
+        flat = row_id * self._cpc + byte_id
         if self._lfu:
-            self._sketch_add(flat)
+            sketch = self._sketch
+            for i in self._slots.get(flat) or self._hash_slots(flat):
+                if sketch[i] < SKETCH_CAP:
+                    sketch[i] += 1
+            self._accesses += 1
+            if self._accesses % self._halve_every == 0:
+                self._sketch = [v >> 1 for v in sketch]
+        line = self._lines.get(flat)
+        if line is None:
+            self.misses += 1
+            return 0
+        self.hits += 1
+        if line.value < COUNTER_MAX:
+            line.value += 1
+        line.dirty = True
         ways = self.sets[flat % self.num_sets]
-        for i, line in enumerate(ways):
-            if line.flat != flat:
-                continue
-            self.hits += 1
-            value = min(255, line.value + 1)
-            line.value = value
-            line.dirty = True
-            if i != 0:
-                ways.insert(0, ways.pop(i))
-            return value
-        self.misses += 1
-        return 0
+        if ways[0] is not line:
+            ways.remove(line)
+            ways.insert(0, line)
+        return line.value
 
     def fill_clean(
         self,
@@ -141,30 +152,31 @@ class CounterCache:
         A dirty victim's value goes through ``wb_sink``; if the sink
         refuses, the fill is abandoned and the victim stays put.
         """
-        flat = self._flat(row_id, byte_id)
+        flat = row_id * self._cpc + byte_id
         ways = self.sets[flat % self.num_sets]
-        for i, line in enumerate(ways):
-            if line.flat == flat:
-                line.value = value
-                line.dirty = False
-                if i != 0:
-                    ways.insert(0, ways.pop(i))
-                return True
-        if len(ways) < ASSOC:
-            ways.insert(0, _Line(flat, value))
+        line = self._lines.get(flat)
+        if line is not None:
+            line.value = value
+            line.dirty = False
+            if ways[0] is not line:
+                ways.remove(line)
+                ways.insert(0, line)
             return True
-        victim = ways[-1]
-        if self._lfu and self._estimate(flat) <= self._estimate(victim.flat):
-            self.admission_rejects += 1
-            return False
-        if victim.dirty:
-            vrow, vbyte = divmod(victim.flat, self._cpc)
-            if not wb_sink(vrow, vbyte, victim.value):
-                self.fills_rejected += 1
+        if len(ways) == ASSOC:
+            victim = ways[-1]
+            if self._lfu and self._estimate(flat) <= self._estimate(victim.flat):
+                self.admission_rejects += 1
                 return False
-            self.writebacks += 1
-        ways.pop()
-        ways.insert(0, _Line(flat, value))
+            if victim.dirty:
+                vrow, vbyte = divmod(victim.flat, self._cpc)
+                if not wb_sink(vrow, vbyte, victim.value):
+                    self.fills_rejected += 1
+                    return False
+                self.writebacks += 1
+            ways.pop()
+            del self._lines[victim.flat]
+        line = self._lines[flat] = _Line(flat, value)
+        ways.insert(0, line)
         return True
 
     def reset(self, row_id: int, byte_id: int) -> None:
@@ -173,40 +185,35 @@ class CounterCache:
         The line turns clean, so no later writeback restores the value
         the mitigation removed.  Its LRU position is kept.
         """
-        flat = self._flat(row_id, byte_id)
-        for line in self.sets[flat % self.num_sets]:
-            if line.flat == flat:
-                line.value = 0
-                line.dirty = False
-                return
+        line = self._lines.get(row_id * self._cpc + byte_id)
+        if line is not None:
+            line.value = 0
+            line.dirty = False
 
     def dirty_lines(self) -> List[tuple]:
         """All dirty lines as (row_id, byte_id, value), sorted by location."""
-        out = []
-        for ways in self.sets:
-            for line in ways:
-                if line.dirty:
-                    row_id, byte_id = divmod(line.flat, self._cpc)
-                    out.append((row_id, byte_id, line.value))
-        out.sort()
-        return out
+        return sorted(
+            (*divmod(flat, self._cpc), line.value)
+            for flat, line in self._lines.items()
+            if line.dirty
+        )
 
     # Frequency sketch: small saturating counters, periodically halved so
     # stale popularity ages out.
 
-    def _sketch_add(self, flat: int) -> None:
-        for row, seed in zip(self._sketch, self._seeds):
-            idx = _mix(flat * 0x9E3779B97F4A7C15 + seed) % self.config.sketch_width
-            if row[idx] < SKETCH_CAP:
-                row[idx] += 1
-        self._accesses += 1
-        if self._accesses % self._halve_every == 0:
-            for row in self._sketch:
-                for i, v in enumerate(row):
-                    row[i] = v >> 1
+    def _hash_slots(self, flat: int) -> Tuple[int, ...]:
+        """The counter's sketch slot in each row, kept for its next access."""
+        width = self.config.sketch_width
+        if len(self._slots) == len(self._sketch):
+            # Keeping at most one counter per sketch slot bounds the memory
+            # of a run over many counters; a dropped counter is hashed again.
+            self._slots.clear()
+        key = flat * 0x9E3779B97F4A7C15
+        slots = self._slots[flat] = tuple(
+            r * width + _mix(key + seed) % width for r, seed in enumerate(self._seeds)
+        )
+        return slots
 
     def _estimate(self, flat: int) -> int:
-        return min(
-            row[_mix(flat * 0x9E3779B97F4A7C15 + seed) % self.config.sketch_width]
-            for row, seed in zip(self._sketch, self._seeds)
-        )
+        sketch = self._sketch
+        return min(sketch[i] for i in self._slots.get(flat) or self._hash_slots(flat))

@@ -211,6 +211,18 @@ def resolve(
             "the immediate-service baseline cannot take cache writebacks; "
             "use a buffered design with cache.kind != none"
         )
+    # A bank's cache allocates its sets and sketch on first touch.
+    counters = geometry.counter_rows_per_bank * geometry.counters_per_counter_row
+    if cache.kind != "none" and cache.entries > counters:
+        raise ConfigError(
+            f"cache.entries {cache.entries} exceeds the {counters} counters of a bank"
+        )
+    if cache.kind == "tinylfu" and cache.sketch_width * cache.sketch_rows > counters:
+        raise ConfigError(
+            "cache.sketch_width x cache.sketch_rows "
+            f"{cache.sketch_width} x {cache.sketch_rows} exceeds the {counters} "
+            "counters of a bank"
+        )
     if v["mitigation.enabled"]:
         n_bo_raw = v["mitigation.n_bo"]
         if n_bo_raw == "auto":

@@ -12,6 +12,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from pracsim import buffers, config, engine, oracle
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -44,17 +46,19 @@ def test_every_traced_attribute_exists():
     assert missing == []
 
 
-def test_traced_counts_match_the_reports():
+@pytest.mark.parametrize("kind", ["lru4way", "tinylfu"])
+def test_traced_counts_match_the_reports(kind):
     """A cached compare with two RFMs per alert, a hammer run whose only
     picks are those RFMs, then a logged run and its replay, all traced:
-    the hooks' counts add up to the reports'."""
+    the hooks' counts add up to the reports', the admission filter's
+    rejected fills among them."""
     bench_tracer, checks = _load_tracer(), _load_bench(BENCH / "checks.py")
     cfg = config.resolve(
         overrides={
             "trace.generator": "hotset",
             "trace.hot_rows": "48",
             "trace.length": "3000",
-            "cache.kind": "lru4way",
+            "cache.kind": kind,
             "mitigation.rfms_per_alert": "2",
         }
     )
@@ -85,4 +89,6 @@ def test_traced_counts_match_the_reports():
     assert sum(r["alerts"] for r in dicts) > 0
     assert dicts[-2]["mitigations"] > dicts[-2]["alerts"] > 0
     assert any(r["cache"] and r["cache"]["hits"] for r in dicts)
+    if kind == "tinylfu":
+        assert all(r["cache"]["admission_rejects"] > 0 for r in dicts if r["cache"])
     checks.traced_counts(tracer.metrics(dicts), bench_tracer.expected_counts(dicts))

@@ -1,11 +1,16 @@
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from legacy_cache import CounterCache as ScanningCounterCache
 from pracsim.cache import ASSOC, CacheConfig, CounterCache
 from pracsim.config import resolve
 from pracsim.engine import Engine
 from pracsim.errors import ConfigError
+from pracsim.geometry import DramGeometry
 
 
 CACHE_TOTALS = ("hits", "misses", "writebacks", "admission_rejects", "fills_rejected")
@@ -203,6 +208,19 @@ def test_sketch_halves_on_schedule(toy_geometry):
     assert cache._estimate(flat) == 2
 
 
+def test_sketch_keeps_at_most_one_counter_per_slot(toy_geometry):
+    """A run over more counters than the sketch has slots keeps a bounded
+    set of hashed counters, and estimates the same after dropping them."""
+    cache = make_cache(toy_geometry, kind="tinylfu", sketch_width=3, sketch_rows=2)
+    ref = ScanningCounterCache(0, cache.config, toy_geometry)
+    for flat in list(range(16)) * 2:
+        cache.access(*divmod(flat, 4))
+        ref.access(*divmod(flat, 4))
+        assert len(cache._slots) <= 6
+    estimates = [cache._estimate(flat) for flat in range(16)]
+    assert estimates == [ref._estimate(flat) for flat in range(16)]
+
+
 def test_sketch_counters_saturate(toy_geometry):
     cache = make_cache(toy_geometry, kind="tinylfu", entries=4)
     for _ in range(30):
@@ -271,3 +289,68 @@ def test_engine_run_conserves_counts_with_cache(kind):
             assert engine.store.get(*key) == count, key
     for key, value in dirty.items():
         assert engine.store.get(*key) < value
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    kind=st.sampled_from(("lru4way", "tinylfu")),
+    entries=st.sampled_from((4, 8)),
+    sketch_width=st.integers(1, 9),
+    sketch_rows=st.integers(1, 3),
+    halving_period=st.integers(0, 12),
+    refuse_every=st.integers(1, 4),
+    length=st.integers(50, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cache_matches_the_scanning_cache(
+    kind, entries, sketch_width, sketch_rows, halving_period, refuse_every, length, seed
+):
+    """Accesses, fills through a sink that refuses every few writebacks,
+    and resets return, count, write back and hold the same as on the
+    cache that scanned its ways and rehashed its sketch slots."""
+    geometry = DramGeometry(
+        banks=1, rows_per_bank=16, counter_rows_per_bank=4, counters_per_counter_row=4
+    )
+    config = CacheConfig(
+        kind=kind,
+        entries=entries,
+        sketch_width=sketch_width,
+        sketch_rows=sketch_rows,
+        halving_period=halving_period,
+    )
+    cache = CounterCache(0, config, geometry)
+    ref = ScanningCounterCache(0, config, geometry)
+    got, want = [], []
+
+    def sink(calls):
+        def take(*writeback):
+            calls.append(writeback)
+            return len(calls) % refuse_every != 0
+
+        return take
+
+    rng = random.Random(seed)
+    touched = set()
+    for _ in range(length):
+        op = rng.choice(("access", "access", "fill", "reset"))
+        row, byte = rng.randrange(4), rng.randrange(4)
+        touched.add(row * 4 + byte)
+        if op == "access":
+            assert cache.access(row, byte) == ref.access(row, byte)
+        elif op == "fill":
+            value = rng.choice((0, 254, 255, rng.randrange(256)))
+            assert cache.fill_clean(row, byte, value, sink(got)) == ref.fill_clean(
+                row, byte, value, sink(want)
+            )
+            assert got == want
+        else:
+            cache.reset(row, byte)
+            ref.reset(row, byte)
+        assert [getattr(cache, k) for k in CACHE_TOTALS] == [
+            getattr(ref, k) for k in CACHE_TOTALS
+        ]
+        assert cache.dirty_lines() == ref.dirty_lines()
+        if kind == "tinylfu":
+            assert [cache._estimate(f) for f in touched] == [
+                ref._estimate(f) for f in touched
+            ]

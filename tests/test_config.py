@@ -68,6 +68,48 @@ def test_cache_requires_buffered_design():
         resolve(overrides={"buffer.design": "chronus", "cache.kind": "lru4way"})
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"cache.kind": "lru4way", "cache.entries": "65540"}, "cache.entries"),
+        ({"cache.kind": "tinylfu", "cache.entries": "65540"}, "cache.entries"),
+        (
+            {"cache.kind": "tinylfu", "cache.sketch_width": "32769"},
+            "cache.sketch_width",
+        ),
+        ({"cache.kind": "tinylfu", "cache.sketch_rows": "65"}, "cache.sketch_rows"),
+    ],
+)
+def test_a_cache_larger_than_a_bank_names_the_key(overrides, key):
+    """A bank has 64 x 1024 counters: a cache with more lines, or a
+    sketch with more slots, is refused before any bank allocates it."""
+    with pytest.raises(ConfigError, match=key):
+        resolve(overrides=overrides)
+
+
+def test_a_cache_as_large_as_a_bank_resolves():
+    config = resolve(
+        overrides={
+            "cache.kind": "tinylfu",
+            "cache.entries": "65536",
+            "cache.sketch_width": "32768",
+            "cache.sketch_rows": "2",
+        }
+    )
+    assert config.cache.entries == 65536
+    # An LRU cache has no sketch to bound.
+    small = resolve(
+        overrides={
+            "geometry.rows_per_bank": "8",
+            "geometry.counter_rows_per_bank": "1",
+            "geometry.counters_per_counter_row": "8",
+            "cache.kind": "lru4way",
+            "cache.entries": "8",
+        }
+    )
+    assert small.cache.sketch_width * small.cache.sketch_rows > 8
+
+
 def test_bad_value_types_name_the_key():
     with pytest.raises(ConfigError, match="trace.length"):
         resolve(overrides={"trace.length": "many"})

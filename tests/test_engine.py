@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from legacy_cache import CounterCache as ScanningCounterCache
 from legacy_counters import HistogramCounterArray
 from pracsim import engine as engine_mod
 from pracsim.buffers import DESIGNS
@@ -494,3 +495,36 @@ def test_runs_match_the_histogram_store(monkeypatch, generator, rfms, cache):
         lambda geometry, refresh=True, **kw: HistogramCounterArray(geometry, **kw),
     )
     assert _run_outputs(config) == outputs
+
+
+@pytest.mark.parametrize("kind", ["lru4way", "tinylfu"])
+@pytest.mark.parametrize("rfms", [1, 3])
+@pytest.mark.parametrize("generator", ["hammer", "hotset"])
+def test_runs_match_the_scanning_cache(monkeypatch, generator, rfms, kind):
+    """Cached runs whose alerts and refreshes reset resident lines run as
+    with the cache that scanned its ways and rehashed its sketch slots:
+    same report, service log and dump."""
+    config = resolve(
+        overrides={
+            "trace.generator": generator,
+            "trace.hot_rows": "48",
+            "trace.length": "6000",
+            "mitigation.rfms_per_alert": str(rfms),
+            "cache.kind": kind,
+        }
+    )
+    outputs = _run_outputs(config)
+    report = json.loads(outputs[0])
+    assert report["cache"]["hits"] > 0
+    resets = []
+
+    class Scanning(ScanningCounterCache):
+        def reset(self, row_id, byte_id):
+            flat = row_id * self._cpc + byte_id
+            ways = self.sets[flat % self.num_sets]
+            resets.append(any(line.flat == flat for line in ways))
+            super().reset(row_id, byte_id)
+
+    monkeypatch.setattr(engine_mod, "CounterCache", Scanning)
+    assert _run_outputs(config) == outputs
+    assert any(resets)
