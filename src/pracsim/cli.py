@@ -337,7 +337,7 @@ def _read_state(path: str) -> Tuple[Sequence[int], ...]:
         if len(parts) != 4:
             raise SimError(f"state dump {path} line {lineno}: expected 4 fields")
         try:
-            fields = [int(x) for x in parts]
+            fields = [oracle.decimal(x) for x in parts]
         except ValueError:
             raise SimError(
                 f"state dump {path} line {lineno}: non-integer field"

@@ -25,12 +25,16 @@ two or more batches (rule 3), then the batch's own legality (rule 2),
 then its bank (rule 3), then the slot's staleness (rule 1).
 
 The replay runs in array passes.  Activations and logged byte ids are
-sorted together by (counter, slot), with a slot's activation ahead of
-its batch, so each counter's stream is contiguous: the lag at an
-activation is the number of activations of its counter since the last
-batch that serviced it, read off running counts.  Every rule's first
-failure is found this way, and only that one is formatted, by the same
-per-batch checks a one-at-a-time replay would make.
+sorted together, in one argsort of an int64 code, by (counter, slot),
+with a slot's activation ahead of its batch, so each counter's stream
+is contiguous: the lag at an activation is the number of activations of
+its counter since the last batch that serviced it, read off running
+counts.  The counters' runs, and the byte ids a batch lists twice, are
+read off the same order.  Every rule's first failure is found this way,
+and only that one is formatted, by the same per-batch checks a
+one-at-a-time replay would make.  The final-state check looks for a
+nonzero counter the trace never activated only in the banks that hold
+a nonzero byte, found with one maximum per bank.
 
 Logs that cannot be parsed at all, and activations outside the
 geometry, raise LogFormatError instead of producing a verdict.
@@ -173,10 +177,10 @@ def _read_log_lines(text: str) -> ServiceLog:
         if len(parts) < 5:
             raise LogFormatError(f"line {lineno}: expected at least 5 fields")
         try:
-            slot, bank, row_id = int(parts[0]), int(parts[1]), int(parts[2])
+            slot, bank, row_id = decimal(parts[0]), decimal(parts[1]), decimal(parts[2])
             trigger = parts[3]
-            n_items = int(parts[4])
-            byte_ids = [int(x) for x in parts[5:]]
+            n_items = decimal(parts[4])
+            byte_ids = [decimal(x) for x in parts[5:]]
         except ValueError:
             raise LogFormatError(f"line {lineno}: non-integer field") from None
         if trigger not in TRIGGERS:
@@ -189,6 +193,16 @@ def _read_log_lines(text: str) -> ServiceLog:
             raise LogFormatError(f"line {lineno}: negative slot {slot}")
         log.append(slot, bank, row_id, trigger, byte_ids)
     return log
+
+
+def decimal(field: str) -> int:
+    """``field``'s value if it is ASCII digits after an optional ``-``;
+    else ValueError, also for the ``+``, ``_``, spaces and non-ASCII
+    digits that ``int`` takes."""
+    digits = field[1:] if field.startswith("-") else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal field: {field!r}")
+    return int(field)
 
 
 def split_decimal_csv(
@@ -287,36 +301,61 @@ def _counter(key: int, shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
     return tuple(int(x) for x in np.unravel_index(key, shape))
 
 
-def _replay(act_keys: np.ndarray, item_keys: np.ndarray, item_slots: np.ndarray):
+def _replay(act_keys, item_keys, item_slots, item_batch, key_space):
     """Replay the activations and serviced byte ids, counter by counter.
 
-    Returns ``(lags, counters, totals, applied)``: each activation's lag
-    after its slot's batch; the distinct counter keys in order; and per
-    counter its activations and the count its last batch made visible.
+    Keys lie in [-1, ``key_space``); -1 marks a byte id no counter has.
+    Returns ``(lags, counters, totals, applied, repeats)``: each
+    activation's lag after its slot's batch; the distinct counter keys in
+    order; per counter its activations and the count its last batch made
+    visible; and the batches, by index, that list a counter's byte twice.
     """
     n = act_keys.size
     keys = np.concatenate((act_keys, item_keys))
-    when = np.concatenate((np.arange(n), item_slots))
-    is_item = np.concatenate((np.zeros(n, np.int64), np.ones(item_keys.size, np.int64)))
-    counters, rank = np.unique(keys, return_inverse=True)
-    # Ranks, not keys, keep the sort key small: (rank, slot, activation first).
-    order = np.argsort((rank * (n + 1) + when) * 2 + is_item)
-    rank, when, is_act = rank[order], when[order], is_item[order] == 0
-    at = np.arange(order.size)
-    seen = np.concatenate(([0], np.cumsum(is_act)))  # activations before each position
-    start = np.flatnonzero(np.diff(rank, prepend=-1))
-    end = np.flatnonzero(np.diff(rank, append=-1))
-    last_item = np.maximum.accumulate(np.where(is_act, -1, at))
-    since = np.maximum(last_item, start[rank] - 1)
-    lag = seen[at + 1] - seen[since + 1]
+    m = keys.size
+    # One sort code, (counter, slot, activation first); ranks stand in for
+    # keys when a key times the slot span could overflow int64.
+    span = 2 * (n + 1)
+    if (key_space + 1) * span < 2**63:
+        code = keys + 1
+    else:
+        code = np.unique(keys, return_inverse=True)[1]
+    code *= span
+    code[:n] += np.arange(0, 2 * n, 2)
+    code[n:] += 2 * item_slots + 1
+    order = np.argsort(code)
+    code, keys = code[order], keys[order]
+    is_act = order < n
+    pos = np.int32 if m < 2**31 else np.int64
+    # Each counter's run of positions, [start, end].
+    edges = np.ones(m + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    edges = np.flatnonzero(edges)
+    start, end = edges[:-1], edges[1:] - 1
+    seen = np.zeros(m + 1, dtype=pos)  # activations before each position
+    np.cumsum(is_act, dtype=pos, out=seen[1:])
+    # The last batch position at or before each one, or its counter's
+    # start - 1 when its counter has had none.
+    since = np.where(is_act, pos(-1), np.arange(m, dtype=pos))
+    since[start] = np.maximum(since[start], start - 1)
+    np.maximum.accumulate(since, out=since)
+    lag = seen[1:] - seen[since + 1]
     # A batch on the counter in the activation's own slot sorts right after it.
-    lag[:-1][(rank[1:] == rank[:-1]) & (when[1:] == when[:-1])] = 0
-    lags = np.zeros(n, dtype=np.int64)
-    lags[when[is_act]] = lag[is_act]
+    lag[:-1][(code[1:] >> 1) == (code[:-1] >> 1)] = 0
+    lags = np.empty(n, dtype=pos)
+    lags[order[is_act]] = lag[is_act]
     totals = seen[end + 1] - seen[start]
-    last = last_item[end]
-    applied = np.where(last >= start, seen[last + 1] - seen[start], 0)
-    return lags, counters, totals, applied
+    applied = seen[since[end] + 1] - seen[start]
+    # Byte ids with one code share a counter and a slot; a batch that
+    # lists one twice is among them, though not always next to itself.
+    repeats = np.flatnonzero((code[1:] == code[:-1]) & (keys[1:] >= 0))
+    if repeats.size:
+        twins = np.union1d(repeats, repeats + 1)
+        group, batch = code[twins], item_batch[order[twins] - n]
+        by = np.lexsort((batch, group))
+        group, batch = group[by], batch[by]
+        repeats = batch[1:][(group[1:] == group[:-1]) & (batch[1:] == batch[:-1])]
+    return lags, keys[start], totals, applied, repeats
 
 
 def verify(
@@ -359,25 +398,10 @@ def verify(
     byte_ids = _int64(log.byte_ids)
     codes = np.asarray(log.triggers, dtype=np.int64)
     sizes = np.asarray(log.sizes, dtype=np.int64)
-    item_batch = np.repeat(np.arange(len(log)), sizes)
-
-    # _check_batch for every batch at once.
+    item_batch = np.repeat(np.arange(len(log), dtype=np.int32), sizes)
     byte_ok = (byte_ids >= 0) & (byte_ids < cpc)
-    bad_bytes = np.zeros(len(log), dtype=bool)
-    bad_bytes[item_batch[~byte_ok]] = True
-    pairs = np.sort(item_batch * cpc + np.where(byte_ok, byte_ids, 0))
-    bad_bytes[pairs[1:][pairs[1:] == pairs[:-1]] // cpc] = True
     placed = (banks >= 0) & (banks < geometry.banks) & (row_ids >= 0)
     placed &= row_ids < geometry.counter_rows_per_bank
-    legal = placed & (sizes >= 1) & (sizes <= m_batch) & ~bad_bytes
-
-    # The first body slot with several batches or a bad one; a batch at a
-    # negative slot is never replayed, since no activation has its slot.
-    body = np.flatnonzero((slots >= 0) & (slots < n))
-    body_slots = slots[body]
-    bad = ~legal[body] | (codes[body] == _DRAIN) | (banks[body] != act_banks[body_slots])
-    crowded = np.flatnonzero(np.bincount(body_slots, minlength=n) > 1)
-    shadow_fail = min(crowded.min(initial=n), body_slots[bad].min(initial=n))
 
     # The byte ids the replay applies; those of a misplaced batch get key -1,
     # which no activation has (they only matter after its slot has failed).
@@ -388,7 +412,25 @@ def verify(
     at = item_batch[ok]
     item_keys[ok] = np.ravel_multi_index((banks[at], row_ids[at], item_bytes[ok]), shape)
     act_keys = act_banks * geometry.rows_per_bank + act_rows
-    lags, counters, totals, applied = _replay(act_keys, item_keys, slots[item_batch])
+    key_space = geometry.banks * geometry.rows_per_bank
+    lags, counters, totals, applied, repeats = _replay(
+        act_keys, item_keys, slots[item_batch], item_batch, key_space
+    )
+
+    # _check_batch for every batch at once.  A batch at a negative slot is
+    # never replayed, nor its repeated byte ids found; no activation has
+    # its slot, so its legality is never asked.
+    bad_bytes = np.zeros(len(log), dtype=bool)
+    bad_bytes[item_batch[~byte_ok[live]]] = True
+    bad_bytes[repeats] = True
+    legal = placed & (sizes >= 1) & (sizes <= m_batch) & ~bad_bytes
+
+    # The first body slot with several batches or a bad one.
+    body = np.flatnonzero((slots >= 0) & (slots < n))
+    body_slots = slots[body]
+    bad = ~legal[body] | (codes[body] == _DRAIN) | (banks[body] != act_banks[body_slots])
+    crowded = np.flatnonzero(np.bincount(body_slots, minlength=n) > 1)
+    shadow_fail = min(crowded.min(initial=n), body_slots[bad].min(initial=n))
 
     stale = np.flatnonzero(lags > staleness_bound)
     lag_fail = stale[0] if stale.size else n
@@ -447,7 +489,8 @@ def _stored_problem(final_values, counters, totals, shape) -> Optional[str]:
     saturated true count (0 for a counter never activated), as a message.
 
     ``counters`` are the replay's keys, all inside the geometry once
-    conservation holds, with their activation ``totals``.
+    conservation holds, with their activation ``totals``.  Only banks
+    holding a nonzero byte are searched for a counter outside them.
     """
     values = np.asarray(final_values)
     if values.shape != shape:
@@ -459,11 +502,20 @@ def _stored_problem(final_values, counters, totals, shape) -> Optional[str]:
     found = []
     if wrong.size:
         found.append((counters[wrong[0]], int(expected[wrong[0]])))
+    per_bank = values.reshape(shape[0], -1)
+    # Read unsigned, a bank's largest value is 0 only if all of them are.
+    dtype = per_bank.dtype
+    unsigned = per_bank.view(f"u{dtype.itemsize}") if dtype.kind in "biu" else per_bank != 0
+    written = np.flatnonzero(unsigned.max(axis=1)).tolist()
     # One count tells whether any counter outside ``counters`` is nonzero.
-    if np.count_nonzero(flat) > np.count_nonzero(stored):
-        stray = flat != 0
-        stray[counters] = False
-        found.append((int(np.argmax(stray)), 0))
+    nonzero = sum(np.count_nonzero(per_bank[b]) for b in written)
+    if nonzero > np.count_nonzero(stored):
+        for b in written:
+            keys = b * per_bank.shape[1] + np.flatnonzero(per_bank[b])
+            strays = keys[~np.isin(keys, counters)]
+            if strays.size:
+                found.append((int(strays[0]), 0))
+                break
     if not found:
         return None
     key, want = min(found)

@@ -8,7 +8,9 @@ hits, alert tallies), so a refactor that changes a batch's shape or a
 hook's arguments must still give the counts the reports give.
 """
 
+import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -16,7 +18,8 @@ import pytest
 
 from pracsim import buffers, config, engine, oracle
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 TRACER = BENCH / "tracer.py"
 
 
@@ -34,6 +37,36 @@ def _load_bench(path):
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+def _verify_calls(path):
+    """The ``oracle.verify(...)`` calls in a source file, as their
+    positional argument count and keyword names."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        func = getattr(node, "func", None)
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "verify"
+            and getattr(func.value, "id", None) == "oracle"
+        ):
+            calls.append((len(node.args), [k.arg for k in node.keywords]))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "path", [BENCH / "workloads.py", ROOT / "src" / "pracsim" / "cli.py"], ids=lambda p: p.name
+)
+def test_verify_takes_the_arguments_its_callers_pass(path):
+    """The benchmark's in-process replay and ``pracsim verify`` call
+    ``oracle.verify`` with these positions and keywords; the tracer
+    reads the log as its second argument."""
+    calls = _verify_calls(path)
+    assert calls
+    signature = inspect.signature(oracle.verify)
+    assert list(signature.parameters)[1] == "log"
+    for positional, keywords in calls:
+        signature.bind(*range(positional), **dict.fromkeys(keywords))
 
 
 def test_every_traced_attribute_exists():

@@ -128,6 +128,31 @@ def test_run_then_verify_under_repcount(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "pass"
 
 
+def test_verify_refuses_a_log_field_only_int_takes(tmp_path, capsys):
+    """A valid zipf run's log with line 2 rewritten in Arabic-Indic
+    digits, a plus sign and spaces is a located error, not a pass."""
+    log, report = tmp_path / "r.csv", tmp_path / "r.json"
+    gen = ["--generator", "zipf", "--length", "200"]
+    assert main(["run", *gen, "--log", str(log), "--out", str(report)]) == EXIT_OK
+    verify = ["verify", *gen, "--log", str(log), "--report", str(report), "--machine"]
+    assert main(verify) == EXIT_OK
+    capsys.readouterr()
+    lines = log.read_text().split("\n")
+    slot, bank, row_id, *rest = lines[1].split(",")
+    arabic = "".join(chr(0x0660 + int(d)) for d in slot)
+    lines[1] = ",".join([arabic, "+" + bank, f" {row_id} "] + rest)
+    log.write_text("\n".join(lines))
+    assert main(verify) == EXIT_RUNTIME
+    assert "line 2: non-integer field" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("field", ["+1", " 1", "1 ", "1_0", "\u0661", "-"])
+def test_verify_state_takes_only_ascii_digits_and_a_minus(tmp_path, capsys, field):
+    content = f"bank,row_id,byte_id,value\n0,0,3,1\n0,{field},0,1\n"
+    message = verify_with_bad_file(tmp_path, capsys, "--state", content)
+    assert message == f"state dump {tmp_path / 'bad'} line 3: non-integer field"
+
+
 def test_verify_flags_bad_log(tmp_path, capsys):
     trace_file = tmp_path / "t.txt"
     trace_file.write_text("0 0\n0 1\n")
@@ -223,7 +248,7 @@ def test_verify_state_with_non_integer_field_is_runtime_error(tmp_path, capsys):
      ("0,0,-1,1", "(0, 0, -1) is outside the geometry's (64, 64, 1024) counters"),
      ("0,0,1024,300", "(0, 0, 1024) is outside the geometry's (64, 64, 1024) counters"),
      ("0,0,0,256", "(0, 0, 0) holds 256, outside [0, 255]"),
-     ("+1,0,0,-1", "(1, 0, 0) holds -1, outside [0, 255]"),
+     ("1,0,0,-1", "(1, 0, 0) holds -1, outside [0, 255]"),
      ("0,0,0,99999999999999999999", "(0, 0, 0) holds 99999999999999999999, outside [0, 255]")],
     ids=["bank", "row_id", "byte_id", "byte_id_and_value", "value", "negative", "huge"],
 )  # fmt: skip

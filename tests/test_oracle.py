@@ -1,4 +1,5 @@
 import io
+import re
 from collections import defaultdict
 from dataclasses import astuple, replace
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_oracle
+import legacy_replay
 import legacy_writers
 from pracsim import cli
 from pracsim.buffers import DESIGNS, K_TRIGGER_MODES, TRIGGERS
@@ -219,6 +221,54 @@ def test_read_log_rejects_malformed_rows(line):
         read_log(io.StringIO(line + "\n"))
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["+1,0,2,m_ready,1,5", "1, 0,2,m_ready,1,5", "1,0,2 ,m_ready,1,5",
+     "1,0,2,m_ready,+1,5", "1,0,2,m_ready,1,1_0", "1,0,2,m_ready,1,\x1c5",
+     "\u0661,0,2,m_ready,1,5", "1,0,\uff12,m_ready,1,5", "1,0,2,m_ready,1,-",
+     "1,0,2,m_ready,1,--5"],
+    ids=["plus", "space_before", "space_after", "plus_n_items", "underscore",
+         "separator", "arabic_indic", "fullwidth", "bare_minus", "double_minus"],
+)  # fmt: skip
+def test_read_log_takes_only_ascii_digits_and_a_minus(line):
+    """Fields ``int`` would take are a located error on the line they are on."""
+    text = "slot,bank,row_id,trigger,n_items,byte_ids\n0,0,1,m_ready,1,5\n" + line
+    with pytest.raises(LogFormatError) as exc:
+        read_log(io.StringIO(text))
+    assert str(exc.value) == "line 3: non-integer field"
+
+
+def test_read_log_keeps_the_minus_for_its_range_messages():
+    with pytest.raises(LogFormatError) as exc:
+        read_log(io.StringIO("0,0,1,m_ready,1,5\n-4,0,2,m_ready,1,5\n"))
+    assert str(exc.value) == "line 2: negative slot -4"
+    log = read_log(io.StringIO("0,-1,1,m_ready,1,-5\n1,0,0,drain,0\n"))
+    assert batches_of(log)[0] == (0, -1, 1, "m_ready", (-5,))
+
+
+def test_a_valid_log_with_int_only_fields_is_refused():
+    """A valid zipf log's line 2 rewritten as its fields with
+    Arabic-Indic digits, a plus sign and spaces no longer verifies."""
+    config = resolve(overrides={"trace.generator": "zipf", "trace.length": "200"})
+    engine = Engine(config, collect_log=True)
+    report = engine.run()
+    buf = io.StringIO()
+    write_log(engine.batch_log, buf)
+    lines = buf.getvalue().split("\n")
+    slot, bank, row_id, *rest = lines[1].split(",")
+    arabic = "".join(chr(0x0660 + int(d)) for d in slot)
+    lines[1] = ",".join([arabic, "+" + bank, f" {row_id} "] + rest)
+    valid = read_log(io.StringIO(buf.getvalue()))
+    assert verify(
+        engine.load_events(), valid, config.geometry,
+        staleness_bound=config.buffer.pending_limit,
+        reported_counter_acts=report.counter_acts,
+    ).ok  # fmt: skip
+    with pytest.raises(LogFormatError) as exc:
+        read_log(io.StringIO("\n".join(lines)))
+    assert str(exc.value) == "line 2: non-integer field"
+
+
 def test_verdict_strings():
     assert str(Verdict(True)) == "pass"
     text = str(Verdict(False, 3, 17, "two batches"))
@@ -334,6 +384,81 @@ def test_a_stray_stored_counter_fails_the_final_state(toy_geometry):
     values[0, 1, 1] = 3
     verdict = verify(events, batches, toy_geometry, final_values=values)
     assert verdict.message == "stored counter (0, 0, 2) is 1, expected 0"
+
+
+@pytest.mark.parametrize(
+    "counters, message",
+    [({(1, 1, 1): 2, (1, 3, 2): 4}, "stored counter (1, 3, 2) is 4, expected 0"),
+     ({(1, 0, 0): 1, (1, 1, 1): 2}, "stored counter (1, 0, 0) is 1, expected 0"),
+     ({(0, 3, 3): 7, (1, 1, 1): 2}, "stored counter (0, 3, 3) is 7, expected 0"),
+     ({(1, 1, 1): 3, (1, 3, 0): 5}, "stored counter (1, 1, 1) is 3, expected 2"),
+     ({(1, 0, 2): 5, (1, 1, 1): 3}, "stored counter (1, 0, 2) is 5, expected 0"),
+     ({(0, 0, 1): 1, (1, 1, 1): 3}, "stored counter (0, 0, 1) is 1, expected 0"),
+     ({(1, 1, 1): 2, (1, 2, 0): 3, (1, 3, 3): 4}, "stored counter (1, 2, 0) is 3, expected 0")],
+    ids=["same_bank_after", "same_bank_before", "bank_0_below",
+         "wrong_count_first", "stray_first", "stray_in_bank_0_first", "two_strays"],
+)  # fmt: skip
+def test_a_stray_is_found_in_the_bank_that_holds_it(toy_geometry, counters, message):
+    """Bank 1 holds the one activated counter, (1, 1, 1), with 2; a stray
+    beside it or in bank 0 is found, and with a wrong count the lower
+    key is reported."""
+    events = repeat(1, 5, 2)
+    batches = make_log((2, 1, 1, "drain", (1,)))
+    assert verify(events, batches, toy_geometry, final_values=stored({(1, 1, 1): 2})).ok
+    verdict = verify(events, batches, toy_geometry, final_values=stored(counters))
+    assert str(verdict) == f"rule 4 violated at slot 2: {message}"
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.float64])
+def test_a_store_holding_minus_one_fails(toy_geometry, dtype):
+    """A bank whose bytes are 0 and -1 has a largest value of 0, yet
+    holds a stray."""
+    events = repeat(1, 5, 2)
+    batches = make_log((2, 1, 1, "drain", (1,)))
+    values = stored({(1, 1, 1): 2}).astype(dtype)
+    assert verify(events, batches, toy_geometry, final_values=values).ok
+    values[0, 2, 1] = -1
+    verdict = verify(events, batches, toy_geometry, final_values=values)
+    assert verdict.message == "stored counter (0, 2, 1) is -1, expected 0"
+
+
+def test_a_repeated_byte_id_is_found_among_other_batches_of_its_counter(toy_geometry):
+    """Two drain batches list counter (0, 1, 0), one of them twice.  The
+    sort need not keep that batch's two ids next to each other (with
+    numpy's argsort here, the other batch's id falls between them), yet
+    the repeat is reported before the unserviced counters."""
+    spots = [(1, 15), (1, 9), (1, 4), (1, 11), (0, 8), (1, 10), (1, 1), (1, 2),
+             (1, 10), (1, 10), (1, 3), (1, 15), (1, 1), (1, 9), (1, 6), (0, 4),
+             (0, 3), (0, 0), (1, 1), (1, 11), (0, 7)]  # fmt: skip
+    batches = make_log(
+        (21, 0, 0, "drain", (1,)), (21, 0, 1, "drain", (0, 1, 0)), (21, 0, 1, "drain", (0,))
+    )
+    verdict = verify(events_for(spots), batches, toy_geometry)
+    assert str(verdict) == "rule 2 violated at slot 21: duplicate byte ids in one batch"
+
+
+def test_a_geometry_past_the_sort_code_replays_by_rank():
+    """With 2**58 banks a counter key times the slot span overflows
+    int64: wrapped, counter (far, 3, 3)'s codes would fall among those
+    of (0, 1, 1).  The replay sorts counter ranks instead."""
+    far = 115292150460684697  # key far * 16 + 15 wraps 4 codes above key 5
+    huge = DramGeometry(
+        banks=2**58, rows_per_bank=16, counter_rows_per_bank=4, counters_per_counter_row=4
+    )
+    events = events_for([(far, 15), (0, 5), (far, 15), (0, 5)])
+    served = make_log(
+        (1, 0, 1, "k_limit", (1,)), (4, far, 3, "drain", (3,)), (4, 0, 1, "drain", (1,))
+    )
+    unserved = make_log((1, 0, 1, "k_limit", (1,)), (4, 0, 1, "drain", (1,)))
+    for log, bound, want in [
+        (served, 2, "pass"),
+        (served, 1, f"rule 1 violated at slot 2: counter ({far}, 3, 3) lags by 2 > bound 1"),
+        (unserved, 2, f"rule 4 violated at slot 4: counter ({far}, 3, 3) ends at 0 "
+         "of 2 true activations"),
+    ]:  # fmt: skip
+        verdict = verify(events, log, huge, staleness_bound=bound)
+        assert str(verdict) == want
+        assert verdict == legacy_replay.verify(events, log, huge, staleness_bound=bound)
 
 
 def test_service_log_columns_and_batches():
@@ -469,6 +594,70 @@ def test_verify_matches_the_legacy_replay(
     assert got == want
 
 
+FINAL_STATES = ("none", "store", "touched", "untouched", "signed")
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    data=st.data(),
+    generator=st.sampled_from(("uniform", "zipf", "hotset")),
+    length=st.integers(1, 300),
+    design=st.sampled_from(DESIGNS),
+    k=st.integers(1, 4),
+    k_trigger=st.sampled_from(K_TRIGGER_MODES),
+    seed=st.integers(0, 999),
+    state=st.sampled_from(FINAL_STATES),
+)
+def test_verify_matches_the_parent_replay(
+    data, generator, length, design, k, k_trigger, seed, state
+):
+    """A real run over all four banks, its log corrupted up to three
+    times, and its final store as run, with a stray in a bank the trace
+    activates or in one it does not, or signed and holding -1: the
+    verdict or the error of the replay that ranked keys before sorting
+    and counted the whole store's nonzero bytes."""
+    overrides = dict(
+        SMALL_GEOMETRY,
+        **{
+            "trace.generator": generator,
+            "trace.length": str(length),
+            "trace.banks": "4",
+            "buffer.design": design,
+            "buffer.k_limit": str(k),
+            "buffer.k_trigger": k_trigger,
+            "mitigation.enabled": "false",
+            "seed": str(seed),
+        },
+    )
+    config = resolve(overrides=overrides)
+    engine = Engine(config, collect_log=True)
+    report = engine.run()
+    events = engine.load_events()
+    batches = legacy_oracle.batches_of(engine.batch_log)
+    for _ in range(data.draw(st.integers(0, 3))):
+        batches = _mutated(data, batches, len(events))
+    log = make_log(*map(astuple, batches))
+    final = None if state == "none" else np.array(engine.store.values)
+    if state in ("touched", "untouched"):
+        touched = set(events.banks)
+        banks = sorted(touched if state == "touched" else set(range(4)) - touched)
+        if banks:
+            bank = data.draw(st.sampled_from(banks))
+            row_id, byte_id = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+            final[bank, row_id, byte_id] = data.draw(st.integers(1, 255))
+    elif state == "signed":
+        final = final.astype(data.draw(st.sampled_from((np.int8, np.int16, np.int64))))
+        final[tuple(data.draw(st.integers(0, 3 if i == 0 else 7)) for i in range(3))] = -1
+    kwargs = dict(
+        m_batch=config.buffer.m_batch,
+        staleness_bound=config.buffer.pending_limit,
+        reported_counter_acts=report.counter_acts,
+        final_values=final,
+    )
+    want = _outcome(legacy_replay.verify, events, log, config.geometry, **kwargs)
+    assert _outcome(verify, events, log, config.geometry, **kwargs) == want
+
+
 LOG_FIELD = st.one_of(
     st.integers(0, 10**6).map(str),
     st.integers(0, 9).map(str),
@@ -501,6 +690,27 @@ LOG_LINE = st.one_of(
 )  # fmt: skip
 
 
+DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _strict(text, skip="slot,", fields=5, text_column=3):
+    """``text`` with every field that ``int`` takes but the readers refuse
+    (a ``+``, ``_``, spaces, non-ASCII digits) replaced by ``x``, in the
+    lines a legacy reader parses: there it raises the same located
+    "non-integer field" error the readers give."""
+    out = []
+    for raw in text.split("\n"):
+        parts = raw.strip().split(",")
+        if raw.strip() and not raw.strip().startswith(skip) and len(parts) >= fields:
+            parts = [
+                p if k == text_column or DECIMAL.fullmatch(p) else "x"
+                for k, p in enumerate(parts)
+            ]
+            raw = ",".join(parts)
+        out.append(raw)
+    return "\n".join(out)
+
+
 def _read_batches(stream):
     """``read_log``'s log as the legacy reader's per-batch records."""
     return legacy_oracle.batches_of(read_log(stream))
@@ -521,11 +731,11 @@ def _read(reader, text):
 )
 def test_read_log_matches_the_legacy_reader(lines, header, final_newline):
     """Drawn logs, some malformed: the same batches, or the same error
-    naming the same line."""
+    naming the same line; a field only ``int`` takes is a non-integer one."""
     head = ["slot,bank,row_id,trigger,n_items,byte_ids"] if header else []
     text = "\n".join(head + lines)
     text += "\n" if final_newline else ""
-    assert _read(_read_batches, text) == _read(legacy_oracle.read_log, text)
+    assert _read(_read_batches, text) == _read(legacy_oracle.read_log, _strict(text))
 
 
 @settings(deadline=None, max_examples=150)
@@ -625,9 +835,16 @@ def _state(reader, path):
 @given(lines=st.lists(STATE_LINE, max_size=30), header=st.booleans())
 def test_read_state_matches_the_legacy_reader(tmp_path_factory, lines, header):
     """Drawn state dumps, some malformed: the same counters, a repeated
-    one keeping its last value, or the same error naming the same line."""
-    path = str(tmp_path_factory.mktemp("state") / "state.csv")
-    with open(path, "w", encoding="utf-8") as f:
-        head = ["bank,row_id,byte_id,value"] if header else []
-        f.write("\n".join(head + lines) + "\n")
-    assert _state(cli._read_state, path) == _state(legacy_oracle._read_state, path)
+    one keeping its last value, or the same error naming the same line; a
+    field only ``int`` takes is a non-integer one."""
+    folder = tmp_path_factory.mktemp("state")
+    path, strict = str(folder / "state.csv"), str(folder / "strict.csv")
+    head = ["bank,row_id,byte_id,value"] if header else []
+    text = "\n".join(head + lines) + "\n"
+    for name, content in ((path, text), (strict, _strict(text, "bank,", 4, None))):
+        with open(name, "w", encoding="utf-8") as f:
+            f.write(content)
+    want = _state(legacy_oracle._read_state, strict)
+    if want[0] is SimError:
+        want = (SimError, want[1].replace(strict, path))
+    assert _state(cli._read_state, path) == want
