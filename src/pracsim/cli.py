@@ -367,13 +367,17 @@ def _state_values(path: str, geometry) -> np.ndarray:
         where = tuple(int(column[i]) for column in counter)
         raise SimError(f"state dump {path}: counter {where} {problem}")
     keys = np.ravel_multi_index([np.asarray(c, dtype=np.int64) for c in counter], shape)
-    # The first of each counter in reverse order is the last listed.
-    keys, last = np.unique(keys[::-1], return_index=True)
+    # ``CounterArray.dump`` lists each counter once, in key order; any
+    # other dump is put in that order first.
+    if not (keys[1:] > keys[:-1]).all():
+        # The first of each counter in reverse order is the last listed.
+        keys, last = np.unique(keys[::-1], return_index=True)
+        values = values[::-1][last]
     # In a private anonymous mapping only the pages the dump writes take
     # memory; np.zeros may reuse heap memory that it clears, all of it.
     cells = mmap.mmap(-1, int(np.prod(shape)), flags=mmap.MAP_PRIVATE)
     state = np.frombuffer(cells, dtype=np.uint8)
-    state[keys] = values[::-1][last]
+    state[keys] = values
     return state.reshape(shape)
 
 

@@ -43,3 +43,9 @@ class DramGeometry:
                 f"rows_per_bank ({self.rows_per_bank}) must equal "
                 f"counter_rows_per_bank * counters_per_counter_row ({expected})"
             )
+        # Counter and data-row keys, bank * rows_per_bank + row, are int64.
+        if self.banks * self.rows_per_bank >= 1 << 63:
+            raise GeometryError(
+                f"banks ({self.banks}) times rows_per_bank ({self.rows_per_bank}) "
+                "must be below 2**63"
+            )

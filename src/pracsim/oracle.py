@@ -52,9 +52,6 @@ from .trace import Trace
 
 _TRIGGER_CODE = {t: i for i, t in enumerate(TRIGGERS)}
 _DRAIN = _TRIGGER_CODE[TRIG_DRAIN]
-# Bytes the fast CSV path takes: digits, comma and newline.
-_CSV_BYTES = np.zeros(256, dtype=bool)
-_CSV_BYTES[[ord(c) for c in "0123456789,\n"]] = True
 # No field of a log or state dump is near it; larger values are clipped to it.
 _CLIP = 1 << 62
 
@@ -66,12 +63,13 @@ class ServiceLog:
     ``row_ids[j]`` of bank ``banks[j]``, for trigger
     ``TRIGGERS[triggers[j]]``; its ``sizes[j]`` byte ids follow those of
     the batches before it in the flat ``byte_ids``.  ``len`` is the batch
-    count.
+    count.  A log built in memory holds lists; one that ``read_log``
+    split in array passes holds int64 arrays.
     """
 
     __slots__ = ("slots", "banks", "row_ids", "triggers", "sizes", "byte_ids")
 
-    def __init__(self, *columns: List[int]):
+    def __init__(self, *columns: Sequence[int]):
         """An empty log, or one from its six columns in ``__slots__`` order."""
         for name, column in zip(self.__slots__, columns or [[] for _ in self.__slots__]):
             setattr(self, name, column)
@@ -79,7 +77,8 @@ class ServiceLog:
     def append(
         self, slot: int, bank: int, row_id: int, trigger: str, byte_ids: Sequence[int]
     ) -> None:
-        """Add one batch; an unknown trigger raises KeyError."""
+        """Add one batch to a log built in memory, whose columns are
+        lists; an unknown trigger raises KeyError."""
         self.triggers.append(_TRIGGER_CODE[trigger])
         self.slots.append(slot)
         self.banks.append(bank)
@@ -138,15 +137,16 @@ def write_log(log: ServiceLog, stream) -> None:
 def read_log(stream) -> ServiceLog:
     """Parse a service-log CSV; malformed rows raise LogFormatError.
 
-    A log of plain decimal fields is split in array passes; any other
-    text, a malformed row included, is read line by line, which gives
-    the same batches or names the first bad line.
+    A log of plain decimal fields is split in array passes, and its
+    ServiceLog's six columns are the int64 arrays parsed; any other
+    text, a malformed row included, is read line by line into list
+    columns, which gives the same batches or names the first bad line.
     """
     text = stream.read()
     body = text.partition("\n")[2] if text.startswith("slot,") else text
     try:
         values, first, counts, triggers = split_decimal_csv(body, text_column=3)
-        codes = [_TRIGGER_CODE[t] for t in triggers]
+        codes = np.fromiter(map(_TRIGGER_CODE.__getitem__, triggers), np.int64)
     except (ValueError, KeyError):
         return _read_log_lines(text)
     sizes = counts - 5
@@ -156,12 +156,7 @@ def read_log(stream) -> ServiceLog:
     for k in range(5):
         head[first + k] = True
     return ServiceLog(
-        values[first].tolist(),
-        values[first + 1].tolist(),
-        values[first + 2].tolist(),
-        codes,
-        sizes.tolist(),
-        values[~head].tolist(),
+        values[first], values[first + 1], values[first + 2], codes, sizes, values[~head]
     )
 
 
@@ -216,14 +211,16 @@ def split_decimal_csv(
     string (its value reads 0).  Raises ValueError unless every other
     field is 1 to 18 ASCII digits and every line has a field
     ``text_column``; within those limits the values equal ``int`` of the
-    fields.
+    fields.  ``values``, ``first`` and ``counts`` are int64 arrays; a
+    log ``read_log`` splits holds columns taken from them as they are.
     """
     if body and not body.endswith("\n"):
         body += "\n"
-    buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8).copy()
-    if not buf.size:
+    data = body.encode("ascii")
+    if not data:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, []
+    buf = np.frombuffer(data, dtype=np.uint8)
     seps = np.flatnonzero((buf == 44) | (buf == 10))
     starts = np.concatenate(([0], seps[:-1] + 1))
     last = np.flatnonzero(buf[seps] == 10)
@@ -235,15 +232,16 @@ def split_decimal_csv(
             raise ValueError("a line is too short")
         t0, t1 = starts[first + text_column], seps[first + text_column]
         texts = [body[a:b] for a, b in zip(t0.tolist(), t1.tolist())]
-        cover = np.zeros(buf.size + 1, dtype=np.int64)
-        cover[t0] += 1
-        cover[t1] -= 1
-        buf[np.cumsum(cover[:-1]) > 0] = ord("0")
+        # Each text field's bytes, t0[j] up to t1[j], rewritten as zeros.
+        width = t1 - t0
+        at = np.repeat(t0 - np.cumsum(width) + width, width) + np.arange(width.sum())
+        chars = bytearray(data)
+        np.frombuffer(chars, dtype=np.uint8)[at] = ord("0")
+        data = bytes(chars)
     lengths = seps - starts
-    if not _CSV_BYTES[buf].all() or lengths.min() < 1 or lengths.max() > 18:
+    if data.translate(None, b"0123456789,\n") or lengths.min() < 1 or lengths.max() > 18:
         raise ValueError("not plain decimal fields")
-    buf[seps] = ord(",")
-    values = np.fromstring(buf.tobytes(), dtype=np.int64, sep=",")
+    values = np.fromstring(data.replace(b"\n", b","), dtype=np.int64, sep=",")
     return values, first, counts, texts
 
 

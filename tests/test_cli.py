@@ -1,9 +1,13 @@
+import io
 import json
+import random
 
+import numpy as np
 import pytest
 
-from pracsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, main
+from pracsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, _state_values, main
 from pracsim.config import parse_file, resolve
+from pracsim.engine import Engine
 
 
 def test_gen_writes_text_to_stdout(capsys):
@@ -218,6 +222,20 @@ def test_verify_unparseable_log_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_geometry_whose_keys_overflow_int64(tmp_path, capsys):
+    """2**58 banks of 65,536 rows are 2**74 counters: a located geometry
+    error, not a traceback from the replay's key arithmetic."""
+    trace_file, log_file = tmp_path / "t.txt", tmp_path / "l.csv"
+    trace_file.write_text("0 0\n0 1\n")
+    log_file.write_text("2,0,0,drain,1,0\n")
+    argv = ["verify", "--trace", str(trace_file), "--log", str(log_file), "--machine"]
+    assert main(argv + ["--set", f"geometry.banks={2**58}"]) == EXIT_USAGE
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "geometry",
+        "message": f"banks ({2**58}) times rows_per_bank (65536) must be below 2**63",
+    }
+
+
 def verify_with_bad_file(tmp_path, capsys, flag, content):
     """Run verify with one malformed input file; the JSON error it reports."""
     trace_file = tmp_path / "t.txt"
@@ -293,6 +311,32 @@ def test_verify_state_keeps_the_last_value_of_a_counter(tmp_path, capsys):
     state.write_text("0,0,5,2\n1,0,0,0\n0,0,5,7\n")
     assert main(argv) == EXIT_VERIFY
     assert capsys.readouterr().out.endswith("stored counter (0, 0, 5) is 7, expected 2\n")
+
+
+def _dump_values(tmp_path, lines):
+    """The store ``_state_values`` builds from a dump of ``lines``."""
+    path = tmp_path / "state.csv"
+    path.write_text("bank,row_id,byte_id,value\n" + "".join(f"{x}\n" for x in lines))
+    return _state_values(str(path), resolve().geometry)
+
+
+def test_state_values_keep_the_last_value_of_a_repeated_counter(tmp_path):
+    """Listed twice in a row, the keys do not strictly increase."""
+    state = _dump_values(tmp_path, ["0,0,5,7", "0,0,5,2", "1,3,0,4"])
+    assert (state[0, 0, 5], state[1, 3, 0], np.count_nonzero(state)) == (2, 4, 2)
+
+
+def test_state_values_of_a_shuffled_dump_equal_those_of_the_dump(tmp_path):
+    config = resolve(overrides={"trace.generator": "zipf", "trace.length": "3000"})
+    engine = Engine(config)
+    engine.run()
+    buf = io.StringIO()
+    engine.store.dump(buf)
+    lines = buf.getvalue().splitlines()[1:]
+    shuffled = random.Random(1).sample(lines, len(lines))
+    assert shuffled != lines
+    assert np.array_equal(_dump_values(tmp_path, lines), engine.store.values)
+    assert np.array_equal(_dump_values(tmp_path, shuffled), engine.store.values)
 
 
 def test_verify_refuses_the_final_state_of_a_mitigated_run(tmp_path, capsys):

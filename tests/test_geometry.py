@@ -97,8 +97,17 @@ def test_out_of_range(geometry, bank, row):
         {"counters_per_counter_row": 0},
         {"counters_per_counter_row": 1025},
         {"rows_per_bank": 65535},
+        {"banks": 2**47},
     ],
 )
 def test_bad_shapes(kwargs):
     with pytest.raises(GeometryError):
         DramGeometry(**kwargs)
+
+
+def test_a_geometry_below_2_63_counters_is_accepted():
+    """banks x rows_per_bank counters below 2**63, so that every counter
+    key fits an int64; 2**58 banks of 16 rows are 2**62 counters."""
+    assert DramGeometry(banks=2**47 - 1).banks == 2**47 - 1
+    huge = dict(rows_per_bank=16, counter_rows_per_bank=4, counters_per_counter_row=4)
+    assert DramGeometry(banks=2**58, **huge).banks == 2**58

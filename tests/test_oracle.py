@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_oracle
+import legacy_readers
 import legacy_replay
 import legacy_writers
-from pracsim import cli
+from pracsim import cli, oracle
 from pracsim.buffers import DESIGNS, K_TRIGGER_MODES, TRIGGERS
 from pracsim.config import resolve
 from pracsim.engine import Engine
@@ -656,6 +657,15 @@ def test_verify_matches_the_parent_replay(
     )
     want = _outcome(legacy_replay.verify, events, log, config.geometry, **kwargs)
     assert _outcome(verify, events, log, config.geometry, **kwargs) == want
+    # Read back from its file, as int64 arrays when every field is plain
+    # decimal: the same outcome, and verify writes into no column.
+    buf = io.StringIO()
+    write_log(log, buf)
+    read = read_log(io.StringIO(buf.getvalue()))
+    before = [np.array(getattr(read, name)) for name in read.__slots__]
+    assert _outcome(verify, events, read, config.geometry, **kwargs) == want
+    for name, column in zip(read.__slots__, before):
+        assert np.array_equal(getattr(read, name), column)
 
 
 LOG_FIELD = st.one_of(
@@ -848,3 +858,167 @@ def test_read_state_matches_the_legacy_reader(tmp_path_factory, lines, header):
     if want[0] is SimError:
         want = (SimError, want[1].replace(strict, path))
     assert _state(cli._read_state, path) == want
+
+
+# What the parent-reader differential tests put into a valid log or dump.
+CSV_INSERTS = ["-", "+", " ", "\n", "\n\n", ",", "\x00", "é", "٥"]
+CSV_FIELDS = ["9" * 19, "1" + "0" * 18, "9" * 18, "-7", "-0", "+7", " 7", "7 ", "", "é",
+              "whenever", "M_READY", *TRIGGERS]  # fmt: skip
+
+
+def _mutated_csv(data, text):
+    """``text`` changed up to three times: a drawn string inserted at a
+    drawn offset, a blank line inserted, a drawn field or a line's fourth
+    field (a log's trigger) replaced, or the final newline dropped."""
+    kinds = ("insert", "blank", "field", "trigger", "unterminated")
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(kinds))
+        lines = text.split("\n")
+        k = data.draw(st.integers(0, len(lines) - 1))
+        if kind == "insert":
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + data.draw(st.sampled_from(CSV_INSERTS)) + text[at:]
+        elif kind == "blank":
+            lines.insert(k, data.draw(st.sampled_from(["", "  ", "\r"])))
+            text = "\n".join(lines)
+        elif kind == "unterminated":
+            text = text.rstrip("\n")
+        else:
+            fields = lines[k].split(",")
+            f = 3 if kind == "trigger" and len(fields) > 3 else None
+            f = data.draw(st.integers(0, len(fields) - 1)) if f is None else f
+            fields[f] = data.draw(st.sampled_from(CSV_FIELDS))
+            lines[k] = ",".join(fields)
+            text = "\n".join(lines)
+    return text
+
+
+def _log_outcome(reader, text):
+    """The batches a log reader gives, or the type and message of its error."""
+    try:
+        return "ok", batches_of(reader(io.StringIO(text)))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _split_outcome(split, body, text_column):
+    try:
+        values, first, counts, texts = split(body, text_column)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return values.tolist(), first.tolist(), counts.tolist(), texts
+
+
+LOG_BATCH = st.tuples(
+    st.integers(0, 10**6), st.integers(0, 63), st.integers(0, 63), st.sampled_from(TRIGGERS),
+    st.lists(st.integers(0, 1023), max_size=5).map(tuple),
+)  # fmt: skip
+
+
+@settings(deadline=None, max_examples=300)
+@given(batches=st.lists(LOG_BATCH, max_size=25), header=st.booleans(), data=st.data())
+def test_read_log_matches_the_parent_reader(batches, header, data):
+    """A valid log, mutated up to three times: the same batches as the
+    reader that blanked the trigger column with a running sum and gave
+    list columns, or the same error; the same split, or the same
+    ValueError, with the trigger as text column or none."""
+    buf = io.StringIO()
+    write_log(make_log(*batches), buf)
+    text = buf.getvalue() if header else buf.getvalue().partition("\n")[2]
+    text = _mutated_csv(data, text)
+    want = _log_outcome(legacy_readers.read_log, text)
+    assert _log_outcome(read_log, text) == want
+    body = text.partition("\n")[2] if text.startswith("slot,") else text
+    for column in (3, None):
+        want = _split_outcome(legacy_readers.split_decimal_csv, body, column)
+        assert _split_outcome(oracle.split_decimal_csv, body, column) == want
+
+
+@settings(deadline=None, max_examples=150)
+@given(batches=st.lists(LOG_BATCH, max_size=25))
+def test_a_log_read_in_array_passes_is_written_back_byte_for_byte(batches):
+    buf = io.StringIO()
+    write_log(make_log(*batches), buf)
+    log = read_log(io.StringIO(buf.getvalue()))
+    for name in log.__slots__:
+        column = getattr(log, name)
+        assert isinstance(column, np.ndarray) and column.dtype == np.int64
+    again = io.StringIO()
+    write_log(log, again)
+    assert again.getvalue() == buf.getvalue()
+    assert batches_of(log) == batches
+
+
+def test_verify_writes_into_no_column_of_a_read_log():
+    """A zipf run's log read back as int64 arrays, verified as it is, with
+    a bound it breaks and with a wrong final store: the same verdicts as
+    the log built in memory, and every column as it was."""
+    config = resolve(overrides={
+        "trace.generator": "zipf", "trace.length": "2000", "mitigation.enabled": "false",
+    })  # fmt: skip
+    engine = Engine(config, collect_log=True)
+    report = engine.run()
+    events = engine.load_events()
+    buf = io.StringIO()
+    write_log(engine.batch_log, buf)
+    log = read_log(io.StringIO(buf.getvalue()))
+    before = [np.array(getattr(log, name)) for name in log.__slots__]
+    wrong = np.array(engine.store.values)
+    wrong[0, 0, 0] += 1
+    verdicts = []
+    for bound, final in [(config.buffer.pending_limit, engine.store.values), (1, None),
+                         (config.buffer.pending_limit, wrong)]:  # fmt: skip
+        kwargs = dict(
+            staleness_bound=bound, final_values=final, reported_counter_acts=report.counter_acts
+        )
+        verdict = verify(events, log, config.geometry, **kwargs)
+        assert verdict == verify(events, engine.batch_log, config.geometry, **kwargs)
+        verdicts.append(verdict.rule)
+    assert verdicts == [None, 1, 4]
+    for name, column in zip(log.__slots__, before):
+        assert np.array_equal(getattr(log, name), column)
+
+
+DUMP_GEOMETRY = DramGeometry(
+    banks=4, rows_per_bank=16, counter_rows_per_bank=4, counters_per_counter_row=4
+)
+
+
+def _state_outcome(reader, path):
+    """The store a dump reader builds, or the type and message of its error."""
+    try:
+        state = reader(path, DUMP_GEOMETRY)
+    except SimError as exc:
+        return type(exc), str(exc)
+    return state.shape, state.dtype, state.tolist()
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    counters=st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+        st.integers(1, 255), max_size=20,
+    ),
+    order=st.sampled_from(("sorted", "shuffled", "repeated", "outside")),
+    header=st.booleans(),
+    data=st.data(),
+)  # fmt: skip
+def test_state_values_match_the_parent_reader(tmp_path_factory, counters, order, header, data):
+    """A dump in key order, shuffled, with a counter listed again or with
+    one outside the geometry or a byte, mutated up to three times: the
+    store, or the error, of the reader that sorted every dump."""
+    items = sorted((*counter, value) for counter, value in counters.items())
+    if order == "shuffled":
+        items = data.draw(st.permutations(items))
+    elif order == "repeated" and items:
+        again = data.draw(st.sampled_from(items))[:3] + (data.draw(st.integers(0, 255)),)
+        items.insert(data.draw(st.integers(0, len(items))), again)
+    elif order == "outside":
+        items.append(data.draw(st.sampled_from([(4, 0, 0, 1), (0, 4, 0, 1), (0, 0, 4, 1),
+                                                (0, 0, 0, 256)])))  # fmt: skip
+    text = "bank,row_id,byte_id,value\n" if header else ""
+    text = _mutated_csv(data, text + "".join("%d,%d,%d,%d\n" % item for item in items))
+    path = tmp_path_factory.mktemp("dump") / "state.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = _state_outcome(legacy_readers._state_values, str(path))
+    assert _state_outcome(cli._state_values, str(path)) == want
