@@ -15,7 +15,7 @@ import io
 import json
 import mmap
 import sys
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import engine, metrics, oracle, trace
 from .buffers import DESIGNS, K_TRIGGER_MODES
 from .cache import CACHE_KINDS
 from .counters import COUNTER_MAX
-from .errors import ConfigError, SimError
+from .errors import ConfigError, SimError, line_of
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -283,12 +283,8 @@ def _open_text(path: str, what: str) -> io.StringIO:
     try:
         return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
-        # Line breaks as text mode reads them: \n, \r\n or a lone \r.
-        head = data[: exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise SimError(
-            f"{what} {path} line {line}: non-UTF-8 byte 0x{data[exc.start]:02x}"
-        ) from None
+        where = f"{what} {path} line {line_of(data, exc.start)}"
+        raise SimError(f"{where}: non-UTF-8 byte 0x{data[exc.start]:02x}") from None
 
 
 def _read_report(path: str) -> Tuple[int, str, bool]:
@@ -313,38 +309,17 @@ def _read_report(path: str) -> Tuple[int, str, bool]:
     return report["counter_acts"], config.get("cache.kind", "none"), mitigated
 
 
-def _read_state(path: str) -> Tuple[Sequence[int], ...]:
-    """A final counter dump CSV as columns (banks, row_ids, byte_ids, values).
-
-    A dump of plain decimal lines is split in array passes; any other
-    text, a malformed line included, is read line by line, which gives
-    the same columns or names the first bad line.
-    """
+def _read_state(path: str) -> Tuple[np.ndarray, ...]:
+    """A final counter dump CSV as columns (banks, row_ids, byte_ids, values),
+    split as ``oracle.split_decimal_csv`` splits it, with ``bank,`` as the
+    header; the first malformed line raises SimError naming it."""
     text = _open_text(path, "state dump").read()
-    body = text.partition("\n")[2] if text.startswith("bank,") else text
-    try:
-        values, _, counts, _ = oracle.split_decimal_csv(body)
-    except ValueError:
-        counts = None
-    if counts is not None and (counts == 4).all():
-        return tuple(values.reshape(-1, 4).T)
-    columns = ([], [], [], [])
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("bank,"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise SimError(f"state dump {path} line {lineno}: expected 4 fields")
-        try:
-            fields = [oracle.decimal(x) for x in parts]
-        except ValueError:
-            raise SimError(
-                f"state dump {path} line {lineno}: non-integer field"
-            ) from None
-        for column, x in zip(columns, fields):
-            column.append(x)
-    return columns
+    values, _, counts, _, lines, bad = oracle.split_decimal_csv(text, "bank,")
+    j = np.flatnonzero(counts[:bad] != 4).min(initial=bad)
+    if j < lines.size:
+        problem = "expected 4 fields" if counts[j] != 4 else "non-integer field"
+        raise SimError(f"state dump {path} line {lines[j]}: {problem}")
+    return tuple(values.reshape(-1, 4).T)
 
 
 def _state_values(path: str, geometry) -> np.ndarray:
@@ -353,8 +328,8 @@ def _state_values(path: str, geometry) -> np.ndarray:
     or a value outside [0, 255], raises SimError naming the counter."""
     g = geometry
     shape = (g.banks, g.counter_rows_per_bank, g.counters_per_counter_row)
-    # A field too large for int64 makes an object column; it still compares.
-    *counter, values = (np.asarray(column) for column in _read_state(path))
+    # A field too large for int64 makes an object column; it compares exactly.
+    *counter, values = _read_state(path)
     outside = np.zeros(values.size, dtype=bool)
     for column, limit in zip(counter, shape):
         outside |= (column < 0) | (column >= limit)

@@ -5,6 +5,12 @@ emit structured diagnostics without matching on message text.
 """
 
 
+def line_of(data: bytes, offset: int) -> int:
+    """The 1-based line of ``data[offset]``; lines end at \\n, \\r\\n or a lone \\r."""
+    head = data[:offset]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+
+
 class SimError(Exception):
     """Base class for all simulator errors."""
 

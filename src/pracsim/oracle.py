@@ -64,7 +64,8 @@ class ServiceLog:
     ``TRIGGERS[triggers[j]]``; its ``sizes[j]`` byte ids follow those of
     the batches before it in the flat ``byte_ids``.  ``len`` is the batch
     count.  A log built in memory holds lists; one that ``read_log``
-    split in array passes holds int64 arrays.
+    parsed holds int64 arrays, but for object arrays of ints in the
+    columns taken from its fields if one has more than 18 digits.
     """
 
     __slots__ = ("slots", "banks", "row_ids", "triggers", "sizes", "byte_ids")
@@ -135,114 +136,109 @@ def write_log(log: ServiceLog, stream) -> None:
 
 
 def read_log(stream) -> ServiceLog:
-    """Parse a service-log CSV; malformed rows raise LogFormatError.
-
-    A log of plain decimal fields is split in array passes, and its
-    ServiceLog's six columns are the int64 arrays parsed; any other
-    text, a malformed row included, is read line by line into list
-    columns, which gives the same batches or names the first bad line.
-    """
-    text = stream.read()
-    body = text.partition("\n")[2] if text.startswith("slot,") else text
-    try:
-        values, first, counts, triggers = split_decimal_csv(body, text_column=3)
-        codes = np.fromiter(map(_TRIGGER_CODE.__getitem__, triggers), np.int64)
-    except (ValueError, KeyError):
-        return _read_log_lines(text)
-    sizes = counts - 5
-    if sizes.size and (sizes.min() < 0 or (values[first + 4] != sizes).any()):
-        return _read_log_lines(text)
+    """Parse a service-log CSV into a ServiceLog of array columns, blank
+    lines and a ``slot,`` header on line 1 skipped; the first malformed
+    line raises LogFormatError naming it."""
+    values, first, counts, triggers, lines, bad = split_decimal_csv(stream.read(), "slot,", 3)
+    n = np.flatnonzero(counts[:bad] < 5).min(initial=bad)
+    first, sizes = first[:n], counts[:n] - 5
+    codes = np.fromiter(map(_TRIGGER_CODE.get, triggers[:n], [-1] * n), np.int64, n)
+    slots, banks, row_ids, n_items = (values[first + k] for k in (0, 1, 2, 4))
+    j = np.flatnonzero((codes < 0) | (n_items != sizes) | (slots < 0)).min(initial=n)
+    if j < lines.size:
+        if j == n:
+            problem = "expected at least 5 fields" if counts[j] < 5 else "non-integer field"
+        elif codes[j] < 0:
+            problem = f"unknown trigger {triggers[j]!r}"
+        elif n_items[j] != sizes[j]:
+            problem = f"n_items {n_items[j]} but {sizes[j]} byte ids"
+        else:
+            problem = f"negative slot {slots[j]}"
+        raise LogFormatError(f"line {lines[j]}: {problem}")
     head = np.zeros(values.size, dtype=bool)
     for k in range(5):
         head[first + k] = True
-    return ServiceLog(
-        values[first], values[first + 1], values[first + 2], codes, sizes, values[~head]
-    )
+    return ServiceLog(slots, banks, row_ids, codes, sizes, values[~head])
 
 
-def _read_log_lines(text: str) -> ServiceLog:
-    log = ServiceLog()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if lineno == 1 and line.startswith("slot,"):
-            continue
-        parts = line.split(",")
-        if len(parts) < 5:
-            raise LogFormatError(f"line {lineno}: expected at least 5 fields")
-        try:
-            slot, bank, row_id = decimal(parts[0]), decimal(parts[1]), decimal(parts[2])
-            trigger = parts[3]
-            n_items = decimal(parts[4])
-            byte_ids = [decimal(x) for x in parts[5:]]
-        except ValueError:
-            raise LogFormatError(f"line {lineno}: non-integer field") from None
-        if trigger not in TRIGGERS:
-            raise LogFormatError(f"line {lineno}: unknown trigger {trigger!r}")
-        if n_items != len(byte_ids):
-            raise LogFormatError(
-                f"line {lineno}: n_items {n_items} but {len(byte_ids)} byte ids"
-            )
-        if slot < 0:
-            raise LogFormatError(f"line {lineno}: negative slot {slot}")
-        log.append(slot, bank, row_id, trigger, byte_ids)
-    return log
-
-
-def decimal(field: str) -> int:
-    """``field``'s value if it is ASCII digits after an optional ``-``;
-    else ValueError, also for the ``+``, ``_``, spaces and non-ASCII
-    digits that ``int`` takes."""
-    digits = field[1:] if field.startswith("-") else field
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal field: {field!r}")
-    return int(field)
+def _fields(buf: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Where ``buf``'s commas and newlines are, where each field starts and
+    each line's first field; the last two end with the byte and field count."""
+    seps = np.flatnonzero((buf == 44) | (buf == 10))
+    last = np.flatnonzero(buf[seps] == 10)
+    return seps, np.concatenate(([0], seps + 1)), np.concatenate(([0], last + 1))
 
 
 def split_decimal_csv(
-    body: str, text_column: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[str]]:
+    text: str, header: str, text_column: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[str], np.ndarray, int]:
     """Split lines of comma-separated decimal fields in array passes.
 
-    Returns ``(values, first, counts, texts)``: every field's value in
-    order, the index in ``values`` of each line's first field, each
-    line's field count, and each line's field ``text_column`` as a
-    string (its value reads 0).  Raises ValueError unless every other
-    field is 1 to 18 ASCII digits and every line has a field
-    ``text_column``; within those limits the values equal ``int`` of the
-    fields.  ``values``, ``first`` and ``counts`` are int64 arrays; a
-    log ``read_log`` splits holds columns taken from them as they are.
+    Lines end at ``\\n`` and are stripped as ``str.strip`` strips them, a
+    pass taken only if the text holds non-ASCII or the ASCII whitespace
+    ``str.strip`` strips but for ``\\n``.  Empty lines are skipped, and so
+    is line 1 if it starts with ``header``.  A decimal field is ASCII
+    digits after an optional ``-``.
+
+    Returns ``(values, first, counts, texts, lines, bad)``: each kept
+    line's 1-based number in ``lines`` and field count in ``counts``, and
+    the index ``bad`` of the first one holding a non-decimal field other
+    than field ``text_column``, or no such field (``len(lines)`` if none).
+    For the lines before it, ``values`` holds every field's value (field
+    ``text_column`` reads 0), ``first`` the index there of each line's
+    first field and ``texts`` its field ``text_column``.  ``values`` is
+    int64, or object if a field has more than 18 digits.
     """
+    if not text.isascii() or any(map(text.__contains__, " \t\r\x0b\x0c\x1c\x1d\x1e\x1f")):
+        text = "\n".join([line.strip() for line in text.split("\n")])
+    skip = text.startswith(header)
+    body = text.partition("\n")[2] if skip else text
     if body and not body.endswith("\n"):
         body += "\n"
-    data = body.encode("ascii")
-    if not data:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, []
+    data = body.encode()
     buf = np.frombuffer(data, dtype=np.uint8)
-    seps = np.flatnonzero((buf == 44) | (buf == 10))
-    starts = np.concatenate(([0], seps[:-1] + 1))
-    last = np.flatnonzero(buf[seps] == 10)
-    first = np.concatenate(([0], last[:-1] + 1))
-    counts = last - first + 1
-    texts = []
+    seps, starts, first = _fields(buf)
+    lengths, counts = seps - starts[:-1], np.diff(first)
+    lines = np.arange(1 + skip, 1 + skip + counts.size)
+    # A plain text has no empty field, so no empty line (a line of one empty
+    # field), and no field too long for int64.
+    plain = lengths.min(initial=1) >= 1 and lengths.max(initial=0) <= 18
+    empty = None if plain else (counts == 1) & (lengths[first[:-1]] == 0)
+    if empty is not None and empty.any():
+        lines, buf = lines[~empty], np.delete(buf, seps[first[:-1][empty]])
+        seps, starts, first = _fields(buf)
+        lengths, counts, data = seps - starts[:-1], np.diff(first), buf.tobytes()
+    bad, texts = counts.size, []
     if text_column is not None:
-        if counts.min() <= text_column:
-            raise ValueError("a line is too short")
-        t0, t1 = starts[first + text_column], seps[first + text_column]
-        texts = [body[a:b] for a, b in zip(t0.tolist(), t1.tolist())]
-        # Each text field's bytes, t0[j] up to t1[j], rewritten as zeros.
-        width = t1 - t0
+        bad = np.flatnonzero(counts <= text_column).min(initial=bad)
+        t = first[:bad] + text_column
+        # Each text field's width[j] bytes from t0[j], read, then rewritten as zeros.
+        t0, width = starts[t], lengths[t]
         at = np.repeat(t0 - np.cumsum(width) + width, width) + np.arange(width.sum())
-        chars = bytearray(data)
-        np.frombuffer(chars, dtype=np.uint8)[at] = ord("0")
-        data = bytes(chars)
-    lengths = seps - starts
-    if data.translate(None, b"0123456789,\n") or lengths.min() < 1 or lengths.max() > 18:
-        raise ValueError("not plain decimal fields")
-    values = np.fromstring(data.replace(b"\n", b","), dtype=np.int64, sep=",")
-    return values, first, counts, texts
+        texts = np.insert(buf[at], np.cumsum(width), 10).tobytes().decode().split("\n")
+        buf = buf.copy()
+        buf[at] = ord("0")
+        data = buf.tobytes()
+        lengths[t] = 1  # A text field may be empty or long.
+    if not plain or data.translate(None, b"0123456789,\n"):
+        digit = (buf >= 48) & (buf <= 57)
+        odd = np.flatnonzero(~digit & (buf != 44) & (buf != 10))
+        field = np.searchsorted(seps, odd)
+        # A "-" is a sign if it opens its field and a digit follows.
+        sign = (buf[odd] == 45) & (odd == starts[field]) & digit[odd + 1]
+        lengths[field[sign]] -= 1
+        wrong = np.concatenate((field[~sign], np.flatnonzero(lengths < 1), first[-1:]))
+        bad = min(bad, np.searchsorted(first, wrong.min(), side="right") - 1)
+    long = not plain and lengths[: first[bad]].max(initial=0) > 18
+    chunk = data[: starts[first[bad]]].replace(b"\n", b",")
+    if not plain:
+        # Before the bad line only a text field can be empty; it reads 0 too.
+        chunk = chunk.replace(b",,", b",0,")
+    if long:
+        values = np.array([int(x) for x in chunk.split(b",")[:-1]], dtype=object)
+    else:
+        values = np.fromstring(chunk, dtype=np.int64, sep=",")
+    return values, first[:bad], counts, texts[:bad], lines, int(bad)
 
 
 def _check_batch(

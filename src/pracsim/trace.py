@@ -26,7 +26,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, TraceError
+from .errors import ConfigError, TraceError, line_of
 from .geometry import DramGeometry
 
 # Each generator's parameters, in the order a resolved config lists them.
@@ -330,6 +330,9 @@ def read_text(stream, geometry: DramGeometry) -> Trace:
             )
         try:
             bank, data_row = int(parts[0]), int(parts[1])
+            # ``int`` also takes +, _ and non-ASCII digits; bytes.isdigit() does not.
+            if not (parts[0] + parts[1]).replace("-", "").encode().isdigit():
+                raise ValueError(line)
         except ValueError:
             raise TraceError(f"non-integer field in {line!r}", line=lineno) from None
         _check_range(geometry, bank, data_row, lineno)
@@ -390,9 +393,7 @@ def load(path: str, geometry: DramGeometry, fmt: str = "auto") -> Trace:
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
-        # Line breaks as text mode reads them: \n, \r\n or a lone \r.
-        head = data[: exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        line = line_of(data, exc.start)
         raise TraceError(f"non-ASCII byte 0x{data[exc.start]:02x}", line=line) from None
     return read_text(io.StringIO(text, newline=None), geometry)
 

@@ -4,11 +4,13 @@ in lean array passes.
 Verbatim copies of ``oracle.split_decimal_csv``, which blanked its text
 column with a running sum over every byte and checked bytes through a
 256-entry table, ``oracle.read_log``, which turned the parsed int64
-columns into lists, and ``cli._read_state`` and ``cli._state_values``,
-which sorted every dump.  The one edit: ``_read_state`` calls
-``split_decimal_csv`` and ``decimal`` by bare name, without the
-``oracle.`` prefix, so that it reads through this module's copy.  The
-helpers they share with ``pracsim`` are imported from it.
+columns into lists, ``cli._read_state`` and ``cli._state_values``,
+which sorted every dump, and the line loops both readers fell back on
+for any other text: ``oracle._read_log_lines`` and ``oracle.decimal``.
+The one edit: ``_read_state`` calls ``split_decimal_csv`` and
+``decimal`` by bare name, without the ``oracle.`` prefix, so that it
+reads through this module's copy.  The helpers they share with
+``pracsim`` are imported from it.
 
 Tests run them beside ``pracsim`` as the reference for differential
 tests; nothing under ``src/`` imports this module.
@@ -19,10 +21,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from pracsim.buffers import TRIGGERS
 from pracsim.cli import _open_text
 from pracsim.counters import COUNTER_MAX
-from pracsim.errors import SimError
-from pracsim.oracle import _TRIGGER_CODE, ServiceLog, _read_log_lines, decimal
+from pracsim.errors import LogFormatError, SimError
+from pracsim.oracle import _TRIGGER_CODE, ServiceLog
 
 # Bytes the fast CSV path takes: digits, comma and newline.
 _CSV_BYTES = np.zeros(256, dtype=bool)
@@ -57,6 +60,46 @@ def read_log(stream) -> ServiceLog:
         sizes.tolist(),
         values[~head].tolist(),
     )
+
+
+def _read_log_lines(text: str) -> ServiceLog:
+    log = ServiceLog()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if lineno == 1 and line.startswith("slot,"):
+            continue
+        parts = line.split(",")
+        if len(parts) < 5:
+            raise LogFormatError(f"line {lineno}: expected at least 5 fields")
+        try:
+            slot, bank, row_id = decimal(parts[0]), decimal(parts[1]), decimal(parts[2])
+            trigger = parts[3]
+            n_items = decimal(parts[4])
+            byte_ids = [decimal(x) for x in parts[5:]]
+        except ValueError:
+            raise LogFormatError(f"line {lineno}: non-integer field") from None
+        if trigger not in TRIGGERS:
+            raise LogFormatError(f"line {lineno}: unknown trigger {trigger!r}")
+        if n_items != len(byte_ids):
+            raise LogFormatError(
+                f"line {lineno}: n_items {n_items} but {len(byte_ids)} byte ids"
+            )
+        if slot < 0:
+            raise LogFormatError(f"line {lineno}: negative slot {slot}")
+        log.append(slot, bank, row_id, trigger, byte_ids)
+    return log
+
+
+def decimal(field: str) -> int:
+    """``field``'s value if it is ASCII digits after an optional ``-``;
+    else ValueError, also for the ``+``, ``_``, spaces and non-ASCII
+    digits that ``int`` takes."""
+    digits = field[1:] if field.startswith("-") else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal field: {field!r}")
+    return int(field)
 
 
 def split_decimal_csv(

@@ -197,6 +197,18 @@ def test_non_ascii_text_trace_is_a_located_trace_error(tmp_path, capsys):
     assert err == {"error": "trace", "message": "line 1: non-ASCII byte 0xf4"}
 
 
+@pytest.mark.parametrize("line", ["+3 4", "5_0 6"])
+def test_analyze_refuses_a_trace_field_only_int_takes(tmp_path, capsys, line):
+    """The text trace takes the log's digit rule: ASCII digits after an
+    optional ``-``, so a ``+`` or ``_`` is a located error."""
+    trace_file = tmp_path / "t.txt"
+    trace_file.write_text(f"0 1\n{line}\n", encoding="utf-8")
+    argv = ["analyze", "--set", "trace.format=text", "--trace", str(trace_file)]
+    assert main(argv + ["--machine"]) == EXIT_RUNTIME
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "trace", "message": f"line 2: non-integer field in {line!r}"}
+
+
 def test_gen_refuses_a_bank_the_binary_format_cannot_hold(tmp_path, capsys):
     """The first record whose bank overflows the u16 field is named, and
     the output file is not truncated."""
@@ -276,6 +288,20 @@ def test_verify_state_outside_the_geometry_or_a_byte_is_runtime_error(
     """Named by the first bad counter, not wrapped into the uint8 store."""
     content = f"bank,row_id,byte_id,value\n0,0,3,1\n{line}\n65,0,0,1\n"
     message = verify_with_bad_file(tmp_path, capsys, "--state", content)
+    assert message == f"state dump {tmp_path / 'bad'}: counter {problem}"
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [("9999999999999999999,0,1,1",
+      "(9999999999999999999, 0, 1) is outside the geometry's (64, 64, 1024) counters"),
+     ("0,0,2,9999999999999999999", "(0, 0, 2) holds 9999999999999999999, outside [0, 255]")],
+    ids=["bank", "value"],
+)  # fmt: skip
+def test_verify_state_names_a_19_digit_field_exactly(tmp_path, capsys, line, problem):
+    """A field in [2**63, 2**64) is named as written, not rounded through a
+    float64 column to 10000000000000000000 or 1e+19."""
+    message = verify_with_bad_file(tmp_path, capsys, "--state", f"0,0,0,1\n{line}\n")
     assert message == f"state dump {tmp_path / 'bad'}: counter {problem}"
 
 

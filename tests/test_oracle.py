@@ -2,6 +2,7 @@ import io
 import re
 from collections import defaultdict
 from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -227,9 +228,10 @@ def test_read_log_rejects_malformed_rows(line):
     ["+1,0,2,m_ready,1,5", "1, 0,2,m_ready,1,5", "1,0,2 ,m_ready,1,5",
      "1,0,2,m_ready,+1,5", "1,0,2,m_ready,1,1_0", "1,0,2,m_ready,1,\x1c5",
      "\u0661,0,2,m_ready,1,5", "1,0,\uff12,m_ready,1,5", "1,0,2,m_ready,1,-",
-     "1,0,2,m_ready,1,--5"],
+     "1,0,2,m_ready,1,--5", "1,0,2,m_ready,1,5-1"],
     ids=["plus", "space_before", "space_after", "plus_n_items", "underscore",
-         "separator", "arabic_indic", "fullwidth", "bare_minus", "double_minus"],
+         "separator", "arabic_indic", "fullwidth", "bare_minus", "double_minus",
+         "inner_minus"],
 )  # fmt: skip
 def test_read_log_takes_only_ascii_digits_and_a_minus(line):
     """Fields ``int`` would take are a located error on the line they are on."""
@@ -704,19 +706,23 @@ DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _strict(text, skip="slot,", fields=5, text_column=3):
-    """``text`` with every field that ``int`` takes but the readers refuse
-    (a ``+``, ``_``, spaces, non-ASCII digits) replaced by ``x``, in the
-    lines a legacy reader parses: there it raises the same located
-    "non-integer field" error the readers give."""
+    """``text`` as a legacy reader must read it to give the readers'
+    outcome.  In every line it parses, a field that ``int`` takes but the
+    readers refuse (a ``+``, ``_``, spaces, non-ASCII digits) is replaced
+    by ``x``, so that it raises the same located "non-integer field"
+    error.  A line starting with ``skip`` is parsed unless it is line 1:
+    the readers skip a header there only, a legacy state reader anywhere."""
     out = []
-    for raw in text.split("\n"):
-        parts = raw.strip().split(",")
-        if raw.strip() and not raw.strip().startswith(skip) and len(parts) >= fields:
-            parts = [
-                p if k == text_column or DECIMAL.fullmatch(p) else "x"
-                for k, p in enumerate(parts)
-            ]
-            raw = ",".join(parts)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line and not (lineno == 1 and line.startswith(skip)):
+            parts = line.split(",")
+            if len(parts) >= fields or line.startswith(skip):
+                parts = [
+                    p if k == text_column or DECIMAL.fullmatch(p) else "x"
+                    for k, p in enumerate(parts)
+                ]
+                raw = ",".join(parts)
         out.append(raw)
     return "\n".join(out)
 
@@ -901,14 +907,6 @@ def _log_outcome(reader, text):
         return type(exc), str(exc)
 
 
-def _split_outcome(split, body, text_column):
-    try:
-        values, first, counts, texts = split(body, text_column)
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return values.tolist(), first.tolist(), counts.tolist(), texts
-
-
 LOG_BATCH = st.tuples(
     st.integers(0, 10**6), st.integers(0, 63), st.integers(0, 63), st.sampled_from(TRIGGERS),
     st.lists(st.integers(0, 1023), max_size=5).map(tuple),
@@ -920,18 +918,86 @@ LOG_BATCH = st.tuples(
 def test_read_log_matches_the_parent_reader(batches, header, data):
     """A valid log, mutated up to three times: the same batches as the
     reader that blanked the trigger column with a running sum and gave
-    list columns, or the same error; the same split, or the same
-    ValueError, with the trigger as text column or none."""
+    list columns, or the same error."""
     buf = io.StringIO()
     write_log(make_log(*batches), buf)
     text = buf.getvalue() if header else buf.getvalue().partition("\n")[2]
     text = _mutated_csv(data, text)
     want = _log_outcome(legacy_readers.read_log, text)
     assert _log_outcome(read_log, text) == want
-    body = text.partition("\n")[2] if text.startswith("slot,") else text
-    for column in (3, None):
-        want = _split_outcome(legacy_readers.split_decimal_csv, body, column)
-        assert _split_outcome(oracle.split_decimal_csv, body, column) == want
+
+
+@pytest.mark.parametrize(
+    "text, header, text_column, want",
+    [("slot,b\n1,2,m_ready,3\n4,5,drain,6\n", "slot,", 2,
+      ([1, 2, 0, 3, 4, 5, 0, 6], "int64", [0, 4], [4, 4], ["m_ready", "drain"], [2, 3], 2)),
+     ("\n 1,-2,a,3 \r\n\n-0,5,,6\r\n\t\n", "slot,", 2,
+      ([1, -2, 0, 3, 0, 5, 0, 6], "int64", [0, 4], [4, 4], ["a", ""], [2, 4], 2)),
+     ("1,2,a,3\n4,5\n6,x,b,7\n", "slot,", 2,
+      ([1, 2, 0, 3], "int64", [0], [4, 2, 4], ["a"], [1, 2, 3], 1)),
+     ("1,2,é,3\n4,+5,b,6\n7,8,c,9", "slot,", 2,
+      ([1, 2, 0, 3], "int64", [0], [4, 4, 4], ["é"], [1, 2, 3], 1)),
+     ("1,2,a,99999999999999999999\n3,-,b,4\n", "slot,", 2,
+      ([1, 2, 0, 10**20 - 1], "object", [0], [4, 4], ["a"], [1, 2], 1)),
+     ("\nbank,r\n5,6\n", "bank,", None, ([], "int64", [], [2, 2], [], [2, 3], 0)),
+     ("bank,r\n\n5,6\n", "bank,", None, ([5, 6], "int64", [0], [2], [], [3], 1)),
+     ("", "bank,", None, ([], "int64", [], [], [], [], 0))],
+    ids=["plain", "blank_padded_crlf_minus", "no_text_field", "non_decimal",
+         "over_long", "header_on_line_2", "header_on_line_1", "empty"],
+)  # fmt: skip
+def test_split_decimal_csv_numbers_kept_lines_and_finds_the_first_bad_one(
+    text, header, text_column, want
+):
+    """Each kept line's number and field count, the index of the first
+    line that cannot be split, and the values and texts of those before it."""
+    values, first, counts, texts, lines, bad = oracle.split_decimal_csv(
+        text, header, text_column
+    )
+    got = (values.tolist(), values.dtype.name, first.tolist(), counts.tolist(), texts)
+    assert got + (lines.tolist(), bad) == want
+
+
+LOG_EDITS = ("blank", "crlf", "pad", "minus", "long")
+
+
+@settings(deadline=None, max_examples=200)
+@given(batches=st.lists(LOG_BATCH, min_size=1, max_size=20), data=st.data())
+def test_every_log_read_log_takes_has_array_columns(batches, data):
+    """A valid log with blank lines, CRLF endings, padded lines, ``-`` fields
+    and fields of 19 digits drawn in: whenever ``read_log`` takes it, its
+    columns are arrays, int64 or, only if a field has more than 18 digits,
+    objects, and it holds the batches the line loop reads."""
+    buf = io.StringIO()
+    write_log(make_log(*batches), buf)
+    lines = buf.getvalue().split("\n")[:-1]
+    edited = data.draw(st.integers(0, len(lines) - 1))
+    out = []
+    for k, line in enumerate(lines):
+        edits = st.sampled_from(LOG_EDITS if k == edited else (None,) + LOG_EDITS)
+        edit, fields = data.draw(edits), line.split(",")
+        at = data.draw(st.sampled_from([f for f in range(len(fields)) if f != 3]))
+        if edit == "blank":
+            out.append(data.draw(st.sampled_from(["", " ", "\t", "\r"])))
+        elif edit == "crlf":
+            line += "\r"
+        elif edit == "pad":
+            pads = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x1c", "\xa0", "\u2028"])
+            line = data.draw(pads) + line + data.draw(pads)
+        elif edit in ("minus", "long"):
+            fields[at] = "-" + fields[at] if edit == "minus" else "9" * 19
+            line = ",".join(fields)
+        out.append(line)
+    text = "\n".join(out) + data.draw(st.sampled_from(["", "\n", "\r\n"]))
+    try:
+        log = read_log(io.StringIO(text))
+    except LogFormatError:
+        return
+    long = "9" * 19 in text
+    for name in log.__slots__:
+        column = getattr(log, name)
+        assert isinstance(column, np.ndarray)
+        assert column.dtype == np.int64 or (long and column.dtype == object)
+    assert batches_of(log) == batches_of(legacy_readers._read_log_lines(text))
 
 
 @settings(deadline=None, max_examples=150)
@@ -1006,7 +1072,10 @@ def _state_outcome(reader, path):
 def test_state_values_match_the_parent_reader(tmp_path_factory, counters, order, header, data):
     """A dump in key order, shuffled, with a counter listed again or with
     one outside the geometry or a byte, mutated up to three times: the
-    store, or the error, of the reader that sorted every dump."""
+    store, or the error, of the reader that sorted every dump.  That
+    reader is given the dump as ``_strict`` rewrites it for the header
+    rule, and reads its columns as exact ints: it made a column holding a
+    field in [2**63, 2**64) float64, and so named a rounded value."""
     items = sorted((*counter, value) for counter, value in counters.items())
     if order == "shuffled":
         items = data.draw(st.permutations(items))
@@ -1019,6 +1088,15 @@ def test_state_values_match_the_parent_reader(tmp_path_factory, counters, order,
     text = "bank,row_id,byte_id,value\n" if header else ""
     text = _mutated_csv(data, text + "".join("%d,%d,%d,%d\n" % item for item in items))
     path = tmp_path_factory.mktemp("dump") / "state.csv"
+    # Line breaks as text mode reads them, so that ``_strict`` sees its lines.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n")
+    path.write_bytes(_strict(lines, "bank,", 4, None).encode("utf-8"))
+    with mock.patch.object(legacy_readers, "_read_state", _exact_columns):
+        want = _state_outcome(legacy_readers._state_values, str(path))
     path.write_bytes(text.encode("utf-8"))
-    want = _state_outcome(legacy_readers._state_values, str(path))
     assert _state_outcome(cli._state_values, str(path)) == want
+
+
+def _exact_columns(path, read_state=legacy_readers._read_state):
+    """The parent's state columns as object arrays of exact ints."""
+    return tuple(np.array([int(x) for x in c], dtype=object) for c in read_state(path))

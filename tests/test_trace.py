@@ -452,6 +452,16 @@ RECORD = st.one_of(
 )
 
 
+@pytest.mark.parametrize(
+    "line", ["+3 4", "5_0 6", "3 +4", "1_0 6", "\u0663 4", "3 \uff14", "-3 4_0"]
+)
+def test_read_text_takes_only_ascii_digits_and_a_minus(line):
+    """Fields ``int`` would take, as the log and state readers refuse them."""
+    with pytest.raises(TraceError) as exc:
+        read_text(io.StringIO(f"0 1\n{line}\n"), DramGeometry())
+    assert str(exc.value) == f"line 2: non-integer field in {line!r}"
+
+
 @settings(deadline=None, max_examples=150)
 @given(lines=st.lists(TEXT_LINE, max_size=40))
 def test_read_text_matches_the_legacy_reader(lines):
