@@ -15,6 +15,7 @@ import io
 import json
 import mmap
 import sys
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -186,6 +187,15 @@ def build_parser() -> _Parser:
         "--state", metavar="FILE", help="final counter dump CSV to cross-check"
     )
     return parser
+
+
+@lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The parser ``main`` parses with, built on its first call rather
+    than at import, so importing this module costs no parser.  Parsing
+    leaves it unchanged: each call gets a fresh namespace, and ``--set``
+    copies its default list before appending."""
+    return build_parser()
 
 
 def _overrides_from_args(args: argparse.Namespace) -> Dict[str, str]:
@@ -397,10 +407,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     machine = False
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         machine = getattr(args, "machine", False)
         if args.command is None:
             raise _UsageError("a command is required (gen, run, compare, analyze, verify)")

@@ -9,20 +9,24 @@ followed by u32 data_row.  Slots are implicit: event i occupies slot i.
 
 All generator randomness flows from the seed in the TraceSpec through a
 private random.Random instance, so a (spec, geometry) pair always
-produces the same trace on any platform.  The generators draw each
-integer below n in line, as CPython's ``randrange(n)`` and ``shuffle``
-do: ``getrandbits(n.bit_length())``, drawn again while the result is at
-least n.  A trace therefore reproduces as long as that algorithm and the
-Mersenne Twister behind ``random.Random`` stay the same.
+produces the same trace on any platform.  Each generator draws its
+events in one inline loop, and draws each integer below n as CPython's
+``randrange(n)`` and ``shuffle`` do: ``getrandbits(n.bit_length())``,
+drawn again while the result is at least n.  The zipf generator draws
+each event's bank and ``random()`` in that loop, then finds every rank
+in one ``np.searchsorted`` pass over the cumulative weights, which makes
+the IEEE comparisons of a ``bisect_left`` per event.  A trace therefore
+reproduces exactly as it did when each event drew and bisected in turn,
+as long as that algorithm and the Mersenne Twister behind
+``random.Random`` stay the same.
 """
 
 import io
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, count
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -143,45 +147,58 @@ def generate(spec: TraceSpec, geometry: DramGeometry) -> Trace:
     return Trace(*builder(spec, geometry, rng, rows, banks))
 
 
-def _bank_then_row(n: int, banks: int, rng: random.Random, row) -> Tuple[list, list]:
-    """Columns of ``n`` events, each drawing its bank (when ``banks`` > 1)
-    and then its data row, ``row()``."""
-    if banks == 1:
-        return [0] * n, [row() for _ in range(n)]
-    getrandbits, k = rng.getrandbits, banks.bit_length()
-    bank_col, row_col = [], []
-    for _ in range(n):
-        bank = getrandbits(k)
-        while bank >= banks:
-            bank = getrandbits(k)
-        bank_col.append(bank)
-        row_col.append(row())
-    return bank_col, row_col
+def _bank_bits(banks: int) -> int:
+    """Width of an event's bank draw.  ``getrandbits(0)`` returns 0 and
+    takes no word from the stream, so a single-bank trace's events draw
+    only their rows."""
+    return banks.bit_length() if banks > 1 else 0
 
 
 def _gen_uniform(spec, geometry, rng, rows, banks):
-    getrandbits, k = rng.getrandbits, rows.bit_length()
-
-    def row():
-        r = getrandbits(k)
+    getrandbits, k_bank, k_rows = rng.getrandbits, _bank_bits(banks), rows.bit_length()
+    bank_col, row_col = [], []
+    for _ in range(spec.length):
+        bank = getrandbits(k_bank)
+        while bank >= banks:
+            bank = getrandbits(k_bank)
+        r = getrandbits(k_rows)
         while r >= rows:
-            r = getrandbits(k)
-        return r
-
-    return _bank_then_row(spec.length, banks, rng, row)
+            r = getrandbits(k_rows)
+        bank_col.append(bank)
+        row_col.append(r)
+    return bank_col, row_col
 
 
 @lru_cache(maxsize=4)
-def _zipf_cumulative(rows: int, exponent: float) -> tuple:
-    """Cumulative zipf weights of ranks 0..rows-1; the same for every seed."""
-    return tuple(accumulate((rank + 1) ** -exponent for rank in range(rows)))
+def _zipf_cumulative(rows: int, exponent: float) -> np.ndarray:
+    """Cumulative zipf weights of ranks 0..rows-1; the same for every seed.
+
+    Summed in Python floats, rank by rank, and shared by every trace with
+    these parameters, so the array is read-only."""
+    weights = np.fromiter(
+        accumulate((rank + 1) ** -exponent for rank in range(rows)),
+        dtype=np.float64,
+        count=rows,
+    )
+    weights.flags.writeable = False
+    return weights
 
 
 def _gen_zipf(spec, geometry, rng, rows, banks):
     exponent = spec.params.get("exponent", 1.0)
     shuffle = spec.params.get("shuffle", True)
     cumulative = _zipf_cumulative(rows, exponent)
-    total = cumulative[-1]
+    getrandbits, k_bank, uniform = rng.getrandbits, _bank_bits(banks), rng.random
+    bank_col, draws = [], []
+    for _ in range(spec.length):
+        bank = getrandbits(k_bank)
+        while bank >= banks:
+            bank = getrandbits(k_bank)
+        bank_col.append(bank)
+        draws.append(uniform())
+    # Side "left" makes bisect_left's comparisons: the first rank whose
+    # cumulative weight is at least the draw.
+    ranks = np.searchsorted(cumulative, np.array(draws) * cumulative[-1]).tolist()
     mapping = list(range(rows))
     if shuffle:
         # A child generator keeps the rank stream identical with and
@@ -189,26 +206,22 @@ def _gen_zipf(spec, geometry, rng, rows, banks):
         _shuffle(mapping, random.Random(spec.seed * 0x9E3779B97F4A7C15 + 1))
     # A draw past the last cumulative weight (float rounding) is the last rank.
     mapping.append(mapping[-1])
-    uniform = rng.random
-    return _bank_then_row(
-        spec.length,
-        banks,
-        rng,
-        lambda: mapping[bisect_left(cumulative, uniform() * total)],
-    )
+    return bank_col, list(map(mapping.__getitem__, ranks))
 
 
 def _shuffle(x: list, rng: random.Random) -> None:
     """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` does: the same
-    Fisher-Yates swaps from the same draws."""
+    Fisher-Yates swaps from the same draws.  Swap i draws ``k`` bits,
+    the bit length of i + 1, until the draw is at most i; each inner
+    loop takes the swaps of one width, from i = min(len(x), 2**k - 1) - 1
+    down to 2**(k - 1) - 1."""
     getrandbits = rng.getrandbits
-    for i in reversed(range(1, len(x))):
-        n = i + 1
-        k = n.bit_length()
-        j = getrandbits(k)
-        while j >= n:
+    for k in range(len(x).bit_length(), 1, -1):
+        for i in range(min(len(x), (1 << k) - 1) - 1, (1 << (k - 1)) - 2, -1):
             j = getrandbits(k)
-        x[i], x[j] = x[j], x[i]
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
 
 
 def _gen_sequential(spec, geometry, rng, rows, banks):
@@ -228,21 +241,25 @@ def _gen_hotset(spec, geometry, rng, rows, banks):
     if hot_rows > rows:
         raise ConfigError(f"hot_rows {hot_rows} exceeds row population {rows}")
     hot = rng.sample(range(rows), hot_rows)
-    uniform, getrandbits = rng.random, rng.getrandbits
+    getrandbits, k_bank, uniform = rng.getrandbits, _bank_bits(banks), rng.random
     k_hot, k_rows = hot_rows.bit_length(), rows.bit_length()
-
-    def row():
+    bank_col, row_col = [], []
+    for _ in range(spec.length):
+        bank = getrandbits(k_bank)
+        while bank >= banks:
+            bank = getrandbits(k_bank)
         if uniform() < hot_fraction:
             r = getrandbits(k_hot)
             while r >= hot_rows:
                 r = getrandbits(k_hot)
-            return hot[r]
-        r = getrandbits(k_rows)
-        while r >= rows:
+            r = hot[r]
+        else:
             r = getrandbits(k_rows)
-        return r
-
-    return _bank_then_row(spec.length, banks, rng, row)
+            while r >= rows:
+                r = getrandbits(k_rows)
+        bank_col.append(bank)
+        row_col.append(r)
+    return bank_col, row_col
 
 
 def _gen_hammer(spec, geometry, rng, rows, banks):

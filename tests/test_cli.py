@@ -1,10 +1,14 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from pracsim import cli
 from pracsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, _state_values, main
 from pracsim.config import parse_file, resolve
 from pracsim.engine import Engine
@@ -117,6 +121,61 @@ def test_pipeline_run_then_verify(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert capsys.readouterr().out.strip() == "pass"
+
+
+# A run, a usage error and a verify of that run, in one process.
+GEN_ZIPF = ["--generator", "zipf", "--length", "3000", "--banks", "4", "--seed", "5"]
+NO_MITIGATION = ["--set", "mitigation.enabled=false"]
+PARSER_CALLS = [
+    ["run", *GEN_ZIPF, *NO_MITIGATION, "--policy", "unified_fcfs", "--log", "log.csv",
+     "--dump-state", "state.csv", "--out", "report.json"],
+    ["run", *NO_MITIGATION, "--policy", "nosuch"],
+    ["verify", *GEN_ZIPF, *NO_MITIGATION, "--log", "log.csv", "--report", "report.json",
+     "--state", "state.csv"],
+]  # fmt: skip
+
+
+def _parser_calls(workdir, monkeypatch, capsys):
+    """Exit code, stdout and stderr of each of ``PARSER_CALLS`` run in
+    ``workdir``, then the bytes of the files they wrote."""
+    monkeypatch.chdir(workdir)
+    outcomes = []
+    for argv in PARSER_CALLS:
+        code = main(argv)
+        outcomes.append((code, *capsys.readouterr()))
+    files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+    return outcomes, files
+
+
+def test_main_reuses_one_parser_with_the_results_of_a_fresh_one(
+    tmp_path, monkeypatch, capsys
+):
+    """``main`` builds its parser once per process; a run, a usage error
+    and a verify give the exit codes, output and files that a parser
+    built afresh for each call gives."""
+    (tmp_path / "kept").mkdir()
+    (tmp_path / "fresh").mkdir()
+    main(PARSER_CALLS[1])
+    capsys.readouterr()
+    kept = _parser_calls(tmp_path / "kept", monkeypatch, capsys)
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert kept == _parser_calls(tmp_path / "fresh", monkeypatch, capsys)
+    assert [code for code, _, _ in kept[0]] == [EXIT_OK, EXIT_USAGE, EXIT_OK]
+    assert kept[0][2][1] == "pass\n"
+    assert "invalid choice: 'nosuch'" in kept[0][1][2]
+    assert set(kept[1]) == {"log.csv", "report.json", "state.csv"}
+
+
+def test_importing_the_cli_builds_no_parser():
+    """A module that imports the CLI without calling ``main`` pays for no
+    parser."""
+    code = "import pracsim.cli as c; print(c._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "0\n"
 
 
 def test_run_then_verify_under_repcount(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import hashlib
 import io
+import itertools
 import random
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 from scipy import stats
 
 import legacy_trace
@@ -22,6 +25,7 @@ from pracsim.trace import (
     read_text,
     save,
     _shuffle,
+    _zipf_cumulative,
     write_text,
 )
 
@@ -273,7 +277,9 @@ def _outcome(fn, *args):
 GEN_PARAMS = {
     "uniform": {"rows": st.integers(1, 65536), "banks": st.integers(1, 64)},
     "zipf": {
-        "exponent": st.floats(0.2, 3.0),
+        # Past about 3 the tail weights of 65,536 rows add nothing to the
+        # cumulative sum, and past about 70 they underflow to 0.0.
+        "exponent": st.one_of(st.floats(0.2, 3.0), st.floats(3.0, 1000.0)),
         "rows": st.integers(1, 65536),
         "banks": st.integers(1, 64),
         "shuffle": st.booleans(),
@@ -354,9 +360,18 @@ def test_draw_loops_match_the_legacy_generators_at_power_of_two_bounds(
             assert list(got) == legacy_trace.generate(spec, geometry), (length, params)
 
 
+# Every length where the widest swap's draw width changes: 2**k - 1,
+# 2**k and 2**k + 1 up to 2**16, beside every length up to 70.
+SHUFFLE_SIZES = sorted(
+    {*range(71), *(n for k in range(17) for n in (2**k - 1, 2**k, 2**k + 1))}
+)
+
+
 def test_shuffle_matches_random_shuffle():
+    """One draw width per inner loop gives ``random.shuffle``'s swaps at
+    every length, above all where a width ends and the next begins."""
     for seed in SEEDS:
-        for n in [*range(71), 65536]:
+        for n in SHUFFLE_SIZES:
             got, want = list(range(n)), list(range(n))
             _shuffle(got, random.Random(seed))
             random.Random(seed).shuffle(want)
@@ -390,6 +405,95 @@ def test_benchmark_traces_keep_their_pinned_prefixes(name, geometry):
     spec, prefix = PINNED_PREFIXES[name]
     trace = generate(spec, geometry)
     assert list(zip(trace.banks[:8], trace.rows[:8])) == prefix, name
+
+
+# sha256 of the whole bank column then the whole row column, each as
+# little-endian u32, of three benchmark traces.  Like the prefixes above,
+# only literals catch a changed draw.
+TRACE_DIGESTS = {
+    "design_sweep zipf": (
+        PINNED_PREFIXES["design_sweep zipf"][0],
+        "b62f1d154f9b1a9cf211a1cbfc990b84fdbdac5af25e487691c71d23f61793bb",
+    ),
+    "design_sweep zipf unshuffled": (
+        TraceSpec(
+            "zipf", 20000, seed=1,
+            params={"exponent": 1.0, "banks": 64, "shuffle": False},
+        ),
+        "b39c815c841c79d5550c77134c53d97ebff355999f36906c1f9aecafb0282b01",
+    ),
+    "hot_cache hotset": (
+        PINNED_PREFIXES["hot_cache hotset"][0],
+        "36dd76135790b8a6f5423e0fa4df3700c022d04ea36e6785ac23d5363a87ef7d",
+    ),
+}  # fmt: skip
+
+
+def _digest(trace):
+    columns = np.array([trace.banks, trace.rows], dtype="<u4")
+    return hashlib.sha256(columns.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+def test_benchmark_traces_keep_their_digests(name, geometry):
+    spec, digest = TRACE_DIGESTS[name]
+    assert _digest(generate(spec, geometry)) == digest, name
+
+
+def test_zipf_weights_are_read_only(geometry):
+    """Every zipf trace with the same rows and exponent shares one weights
+    array, so a write to it is refused and leaves the next trace as it was."""
+    spec, digest = TRACE_DIGESTS["design_sweep zipf"]
+    weights = _zipf_cumulative(geometry.rows_per_bank, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        weights *= 2
+    assert weights[0] == 1.0
+    assert _digest(generate(spec, geometry)) == digest
+
+
+# The largest draw ``random()`` can return.
+MAX_DRAW = 1 - 2**-53
+
+
+def _tie_draws(rows, exponent):
+    """Draws whose scaled value equals a cumulative weight exactly, where
+    ``bisect_left`` and a right-side search part, with 0.0 and the
+    largest draw."""
+    cumulative = legacy_trace._zipf_cumulative(rows, exponent)
+    total = cumulative[-1]
+    ties = [w / total for w in cumulative if w / total < 1 and w / total * total == w]
+    return [0.0, MAX_DRAW, *ties[:: max(1, len(ties) // 500)]]
+
+
+@pytest.mark.parametrize("banks", [1, 64])
+@pytest.mark.parametrize("rows", [1, 2, 3, 65536])
+@pytest.mark.parametrize("exponent", [1.0, 2.0, 30.0, 100.0, 400.0])
+def test_zipf_ranks_match_the_legacy_bisect_on_plateaus_and_ties(
+    exponent, rows, banks, geometry, monkeypatch
+):
+    """Zipf traces equal the legacy generator's where the tail weights
+    add nothing to the cumulative sum (exponent 30 and up over many
+    rows) or underflow to 0.0 (100 and 400 over 65,536 rows), and under
+    draws that tie a cumulative weight exactly.  Only the tie draws tell
+    ``bisect_left`` from a search that takes the right side of a tie."""
+    assert _zipf_cumulative(rows, exponent).tolist() == list(
+        legacy_trace._zipf_cumulative(rows, exponent)
+    )
+    params = {"exponent": exponent, "rows": rows, "banks": banks}
+    for seed in (1, 4242):
+        spec = TraceSpec("zipf", 2000, seed=seed, params=params)
+        assert list(generate(spec, geometry)) == legacy_trace.generate(spec, geometry)
+    ties = _tie_draws(rows, exponent)
+    spec = TraceSpec("zipf", 2 * len(ties), seed=3, params=params)
+    traces = []
+    for gen in (generate, legacy_trace.generate):
+        draws = itertools.cycle(ties)
+        with monkeypatch.context() as patch:
+            patch.setattr(random.Random, "random", lambda self: next(draws))
+            traces.append(list(gen(spec, geometry)))
+    assert traces[0] == traces[1]
 
 
 @settings(deadline=None, max_examples=100)
