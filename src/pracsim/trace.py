@@ -15,10 +15,13 @@ events in one inline loop, and draws each integer below n as CPython's
 drawn again while the result is at least n.  The zipf generator draws
 each event's bank and ``random()`` in that loop, then finds every rank
 in one ``np.searchsorted`` pass over the cumulative weights, which makes
-the IEEE comparisons of a ``bisect_left`` per event.  A trace therefore
-reproduces exactly as it did when each event drew and bisected in turn,
-as long as that algorithm and the Mersenne Twister behind
-``random.Random`` stay the same.
+the IEEE comparisons of a ``bisect_left`` per event.  Its rank-to-row
+permutation depends only on the seed and the row count, so it is
+shuffled once per (seed, rows) pair and shared read-only, like the
+weights, by every zipf trace of that pair, whatever its exponent, length
+or banks.  A trace therefore reproduces exactly as it did when each
+event drew and bisected in turn, as long as that algorithm and the
+Mersenne Twister behind ``random.Random`` stay the same.
 """
 
 import io
@@ -197,16 +200,29 @@ def _gen_zipf(spec, geometry, rng, rows, banks):
         bank_col.append(bank)
         draws.append(uniform())
     # Side "left" makes bisect_left's comparisons: the first rank whose
-    # cumulative weight is at least the draw.
-    ranks = np.searchsorted(cumulative, np.array(draws) * cumulative[-1]).tolist()
-    mapping = list(range(rows))
+    # cumulative weight is at least the draw.  A draw past the last
+    # cumulative weight, which no random() below 1 gives, would find
+    # ``rows``; it is read as the last rank.
+    ranks = np.searchsorted(cumulative, np.array(draws) * cumulative[-1])
     if shuffle:
-        # A child generator keeps the rank stream identical with and
-        # without shuffling; only the rank-to-row renaming changes.
-        _shuffle(mapping, random.Random(spec.seed * 0x9E3779B97F4A7C15 + 1))
-    # A draw past the last cumulative weight (float rounding) is the last rank.
+        return bank_col, _zipf_rows(spec.seed, rows)[ranks].tolist()
+    return bank_col, np.minimum(ranks, rows - 1).tolist()
+
+
+@lru_cache(maxsize=4)
+def _zipf_rows(seed: int, rows: int) -> np.ndarray:
+    """The row of each zipf rank 0..rows - 1, then the last rank's row
+    again for a draw past the last cumulative weight.
+
+    A child generator keeps the rank stream identical with and without
+    shuffling; only the rank-to-row renaming changes.  Shared by every
+    trace with this seed and row count, so the array is read-only."""
+    mapping = list(range(rows))
+    _shuffle(mapping, random.Random(seed * 0x9E3779B97F4A7C15 + 1))
     mapping.append(mapping[-1])
-    return bank_col, list(map(mapping.__getitem__, ranks))
+    perm = np.array(mapping, dtype=np.int64)
+    perm.flags.writeable = False
+    return perm
 
 
 def _shuffle(x: list, rng: random.Random) -> None:

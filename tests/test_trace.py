@@ -11,8 +11,10 @@ import numpy as np
 from scipy import stats
 
 import legacy_trace
+import pracsim.trace as trace_mod
+from pracsim.buffers import DESIGNS
 from pracsim.config import resolve
-from pracsim.engine import workload_shape
+from pracsim.engine import Engine, compare, workload_shape
 from pracsim.errors import ConfigError, TraceError
 from pracsim.geometry import DramGeometry
 from pracsim.trace import (
@@ -26,6 +28,7 @@ from pracsim.trace import (
     save,
     _shuffle,
     _zipf_cumulative,
+    _zipf_rows,
     write_text,
 )
 
@@ -453,35 +456,112 @@ def test_zipf_weights_are_read_only(geometry):
     assert _digest(generate(spec, geometry)) == digest
 
 
+def test_zipf_permutation_is_read_only(geometry):
+    """Every shuffled zipf trace with the same seed and rows shares one
+    rank-to-row permutation, so a write to it is refused and leaves the
+    next trace as it was."""
+    spec, digest = TRACE_DIGESTS["design_sweep zipf"]
+    perm = _zipf_rows(spec.seed, geometry.rows_per_bank)
+    first = int(perm[0])
+    with pytest.raises(ValueError, match="read-only"):
+        perm[0] = first + 1
+    with pytest.raises(ValueError, match="read-only"):
+        perm += 1
+    assert perm[0] == first
+    assert _digest(generate(spec, geometry)) == digest
+
+
+# Six (seed, rows) keys, more than the permutation cache holds, so the
+# repeat pass finds each evicted.  A seed shared across row counts and a
+# row count shared across seeds catch a cache keyed on either alone; two
+# exponents share one key, and an unshuffled trace uses none.
+PERMUTATION_KEYS = [(1, 100), (2, 100), (1, 65536), (2, 65536), (4242, 3), (4242, 100)]
+
+
+def test_zipf_permutation_cache_keys_on_seed_and_rows(geometry):
+    assert _zipf_rows.cache_info().maxsize < len(PERMUTATION_KEYS)
+    _zipf_rows.cache_clear()
+    specs = []
+    for seed, rows in PERMUTATION_KEYS:
+        for params in ({"exponent": 1.0}, {"exponent": 2.0}, {"shuffle": False}):
+            params = dict(params, rows=rows, banks=3)
+            specs.append(TraceSpec("zipf", 500, seed=seed, params=params))
+    for spec in specs * 2:
+        assert list(generate(spec, geometry)) == legacy_trace.generate(
+            spec, geometry
+        ), spec
+
+
+def test_zipf_shuffles_once_per_seed_and_rows(monkeypatch):
+    """A compare over every design, a single run and a bare generation of
+    one zipf config draw its permutation once between them."""
+    calls = []
+
+    def counting_shuffle(x, rng):
+        calls.append(len(x))
+        return _shuffle(x, rng)
+
+    monkeypatch.setattr(trace_mod, "_shuffle", counting_shuffle)
+    _zipf_rows.cache_clear()
+    config = resolve(
+        overrides={
+            "trace.generator": "zipf",
+            "trace.banks": "64",
+            "trace.length": "2000",
+            "seed": "5",
+        }
+    )
+    compare(config, list(DESIGNS))
+    Engine(config).run()
+    generate(config.trace_spec, config.geometry)
+    assert calls == [config.geometry.rows_per_bank]
+
+
 # The largest draw ``random()`` can return.
 MAX_DRAW = 1 - 2**-53
 
 
 def _tie_draws(rows, exponent):
     """Draws whose scaled value equals a cumulative weight exactly, where
-    ``bisect_left`` and a right-side search part, with 0.0 and the
-    largest draw."""
+    ``bisect_left`` and a right-side search part, with 0.0, the largest
+    draw and 2.0.  No ``random()`` returns 2.0; it is the one draw here
+    that passes the last cumulative weight, and so takes the generator's
+    guard that reads such a draw as the last rank."""
     cumulative = legacy_trace._zipf_cumulative(rows, exponent)
     total = cumulative[-1]
     ties = [w / total for w in cumulative if w / total < 1 and w / total * total == w]
-    return [0.0, MAX_DRAW, *ties[:: max(1, len(ties) // 500)]]
+    return [0.0, MAX_DRAW, 2.0, *ties[:: max(1, len(ties) // 500)]]
 
 
-@pytest.mark.parametrize("banks", [1, 64])
-@pytest.mark.parametrize("rows", [1, 2, 3, 65536])
-@pytest.mark.parametrize("exponent", [1.0, 2.0, 30.0, 100.0, 400.0])
+# One list, not stacked parametrize marks, so that the shuffled cases
+# keep their plain exponent-rows-banks ids.
+PLATEAU_CASES = [
+    pytest.param(
+        exponent, rows, banks, shuffle,
+        id=f"{exponent}-{rows}-{banks}" + ("" if shuffle else "-unshuffled"),
+    )
+    for shuffle in (True, False)
+    for exponent in (1.0, 2.0, 30.0, 100.0, 400.0)
+    for rows in (1, 2, 3, 65536)
+    for banks in (1, 64)
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("exponent, rows, banks, shuffle", PLATEAU_CASES)
 def test_zipf_ranks_match_the_legacy_bisect_on_plateaus_and_ties(
-    exponent, rows, banks, geometry, monkeypatch
+    exponent, rows, banks, shuffle, geometry, monkeypatch
 ):
     """Zipf traces equal the legacy generator's where the tail weights
     add nothing to the cumulative sum (exponent 30 and up over many
     rows) or underflow to 0.0 (100 and 400 over 65,536 rows), and under
     draws that tie a cumulative weight exactly.  Only the tie draws tell
-    ``bisect_left`` from a search that takes the right side of a tie."""
+    ``bisect_left`` from a search that takes the right side of a tie.
+    A draw past the last weight is the last row both through the
+    shuffled permutation and through the unshuffled clamp."""
     assert _zipf_cumulative(rows, exponent).tolist() == list(
         legacy_trace._zipf_cumulative(rows, exponent)
     )
-    params = {"exponent": exponent, "rows": rows, "banks": banks}
+    params = {"exponent": exponent, "rows": rows, "banks": banks, "shuffle": shuffle}
     for seed in (1, 4242):
         spec = TraceSpec("zipf", 2000, seed=seed, params=params)
         assert list(generate(spec, geometry)) == legacy_trace.generate(spec, geometry)
