@@ -16,10 +16,13 @@ drawn again while the result is at least n.  The zipf generator draws
 each event's bank and ``random()`` in that loop, then finds every rank
 in one ``np.searchsorted`` pass over the cumulative weights, which makes
 the IEEE comparisons of a ``bisect_left`` per event.  Its rank-to-row
-permutation depends only on the seed and the row count, so it is
-shuffled once per (seed, rows) pair and shared read-only, like the
-weights, by every zipf trace of that pair, whatever its exponent, length
-or banks.  A trace therefore reproduces exactly as it did when each
+permutation depends only on the seed and the row count, so a process
+shuffles it once per (seed, rows) pair and shares it, as a tuple, with
+every zipf trace of that pair, whatever its exponent, length or banks.
+That pays where one process generates a trace again, as ``Engine.run``
+and then ``Engine.load_events`` for ``verify`` do, or a sweep of configs
+on one seed; a ``pracsim`` command generates its trace once and shuffles
+once.  A trace therefore reproduces exactly as it did when each
 event drew and bisected in turn, as long as that algorithm and the
 Mersenne Twister behind ``random.Random`` stay the same.
 """
@@ -200,29 +203,26 @@ def _gen_zipf(spec, geometry, rng, rows, banks):
         bank_col.append(bank)
         draws.append(uniform())
     # Side "left" makes bisect_left's comparisons: the first rank whose
-    # cumulative weight is at least the draw.  A draw past the last
-    # cumulative weight, which no random() below 1 gives, would find
-    # ``rows``; it is read as the last rank.
-    ranks = np.searchsorted(cumulative, np.array(draws) * cumulative[-1])
-    if shuffle:
-        return bank_col, _zipf_rows(spec.seed, rows)[ranks].tolist()
-    return bank_col, np.minimum(ranks, rows - 1).tolist()
+    # cumulative weight is at least the draw.
+    ranks = np.searchsorted(cumulative, np.array(draws) * cumulative[-1]).tolist()
+    mapping = _zipf_rows(spec.seed if shuffle else None, rows)
+    return bank_col, list(map(mapping.__getitem__, ranks))
 
 
 @lru_cache(maxsize=4)
-def _zipf_rows(seed: int, rows: int) -> np.ndarray:
-    """The row of each zipf rank 0..rows - 1, then the last rank's row
-    again for a draw past the last cumulative weight.
+def _zipf_rows(seed: Optional[int], rows: int) -> tuple:
+    """The row of each zipf rank 0..rows - 1, shuffled from ``seed``
+    unless it is None, then the last rank's row again: a draw past the
+    last cumulative weight (float rounding) is the last rank.
 
     A child generator keeps the rank stream identical with and without
     shuffling; only the rank-to-row renaming changes.  Shared by every
-    trace with this seed and row count, so the array is read-only."""
+    trace with this seed and row count, so it is a tuple."""
     mapping = list(range(rows))
-    _shuffle(mapping, random.Random(seed * 0x9E3779B97F4A7C15 + 1))
+    if seed is not None:
+        _shuffle(mapping, random.Random(seed * 0x9E3779B97F4A7C15 + 1))
     mapping.append(mapping[-1])
-    perm = np.array(mapping, dtype=np.int64)
-    perm.flags.writeable = False
-    return perm
+    return tuple(mapping)
 
 
 def _shuffle(x: list, rng: random.Random) -> None:

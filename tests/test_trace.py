@@ -458,23 +458,25 @@ def test_zipf_weights_are_read_only(geometry):
 
 def test_zipf_permutation_is_read_only(geometry):
     """Every shuffled zipf trace with the same seed and rows shares one
-    rank-to-row permutation, so a write to it is refused and leaves the
-    next trace as it was."""
+    rank-to-row permutation, a tuple, so a write to it is refused and
+    leaves the next trace as it was."""
     spec, digest = TRACE_DIGESTS["design_sweep zipf"]
     perm = _zipf_rows(spec.seed, geometry.rows_per_bank)
-    first = int(perm[0])
-    with pytest.raises(ValueError, match="read-only"):
+    first = perm[0]
+    with pytest.raises(TypeError):
         perm[0] = first + 1
-    with pytest.raises(ValueError, match="read-only"):
-        perm += 1
+    with pytest.raises(AttributeError):
+        perm.reverse()
     assert perm[0] == first
+    assert _zipf_rows(spec.seed, geometry.rows_per_bank) is perm
     assert _digest(generate(spec, geometry)) == digest
 
 
 # Six (seed, rows) keys, more than the permutation cache holds, so the
 # repeat pass finds each evicted.  A seed shared across row counts and a
 # row count shared across seeds catch a cache keyed on either alone; two
-# exponents share one key, and an unshuffled trace uses none.
+# exponents share one key, and unshuffled traces of each row count share
+# the unshuffled (None, rows) entry.
 PERMUTATION_KEYS = [(1, 100), (2, 100), (1, 65536), (2, 65536), (4242, 3), (4242, 100)]
 
 
@@ -493,8 +495,10 @@ def test_zipf_permutation_cache_keys_on_seed_and_rows(geometry):
 
 
 def test_zipf_shuffles_once_per_seed_and_rows(monkeypatch):
-    """A compare over every design, a single run and a bare generation of
-    one zipf config draw its permutation once between them."""
+    """A compare over every design, the run-then-verify workflow of the
+    README (a logged run, then its events loaded again for ``verify``)
+    and a bare generation of one zipf config draw its permutation once
+    between them."""
     calls = []
 
     def counting_shuffle(x, rng):
@@ -512,7 +516,9 @@ def test_zipf_shuffles_once_per_seed_and_rows(monkeypatch):
         }
     )
     compare(config, list(DESIGNS))
-    Engine(config).run()
+    eng = Engine(config, collect_log=True)
+    eng.run()
+    eng.load_events()
     generate(config.trace_spec, config.geometry)
     assert calls == [config.geometry.rows_per_bank]
 
@@ -556,8 +562,7 @@ def test_zipf_ranks_match_the_legacy_bisect_on_plateaus_and_ties(
     rows) or underflow to 0.0 (100 and 400 over 65,536 rows), and under
     draws that tie a cumulative weight exactly.  Only the tie draws tell
     ``bisect_left`` from a search that takes the right side of a tie.
-    A draw past the last weight is the last row both through the
-    shuffled permutation and through the unshuffled clamp."""
+    A draw past the last weight is the last row, shuffled or not."""
     assert _zipf_cumulative(rows, exponent).tolist() == list(
         legacy_trace._zipf_cumulative(rows, exponent)
     )
