@@ -15,6 +15,9 @@ fits in one burst.  Three conditions trigger service, in priority order:
 A row that reaches M entries while the current shadow is already taken
 (the insertion that filled it also evicted a victim, or a cache
 writeback landed in it) is held and serviced at the next opportunity.
+Under a limit of one pending update, a new entry is due at once: it is
+serviced with its row, or alone while its row is held full, so a held
+row or a full pool never delays it past its own shadow.
 
 The designs differ only in victim selection, so one class serves all
 four and a per-design function picks the victim: per-row buffers never
@@ -170,6 +173,14 @@ class _BufferedBase:
                 if self._full_rows:
                     return self._flush_row(min(self._full_rows), TRIG_M_READY)
                 return None
+        if self._pending_limit <= 1:
+            # The increment is at the limit already: serve it now, with its
+            # row unless the row's batch is full.  It goes with a queued
+            # writeback of its byte, which would otherwise overwrite it.
+            if row_id in self._full_rows and ~byte_id not in entries:
+                return ServiceBatch(self.bank, row_id, {byte_id: 1}, TRIG_K_LIMIT)
+            self._allocate(row_id, byte_id, 1)
+            return self._flush_row(row_id, TRIG_K_LIMIT)
         if row_id in self._full_rows:
             # Deferred from an earlier shadow; service it before growing it.
             batch = self._flush_row(row_id, TRIG_M_READY)
@@ -180,8 +191,6 @@ class _BufferedBase:
             self._allocate(row_id, byte_id, 1)
             return batch
         count = self._allocate(row_id, byte_id, 1)
-        if self._pending_limit <= 1:
-            return self._flush_row(row_id, TRIG_K_LIMIT)
         if count >= self._m_batch:
             return self._flush_row(row_id, TRIG_M_READY)
         if self._full_rows:

@@ -8,8 +8,9 @@ out of the allocator's heap, and freeing the store unmaps it.  It is
 private, so a page never written reads as the kernel's zero page: a read
 of the whole store (a verifier's nonzero count, the dump's search for
 written banks) makes no page resident.  Huge pages are declined where
-the platform allows, so one written counter makes one page resident,
-not 2 MB.
+the platform allows.  A bank's first activation in an engine makes the
+bank's pages resident (``open_bank``), one write fault per page; a
+standalone store makes one page resident per page it writes, not 2 MB.
 
 Servicing a counter request applies its pending increments in one
 read-modify-write; a value crossing the back-off threshold raises an
@@ -36,7 +37,7 @@ every counter at zero, is clean.  A direct write through ``values``
 bypasses the bookkeeping, so a later refresh may pick wrongly.
 """
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
@@ -111,6 +112,16 @@ class CounterArray:
 
     def get(self, bank: int, row_id: int, byte_id: int) -> int:
         return self._cells[(bank * self._counter_rows + row_id) * self._cpc + byte_id]
+
+    def open_bank(self, bank: int) -> None:
+        """Make the bank's pages resident with one write of zeros.
+
+        A fresh page of the private mapping that ``apply_rmw`` reads
+        before it writes faults twice, once for the zero page and once to
+        copy it; a write alone faults it once.  Call it before the bank's
+        first write: the zeros erase whatever the bank holds.
+        """
+        self.values[bank] = 0
 
     def _new_hist(self, bank: int) -> List[int]:
         hist = self._hist[bank] = [self._bank_size] + [0] * COUNTER_MAX
@@ -187,16 +198,17 @@ class CounterArray:
             # Once the bank is clean, its remaining refreshes find nothing.
             self._refresh([bank] * (self.rfms_per_alert - 1))
 
-    def _refresh(self, banks: Iterable[int]) -> List[Tuple[int, int, int]]:
-        """Mitigate the largest counter of each bank of ``banks`` in turn;
-        returns the picks (bank, row_id, byte_id), a clean bank skipped.
+    def _refresh(self, banks: Iterable[int]) -> None:
+        """Mitigate the largest counter of each bank of ``banks`` in turn,
+        a clean bank skipped.
 
         Ties break toward the lowest (row_id, byte_id), the first maximum
         in row-major order.
         """
-        picks = []
         cells, hists, tops, starts = self._cells, self._hist, self._top, self._from
         size, cpc = self._bank_size, self._cpc
+        on_mitigate = self.on_mitigate
+        picked = 0
         for bank in banks:
             hist = hists[bank]
             if hist is None or hist[0] == size:
@@ -213,24 +225,23 @@ class CounterArray:
             hist[top] -= 1
             hist[0] += 1
             cells[i] = 0
-            row_id, byte_id = divmod(i - first, cpc)
-            if self.on_mitigate is not None:
-                self.on_mitigate(bank, row_id, byte_id)
-            self.mitigations += 1
-            picks.append((bank, row_id, byte_id))
-        return picks
+            picked += 1
+            if on_mitigate is not None:
+                row_id, byte_id = divmod(i - first, cpc)
+                on_mitigate(bank, row_id, byte_id)
+        self.mitigations += picked
 
-    def proactive_tick(self) -> List[Tuple[int, int, int]]:
+    def proactive_tick(self) -> None:
         """Periodic refresh: mitigate every bank's current maximum counter.
 
-        Banks are refreshed once each, in ascending order, and the picks
-        (bank, row_id, byte_id) are returned in that order; a clean bank
-        is skipped.  Each pick counts as one mitigation and zero alerts.
-        Raises ConfigError on a store built without ``refresh``.
+        Banks are refreshed once each, in ascending order, and a clean
+        bank is skipped; ``on_mitigate`` sees the picks in that order.
+        Each pick counts as one mitigation and zero alerts.  Raises
+        ConfigError on a store built without ``refresh``.
         """
         if not self.refresh:
             raise ConfigError("proactive_tick on a counter store built without refresh")
-        return self._refresh(range(self.geometry.banks))
+        self._refresh(range(self.geometry.banks))
 
     def dump(self, stream) -> None:
         """Write nonzero counters as CSV: bank,row_id,byte_id,value, sorted.

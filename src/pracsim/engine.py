@@ -61,7 +61,8 @@ class Engine:
         """The bank's (buffer, cache or None), made together on first touch.
 
         The bank is range-checked on that first touch; the error names
-        ``slot``, the activation that touched it, when given.
+        ``slot``, the activation that touched it, when given.  A bank in
+        range then has the store make its counter pages resident.
         """
         state = self._banks.get(bank)
         if state is None:
@@ -70,6 +71,7 @@ class Engine:
                 raise TraceError(
                     f"{where}bank {bank} out of range [0, {self.geometry.banks})"
                 )
+            self.store.open_bank(bank)
             cache = None
             if self._cached:
                 cache = CounterCache(bank, self.config.cache, self.geometry)

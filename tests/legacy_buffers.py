@@ -12,9 +12,12 @@ entry dict: ``BatchItem``, ``ServiceBatch``, ``ChronusBuffer``,
 ``(byte_id, is_wb)`` and builds every batch through ``_merge_items``,
 its victim picks, and ``make_tuple_key_buffer`` (then ``make_buffer``).
 
-Both are verbatim copies apart from those names.  Tests run them beside
-``pracsim.buffers`` as references for differential tests; nothing under
-``src/`` imports this module.
+Both are verbatim copies apart from those names and one mend that
+``pracsim.buffers`` took after them: under a limit of one pending
+update, ``insert`` serves a new entry in its own shadow, with its row or
+alone while the row is held full (the first block of the new-entry
+path).  Tests run them beside ``pracsim.buffers`` as references for
+differential tests; nothing under ``src/`` imports this module.
 """
 
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
@@ -131,6 +134,12 @@ class _BufferedBase(RequestBuffer):
                 if entry.rep_count + 1 >= self._pending_limit:
                     return self._flush_row(row_id, TRIG_K_LIMIT)
                 return self._service_deferred()
+        if self._pending_limit <= 1:
+            if row_id in self._full_rows and (byte_id, True) not in entries:
+                item = BatchItem(byte_id, 1)
+                return ServiceBatch(self.bank, row_id, (item,), TRIG_K_LIMIT)
+            self._allocate(row_id, byte_id)
+            return self._flush_row(row_id, TRIG_K_LIMIT)
         if row_id in self._full_rows:
             # Deferred from an earlier shadow; service it before growing it.
             batch = self._flush_row(row_id, TRIG_M_READY)
@@ -407,6 +416,12 @@ class TupleKeyBuffer:
                 if pending >= self._pending_limit:
                     return self._flush_row(row_id, TRIG_K_LIMIT)
                 return self._service_deferred()
+        if self._pending_limit <= 1:
+            if row_id in self._full_rows and (byte_id, True) not in entries:
+                item = BatchItem(byte_id, 1)
+                return ServiceBatch(self.bank, row_id, (item,), TRIG_K_LIMIT)
+            self._allocate(row_id, byte_id)
+            return self._flush_row(row_id, TRIG_K_LIMIT)
         if row_id in self._full_rows:
             # Deferred from an earlier shadow; service it before growing it.
             batch = self._flush_row(row_id, TRIG_M_READY)

@@ -336,6 +336,48 @@ def test_k_limit_one_flushes_immediately():
     assert batch.items == {3: 1}
 
 
+def test_k_limit_one_serves_an_increment_with_its_held_writeback():
+    """At K = 1, an increment to a row held full goes out in its own
+    shadow, merged with the queued writeback of its byte, so the next
+    increment lags by one, not two."""
+    buf = make_buffer(0, cfg(design="unified_fcfs", capacity=4, m_batch=1, k_limit=1))
+    assert buf.try_insert_writeback(0, 12, 30)
+    batch = buf.insert(0, 12)
+    assert (pairs(batch), batch.trigger) == ([(~12, (30, 1))], TRIG_K_LIMIT)
+    batch = buf.insert(0, 12)
+    assert (pairs(batch), batch.trigger) == ([(12, 1)], TRIG_K_LIMIT)
+    assert len(buf) == 0
+
+
+def test_k_limit_one_serves_an_increment_beside_a_held_row():
+    """At K = 1, an increment to a row held full without a writeback of
+    its byte is served alone, and the row stays held."""
+    buf = make_buffer(0, cfg(design="unified_fcfs", capacity=4, m_batch=1, k_limit=1))
+    assert buf.try_insert_writeback(0, 5, 30)
+    batch = buf.insert(0, 12)
+    assert (pairs(batch), batch.trigger) == ([(12, 1)], TRIG_K_LIMIT)
+    assert entry_counts(buf) == {0: 1}
+
+
+def test_k_limit_one_serves_an_increment_in_a_full_pool():
+    """At K = 1, an increment to a new row of a full pool is served alone
+    and evicts nothing; one to a queued row with room takes the row."""
+    buf = make_buffer(0, cfg(design="unified_fcfs", capacity=2, m_batch=2, k_limit=1))
+    assert buf.try_insert_writeback(0, 1, 30)
+    assert buf.try_insert_writeback(0, 2, 30)
+    for _ in range(2):
+        batch = buf.insert(2, 7)
+        assert (pairs(batch), batch.trigger) == ([(7, 1)], TRIG_K_LIMIT)
+    assert entry_counts(buf) == {0: 2}
+    buf = make_buffer(0, cfg(design="unified_fcfs", capacity=2, m_batch=2, k_limit=1))
+    assert buf.try_insert_writeback(0, 1, 30)
+    assert buf.try_insert_writeback(1, 1, 20)
+    batch = buf.insert(1, 3)
+    assert (batch.row_id, pairs(batch)) == (1, [(~1, (20, 0)), (3, 1)])
+    assert batch.trigger == TRIG_K_LIMIT
+    assert entry_counts(buf) == {0: 1}
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -352,8 +394,8 @@ def test_bad_configs(kwargs):
 
 
 class _Replay:
-    """Reference bookkeeping: true counts per counter, applied counts per
-    counter, checked against every batch the buffer emits."""
+    """Reference bookkeeping: true counts per counter, and the increments
+    applied per counter by the batches the buffer emits."""
 
     def __init__(self, config):
         self.config = config
@@ -367,11 +409,12 @@ class _Replay:
 
     def absorb(self, batch, draining=False):
         assert 1 <= len(batch.items) <= self.config.m_batch
-        bytes_seen = [byte_id for byte_id, _, _ in normal_items(batch.items)]
+        items = normal_items(batch.items)
+        bytes_seen = [byte_id for byte_id, _, _ in items]
         assert len(set(bytes_seen)) == len(bytes_seen)
-        for byte_id in bytes_seen:
+        for byte_id, increments, _ in items:
             key = (batch.row_id, byte_id)
-            self.applied[key] = self.true.get(key, 0)
+            self.applied[key] = self.applied.get(key, 0) + increments
 
     def check_staleness(self):
         for key, t in self.true.items():
@@ -388,14 +431,19 @@ class _Replay:
     design=st.sampled_from(BUFFERED),
     k_trigger=st.sampled_from(("pending", "repcount")),
     capacity=st.sampled_from((4, 6, 8)),
-    m_batch=st.sampled_from((2, 4)),
-    k_limit=st.sampled_from((2, 4)),
+    m_batch=st.sampled_from((1, 2, 4)),
+    k_limit=st.sampled_from((1, 2, 4)),
+    writebacks=st.sampled_from((0.0, 0.3)),
     length=st.integers(100, 400),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_buffer_invariants_hold_on_random_streams(
-    design, k_trigger, capacity, m_batch, k_limit, length, seed
+    design, k_trigger, capacity, m_batch, k_limit, writebacks, length, seed
 ):
+    """No counter lags its true count by more than the pending limit when
+    a batch is served, a batch holds at most M counters, rows and the
+    pool stay within bounds, and the drain applies every increment, with
+    queued writebacks among the inserts."""
     config = BufferConfig(
         design=design,
         capacity=max(capacity, m_batch),
@@ -408,11 +456,14 @@ def test_buffer_invariants_hold_on_random_streams(
     rng = random.Random(seed)
     for _ in range(length):
         row, byte = rng.randrange(6), rng.randrange(6)
+        if rng.random() < writebacks:
+            buf.try_insert_writeback(row, byte, rng.randrange(41))
+            continue
         replay.record_insert(row, byte)
         batch = buf.insert(row, byte)
+        replay.check_staleness()
         if batch is not None:
             replay.absorb(batch)
-        replay.check_staleness()
         counts = entry_counts(buf)
         assert all(c <= m_batch for c in counts.values())
         if design != "perrow":

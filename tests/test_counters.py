@@ -1,6 +1,7 @@
 import io
 import os
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import legacy_writers
 from legacy_counters import CounterArray as ArgmaxCounterArray
-from legacy_counters import HistogramCounterArray
+from legacy_counters import HistogramCounterArray, PickListCounterArray
 from pracsim.counters import COUNTER_MAX, CounterArray, effective_backoff
 from pracsim.errors import ConfigError
 from pracsim.geometry import DramGeometry
@@ -101,34 +102,39 @@ def test_writeback_range_checked(toy_geometry):
         store.apply_writeback(0, 0, 0, -1)
 
 
-def test_proactive_tick_resets_max(toy_geometry):
+def test_proactive_tick_resets_max(toy_geometry, record_mitigations):
     store = CounterArray(toy_geometry)
+    picks = record_mitigations(store)
     store.apply_rmw(0, 1, 0, increments=4)
     store.apply_rmw(0, 3, 2, increments=9)
-    assert store.proactive_tick() == [(0, 3, 2)]
+    assert store.proactive_tick() is None
+    assert picks == [(0, 3, 2)]
     assert store.get(0, 3, 2) == 0
     assert store.mitigations == 1
     assert store.alerts == 0
 
 
-def test_proactive_tick_clean_bank(toy_geometry):
+def test_proactive_tick_clean_bank(toy_geometry, record_mitigations):
     store = CounterArray(toy_geometry)
-    assert store.proactive_tick() == []
+    picks = record_mitigations(store)
+    assert _tick(store, picks) == []
     assert store.mitigations == 0
 
 
-def test_proactive_tick_refreshes_every_bank_once_in_order(toy_geometry):
+def test_proactive_tick_refreshes_every_bank_once_in_order(
+    toy_geometry, record_mitigations
+):
     """One tick takes one maximum from each bank, banks ascending, and
     tells ``on_mitigate`` in that order; a second tick takes the next."""
-    reset = []
-    store = CounterArray(toy_geometry, on_mitigate=lambda *ref: reset.append(ref))
+    store = CounterArray(toy_geometry)
+    picks = record_mitigations(store)
     store.apply_rmw(1, 0, 3, increments=2)
     store.apply_rmw(0, 2, 2, increments=5)
     store.apply_rmw(0, 1, 0, increments=3)
-    assert store.proactive_tick() == [(0, 2, 2), (1, 0, 3)]
-    assert reset == [(0, 2, 2), (1, 0, 3)]
-    assert store.proactive_tick() == [(0, 1, 0)]
-    assert store.proactive_tick() == []
+    assert _tick(store, picks) == [(0, 2, 2), (1, 0, 3)]
+    assert store.mitigations == 2
+    assert _tick(store, picks) == [(0, 1, 0)]
+    assert _tick(store, picks) == []
     assert (store.mitigations, store.alerts) == (3, 0)
 
 
@@ -167,64 +173,74 @@ def test_values_view_shares_the_counters(toy_geometry):
     assert store.get(0, 1, 3) == 9
 
 
-def test_nonzero_tracking(toy_geometry):
+def test_nonzero_tracking(toy_geometry, record_mitigations):
     """The histogram's zero count lets a refresh skip a clean bank: it
     follows increments and alert resets, so the last refresh finds none."""
     store = CounterArray(toy_geometry, n_bo=10)
-    assert store.proactive_tick() == []
+    picks = record_mitigations(store)
+    assert _tick(store, picks) == []
     store.apply_rmw(0, 0, 0)
     store.apply_rmw(0, 1, 1, increments=2)
     store.apply_rmw(0, 0, 0, increments=9)  # alerts and resets (0, 0, 0)
     assert store.mitigations == 1
-    assert store.proactive_tick() == [(0, 1, 1)]
-    assert store.proactive_tick() == []
+    assert picks.take() == [(0, 0, 0)]
+    assert _tick(store, picks) == [(0, 1, 1)]
+    assert _tick(store, picks) == []
     assert store.mitigations == 2
 
 
-def _one_bank_store():
-    """A refresh store of one bank of 4 counter rows of 4 bytes."""
+def _one_bank_store(record_mitigations):
+    """A refresh store of one bank of 4 counter rows of 4 bytes, and the
+    recorder of its mitigations."""
     geometry = DramGeometry(
         banks=1, rows_per_bank=16, counter_rows_per_bank=4, counters_per_counter_row=4
     )
-    return CounterArray(geometry)
+    store = CounterArray(geometry)
+    return store, record_mitigations(store)
 
 
-def test_refresh_resumes_past_its_last_pick():
+def _tick(store, picks):
+    """One proactive tick's picks."""
+    store.proactive_tick()
+    return picks.take()
+
+
+def test_refresh_resumes_past_its_last_pick(record_mitigations):
     """After a pick the search resumes past it: a top value put back at
     the picked counter through ``values``, which the bookkeeping does not
     see, is passed over for the next equal maximum."""
-    store = _one_bank_store()
+    store, picks = _one_bank_store(record_mitigations)
     store.apply_rmw(0, 2, 1, increments=5)
     store.apply_rmw(0, 0, 1, increments=5)
-    assert store.proactive_tick() == [(0, 0, 1)]
+    assert _tick(store, picks) == [(0, 0, 1)]
     store.values[0, 0, 1] = 5
-    assert store.proactive_tick() == [(0, 2, 1)]
+    assert _tick(store, picks) == [(0, 2, 1)]
 
 
-def test_refresh_finds_a_top_value_written_before_its_last_pick():
+def test_refresh_finds_a_top_value_written_before_its_last_pick(record_mitigations):
     """A write of the bank's top value before the last pick is the first
     maximum in row-major order, and the next pick takes it."""
-    store = _one_bank_store()
+    store, picks = _one_bank_store(record_mitigations)
     store.apply_rmw(0, 2, 1, increments=5)
     store.apply_rmw(0, 3, 1, increments=5)
-    assert store.proactive_tick() == [(0, 2, 1)]
+    assert _tick(store, picks) == [(0, 2, 1)]
     store.apply_rmw(0, 0, 1, increments=5)
-    assert store.proactive_tick() == [(0, 0, 1)]
-    assert store.proactive_tick() == [(0, 3, 1)]
-    assert store.proactive_tick() == []
+    assert _tick(store, picks) == [(0, 0, 1)]
+    assert _tick(store, picks) == [(0, 3, 1)]
+    assert _tick(store, picks) == []
 
 
-def test_refresh_restarts_at_the_bank_start_when_the_top_falls():
+def test_refresh_restarts_at_the_bank_start_when_the_top_falls(record_mitigations):
     """Once the last counter at the top is picked, the next largest value
     is searched from the bank's first counter, before the last pick."""
-    store = _one_bank_store()
+    store, picks = _one_bank_store(record_mitigations)
     store.apply_rmw(0, 2, 1, increments=5)
     store.apply_rmw(0, 0, 1, increments=3)
     store.apply_rmw(0, 3, 0, increments=3)
-    assert store.proactive_tick() == [(0, 2, 1)]
-    assert store.proactive_tick() == [(0, 0, 1)]
-    assert store.proactive_tick() == [(0, 3, 0)]
-    assert store.proactive_tick() == []
+    assert _tick(store, picks) == [(0, 2, 1)]
+    assert _tick(store, picks) == [(0, 0, 1)]
+    assert _tick(store, picks) == [(0, 3, 0)]
+    assert _tick(store, picks) == []
 
 
 def test_proactive_tick_needs_a_refresh_store(toy_geometry):
@@ -264,6 +280,38 @@ def test_reading_the_store_makes_no_page_resident(geometry):
     before = _resident_bytes()
     assert np.count_nonzero(store.values) == 1
     assert _resident_bytes() - before < 1 << 20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux page faults")
+def test_an_opened_bank_faults_each_page_once(geometry):
+    """A fresh page that a read-modify-write touches first faults twice,
+    for the zero page and for its copy; a bank opened first faults once
+    per page, and its writes fault no more."""
+    resource = pytest.importorskip("resource")
+    pages = 16 * geometry.rows_per_bank // 4096
+
+    def faults_writing_16_banks(opened):
+        store = CounterArray(geometry, refresh=False)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for bank in range(16):
+            if opened:
+                store.open_bank(bank)
+            for row_id in range(0, geometry.counter_rows_per_bank, 4):
+                store.apply_rmw(bank, row_id, 0)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    assert faults_writing_16_banks(opened=True) < 1.25 * pages
+    assert faults_writing_16_banks(opened=False) > 1.75 * pages
+
+
+def test_open_bank_writes_zeros_over_its_bank_alone(toy_geometry):
+    """Opening a bank is meant for its first activation: it zeroes that
+    bank, a value written through ``values`` included, and no other."""
+    store = CounterArray(toy_geometry)
+    store.values[0, 1, 1] = 7
+    store.values[1, 2, 3] = 9
+    store.open_bank(1)
+    assert nonzero_items(store) == [(0, 1, 1, 7)]
 
 
 def test_dump_csv(toy_geometry):
@@ -339,16 +387,6 @@ def test_rfm_event_order_is_deterministic(toy_geometry):
     assert np.array_equal(store.values, replay.values)
 
 
-class Mitigations(list):
-    """An ``on_mitigate`` that records (slot, bank, row_id, byte_id); the
-    stepping loop sets ``slot``."""
-
-    slot = -1
-
-    def __call__(self, bank, row_id, byte_id):
-        self.append((self.slot, bank, row_id, byte_id))
-
-
 def per_bank_ticks(ref):
     """One all-bank refresh on the legacy store: its per-bank tick for
     every bank in ascending order, clean banks left out."""
@@ -373,25 +411,24 @@ COUNTER_OPS = ("rmw",) * 10 + ("big_rmw", "writeback", "external_alert", "tick",
     seed=st.integers(0, 2**32 - 1),
 )
 def test_refresh_pick_matches_argmax_reference(
-    banks, counter_rows, cpc, n_bo, rfms_per_alert, length, seed
+    record_mitigations, banks, counter_rows, cpc, n_bo, rfms_per_alert, length, seed
 ):
     """Every refresh, alert and saturating add picks and leaves the same
     counters as the argmax store the histogram replaced, and tells
-    ``on_mitigate`` in the same order: one all-bank tick against that
-    store's per-bank ticks over every bank, banks ascending."""
+    ``on_mitigate`` in the same order, op by op: one all-bank tick against
+    that store's per-bank ticks over every bank, banks ascending."""
     geometry = DramGeometry(
         banks=banks,
         rows_per_bank=counter_rows * cpc,
         counter_rows_per_bank=counter_rows,
         counters_per_counter_row=cpc,
     )
-    seen, expected = Mitigations(), Mitigations()
     kwargs = dict(n_bo=n_bo, rfms_per_alert=rfms_per_alert)
-    store = CounterArray(geometry, on_mitigate=seen, **kwargs)
-    ref = ArgmaxCounterArray(geometry, on_mitigate=expected, **kwargs)
+    store = CounterArray(geometry, **kwargs)
+    ref = ArgmaxCounterArray(geometry, **kwargs)
+    seen, expected = record_mitigations(store), record_mitigations(ref)
     rng = random.Random(seed)
-    for slot in range(length):
-        seen.slot = expected.slot = slot
+    for _ in range(length):
         op = rng.choice(COUNTER_OPS)
         bank = rng.randrange(banks)
         row, byte = rng.randrange(counter_rows), rng.randrange(cpc)
@@ -411,15 +448,17 @@ def test_refresh_pick_matches_argmax_reference(
             store.external_alert(bank, row, byte)
             ref.external_alert(bank, row, byte, value)
         else:
-            assert store.proactive_tick() == per_bank_ticks(ref)
+            store.proactive_tick()
+            per_bank_ticks(ref)
+        assert seen.take() == expected.take()
         assert (store.alerts, store.mitigations) == (ref.alerts, ref.mitigations)
         assert np.array_equal(store.values, ref.values)
     while True:
-        picks = store.proactive_tick()
-        assert picks == per_bank_ticks(ref)
+        store.proactive_tick()
+        picks = seen.take()
+        assert picks == per_bank_ticks(ref) == expected.take()
         if not picks:
             break
-    assert seen == expected
     assert not store.values.any()
 
 
@@ -514,9 +553,10 @@ def test_dump_matches_the_per_counter_writer(banks, counter_rows, cpc, writes):
     assert nonzero_items(store) == ref.nonzero_items()
 
 
-def _replay(store, ref, rng, banks, counter_rows, cpc, length, ops):
+def _replay(store, ref, seen, expected, rng, banks, counter_rows, cpc, length, ops):
     """Drive two stores through one random stream and check after each
-    step that they return, count and hold the same."""
+    step that they return, count, hold and, as their recorders ``seen``
+    and ``expected`` took, mitigate the same."""
     for _ in range(length):
         op = rng.choice(ops)
         bank = rng.randrange(banks)
@@ -535,7 +575,9 @@ def _replay(store, ref, rng, banks, counter_rows, cpc, length, ops):
             store.external_alert(bank, row, byte)
             ref.external_alert(bank, row, byte)
         else:
-            assert store.proactive_tick() == ref.proactive_tick()
+            store.proactive_tick()
+            ref.proactive_tick()
+        assert seen.take() == expected.take()
         assert (store.alerts, store.mitigations) == (ref.alerts, ref.mitigations)
         assert np.array_equal(store.values, ref.values)
 
@@ -557,7 +599,7 @@ def _dump_bytes(store) -> str:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_refresh_pick_matches_the_histogram_store(
-    banks, counter_rows, cpc, n_bo, rfms_per_alert, length, seed
+    record_mitigations, banks, counter_rows, cpc, n_bo, rfms_per_alert, length, seed
 ):
     """Every refresh, alert and saturating add picks and leaves the same
     counters, tells ``on_mitigate`` in the same order and dumps the same
@@ -569,22 +611,21 @@ def test_refresh_pick_matches_the_histogram_store(
         counter_rows_per_bank=counter_rows,
         counters_per_counter_row=cpc,
     )
-    seen, expected = [], []
     kwargs = dict(n_bo=n_bo, rfms_per_alert=rfms_per_alert)
-    store = CounterArray(geometry, on_mitigate=lambda *r: seen.append(r), **kwargs)
-    ref = HistogramCounterArray(
-        geometry, on_mitigate=lambda *r: expected.append(r), **kwargs
-    )
+    store = CounterArray(geometry, **kwargs)
+    ref = HistogramCounterArray(geometry, **kwargs)
+    seen, expected = record_mitigations(store), record_mitigations(ref)
     rng = random.Random(seed)
-    _replay(store, ref, rng, banks, counter_rows, cpc, length, COUNTER_OPS)
-    assert seen == expected
+    _replay(
+        store, ref, seen, expected, rng, banks, counter_rows, cpc, length, COUNTER_OPS
+    )
     assert _dump_bytes(store) == _dump_bytes(ref)
     while True:
-        picks = store.proactive_tick()
-        assert picks == ref.proactive_tick()
+        store.proactive_tick()
+        picks = seen.take()
+        assert picks == ref.proactive_tick() == expected.take()
         if not picks:
             break
-    assert seen == expected
     assert not store.values.any()
 
 
@@ -598,7 +639,7 @@ def test_refresh_pick_matches_the_histogram_store(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_a_store_without_bookkeeping_matches_a_refresh_store(
-    banks, counter_rows, cpc, n_bo, length, seed
+    record_mitigations, banks, counter_rows, cpc, n_bo, length, seed
 ):
     """Without refresh and with one refresh per alert, a store only writes
     values; its returns, counts, values and dump are a refresh store's."""
@@ -608,15 +649,94 @@ def test_a_store_without_bookkeeping_matches_a_refresh_store(
         counter_rows_per_bank=counter_rows,
         counters_per_counter_row=cpc,
     )
-    seen, expected = [], []
-    store = CounterArray(
-        geometry, n_bo=n_bo, refresh=False, on_mitigate=lambda *r: seen.append(r)
-    )
-    ref = CounterArray(
-        geometry, n_bo=n_bo, refresh=True, on_mitigate=lambda *r: expected.append(r)
-    )
+    store = CounterArray(geometry, n_bo=n_bo, refresh=False)
+    ref = CounterArray(geometry, n_bo=n_bo, refresh=True)
+    seen, expected = record_mitigations(store), record_mitigations(ref)
     assert store._hist is None
     ops = ("rmw",) * 10 + ("big_rmw", "writeback", "external_alert")
-    _replay(store, ref, random.Random(seed), banks, counter_rows, cpc, length, ops)
-    assert seen == expected
+    rng = random.Random(seed)
+    _replay(store, ref, seen, expected, rng, banks, counter_rows, cpc, length, ops)
     assert _dump_bytes(store) == _dump_bytes(ref)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    banks=st.integers(1, 3),
+    counter_rows=st.sampled_from((1, 2, 4, 16)),
+    cpc=st.sampled_from((1, 4, 8)),
+    n_bo=st.one_of(st.none(), st.integers(1, 40)),
+    rfms_per_alert=st.integers(1, 4),
+    refresh=st.booleans(),
+    handler=st.booleans(),
+    length=st.integers(100, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_store_matches_the_pick_list_store(
+    record_mitigations,
+    banks,
+    counter_rows,
+    cpc,
+    n_bo,
+    rfms_per_alert,
+    refresh,
+    handler,
+    length,
+    seed,
+):
+    """Each bank opened before its first write, as an engine opens it, a
+    store whose refresh keeps no pick list mitigates the counters, in the
+    order, that the store with pick lists told ``on_mitigate`` and its
+    ticks returned, and holds and counts the same after every call,
+    refused calls included.  Without a handler it counts the same."""
+    geometry = DramGeometry(
+        banks=banks,
+        rows_per_bank=counter_rows * cpc,
+        counter_rows_per_bank=counter_rows,
+        counters_per_counter_row=cpc,
+    )
+    kwargs = dict(n_bo=n_bo, rfms_per_alert=rfms_per_alert, refresh=refresh)
+    store = CounterArray(geometry, **kwargs)
+    ref = PickListCounterArray(geometry, **kwargs)
+    seen = record_mitigations(store) if handler else None
+    expected = record_mitigations(ref)
+    opened = set()
+    rng = random.Random(seed)
+    for _ in range(length):
+        op = rng.choice(COUNTER_OPS)
+        bank = rng.randrange(banks)
+        row, byte = rng.randrange(counter_rows), rng.randrange(cpc)
+        if bank not in opened:
+            store.open_bank(bank)
+            opened.add(bank)
+        if op in ("rmw", "big_rmw"):
+            inc = rng.randint(1, 6) if op == "rmw" else rng.randint(50, 300)
+            assert store.apply_rmw(bank, row, byte, inc) == ref.apply_rmw(
+                bank, row, byte, inc
+            )
+        elif op == "writeback":
+            value = rng.randrange(COUNTER_MAX + 1)
+            assert store.apply_writeback(bank, row, byte, value) == ref.apply_writeback(
+                bank, row, byte, value
+            )
+        elif op == "external_alert":
+            if n_bo is None and not refresh and rfms_per_alert > 1:
+                with pytest.raises(ConfigError):
+                    store.external_alert(bank, row, byte)
+                with pytest.raises(ConfigError):
+                    ref.external_alert(bank, row, byte)
+            else:
+                store.external_alert(bank, row, byte)
+                ref.external_alert(bank, row, byte)
+        elif refresh:
+            before = len(expected)
+            assert store.proactive_tick() is None
+            assert ref.proactive_tick() == expected[before:]
+        else:
+            with pytest.raises(ConfigError):
+                store.proactive_tick()
+            with pytest.raises(ConfigError):
+                ref.proactive_tick()
+        if seen is not None:
+            assert seen.take() == expected.take()
+        assert (store.alerts, store.mitigations) == (ref.alerts, ref.mitigations)
+        assert np.array_equal(store.values, ref.values)

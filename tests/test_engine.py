@@ -11,6 +11,7 @@ from legacy_counters import HistogramCounterArray
 from pracsim import engine as engine_mod
 from pracsim.buffers import DESIGNS
 from pracsim.config import resolve
+from pracsim.counters import CounterArray
 from pracsim.engine import Engine, compare, run
 from pracsim.errors import ConfigError, TraceError
 from pracsim.oracle import read_log, verify, write_log
@@ -234,21 +235,7 @@ def test_compare_generates_the_trace_once(monkeypatch, extra):
         assert report.to_json() == alone.to_json()
 
 
-def record_mitigations(engine):
-    """The list that every mitigation of ``engine``'s store appends its
-    (bank, row_id, byte_id) to, after the engine's own callback runs."""
-    done = []
-    engine_reset = engine.store.on_mitigate
-
-    def on_mitigate(bank, row_id, byte_id):
-        engine_reset(bank, row_id, byte_id)
-        done.append((bank, row_id, byte_id))
-
-    engine.store.on_mitigate = on_mitigate
-    return done
-
-
-def test_mitigation_resets_the_cached_copy():
+def test_mitigation_resets_the_cached_copy(record_mitigations):
     """A refresh or alert that zeroes a stored counter also resets a dirty
     cached copy of it; a copy left dirty would write the removed count
     back.  Without that reset, 59 of this run's refreshes leave one (the
@@ -263,7 +250,7 @@ def test_mitigation_resets_the_cached_copy():
         }
     )
     engine = Engine(config)
-    done = record_mitigations(engine)
+    done = record_mitigations(engine.store)
     mitigations = 0
     left_dirty = []
     for ev in engine.load_events():
@@ -279,7 +266,7 @@ def test_mitigation_resets_the_cached_copy():
     assert left_dirty == []
 
 
-def test_mitigation_resets_a_queued_writeback():
+def test_mitigation_resets_a_queued_writeback(record_mitigations):
     """A dirty line evicted before a refresh waits in the buffer as an
     absolute write; once the refresh zeroes the stored counter, that
     write must not restore the removed count.  Without the reset, 11 of
@@ -295,7 +282,7 @@ def test_mitigation_resets_a_queued_writeback():
         }
     )
     engine = Engine(config)
-    done = record_mitigations(engine)
+    done = record_mitigations(engine.store)
     mitigations = 0
     restoring = []
     for ev in engine.load_events():
@@ -394,6 +381,85 @@ def test_step_range_checks_events_from_the_api(bank, data_row):
         engine.step(1, bank, data_row)
     assert np.array_equal(engine.store.values, before)
     assert engine.ledger.data_acts == 1
+
+
+def _spy_open_bank(monkeypatch):
+    """The banks every engine's store opens, in order."""
+    opened = []
+    open_bank = CounterArray.open_bank
+
+    def spy(store, bank):
+        opened.append(bank)
+        open_bank(store, bank)
+
+    monkeypatch.setattr(CounterArray, "open_bank", spy)
+    return opened
+
+
+@pytest.mark.parametrize(
+    "design, cache", [("chronus", "none"), ("unified_approxmax", "lru4way")]
+)
+def test_a_run_opens_each_bank_it_touches_once(monkeypatch, design, cache):
+    """The store makes a bank's pages resident on the bank's first
+    activation, once, and never for a bank the trace leaves alone."""
+    opened = _spy_open_bank(monkeypatch)
+    config = resolve(
+        overrides={
+            "trace.generator": "zipf",
+            "trace.banks": "5",
+            "trace.length": "3000",
+            "buffer.design": design,
+            "cache.kind": cache,
+        }
+    )
+    trace = engine_mod.load_trace(config)
+    first_touch = list(dict.fromkeys(trace.banks))
+    assert 1 < len(first_touch) < config.geometry.banks
+    Engine(config).run(trace)
+    assert opened == first_touch
+
+
+@pytest.mark.parametrize("bank", [-1, 64])
+def test_a_bank_outside_the_geometry_opens_nothing(monkeypatch, bank):
+    opened = _spy_open_bank(monkeypatch)
+    engine = Engine(resolve(overrides=sequential_overrides(1)))
+    with pytest.raises(TraceError, match="slot 0: bank"):
+        engine.step(0, bank, 5)
+    assert opened == []
+    engine.step(1, 3, 5)
+    assert opened == [3]
+
+
+def test_a_cached_run_at_k_limit_one_applies_one_increment_at_a_time():
+    """With a cache, K = 1 and M = 1, a writeback holds its row full; the
+    increments of that row's counters are served one per batch, where the
+    deferred row once took a shadow and let the next batch carry 2."""
+    config = resolve(
+        overrides={
+            "buffer.design": "unified_fcfs",
+            "buffer.capacity": "4",
+            "buffer.m_batch": "1",
+            "buffer.k_limit": "1",
+            "cache.kind": "lru4way",
+            "cache.entries": "4",
+            "mitigation.proactive_interval": "0",
+            "metrics.enabled": "false",
+        }
+    )
+    engine = Engine(config)
+    increments = []
+    apply_rmw = engine.store.apply_rmw
+
+    def spy(bank, row_id, byte_id, n=1):
+        increments.append(n)
+        return apply_rmw(bank, row_id, byte_id, n)
+
+    engine.store.apply_rmw = spy
+    for slot, data_row in enumerate([12, 12, 9, 47, 28, 42, 12, 12]):
+        engine.step(slot, 0, data_row)
+    engine.finalize()
+    assert increments and max(increments) == 1
+    assert engine.trigger_counts["k_limit"] == len(increments)
 
 
 def test_finalize_twice_is_an_error():
