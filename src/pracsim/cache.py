@@ -13,12 +13,17 @@ structure gated by a frequency-sketch admission filter that only evicts
 a line for a candidate that has been seen more often.
 
 A dict finds a counter's resident line by its flat index; each set's
-list keeps only the LRU order.  A second dict keeps a counter's sketch
-slots after one hash, for up to as many counters as the sketch has slots.
+list keeps only the LRU order.  A counter's sketch slots come from one
+read-only table per sketch shape and bank size, built on the first
+TinyLFU cache of that shape and shared by every later one; a process
+keeps the tables of its four latest shapes.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
+
+import numpy as np
 
 from .counters import COUNTER_MAX
 from .errors import ConfigError
@@ -30,6 +35,8 @@ SKETCH_CAP = 15
 _M64 = (1 << 64) - 1
 _SEED_BASE = 0xA0761D6478BD642F
 _SEED_STEP = 0xE7037ED1A0B428DB
+_HALVE = bytes(v >> 1 for v in range(256))
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -72,11 +79,33 @@ class _Line:
         self.dirty = False
 
 
-def _mix(x: int) -> int:
-    x &= _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
+@lru_cache(maxsize=4)
+def _slot_table(width: int, rows: int, counters: int) -> Tuple[memoryview, ...]:
+    """One read-only view per sketch row: entry ``flat`` of view ``r`` is
+    ``r * width + splitmix64(flat * 0x9E3779B97F4A7C15 + seed_r) % width``.
+
+    numpy's uint64 arithmetic wraps mod 2**64, as the hash is defined.
+    Entries take the fewest bytes that hold ``width * rows - 1``, at most
+    2 at every shape ``config.resolve`` accepts; chunks of ``_CHUNK``
+    counters keep the temporaries small.
+    """
+    table = np.empty((rows, counters), np.min_scalar_type(width * rows - 1))
+    for r, row in enumerate(table):
+        seed = np.uint64((_SEED_BASE + r * _SEED_STEP) & _M64)
+        for lo in range(0, counters, _CHUNK):
+            x = np.arange(lo, min(lo + _CHUNK, counters), dtype=np.uint64)
+            x *= np.uint64(0x9E3779B97F4A7C15)
+            x += seed
+            x ^= x >> np.uint64(30)
+            x *= np.uint64(0xBF58476D1CE4E5B9)
+            x ^= x >> np.uint64(27)
+            x *= np.uint64(0x94D049BB133111EB)
+            x ^= x >> np.uint64(31)
+            x %= np.uint64(width)
+            x += np.uint64(r * width)
+            row[lo : lo + _CHUNK] = x
+    table.flags.writeable = False
+    return tuple(memoryview(row) for row in table)
 
 
 class CounterCache:
@@ -84,9 +113,11 @@ class CounterCache:
 
     A hit returns the live value, so the caller can alert when it reaches
     the back-off threshold; the mitigation that follows resets the line
-    through ``reset``.  ``_lines`` and ``_slots`` map a counter's flat
-    index, ``row_id * counters_per_counter_row + byte_id``, to its line
-    and to its sketch slots; ``sets`` holds each set's lines, newest first.
+    through ``reset``.  ``_lines`` maps a counter's flat index,
+    ``row_id * counters_per_counter_row + byte_id``, to its line; ``sets``
+    holds each set's lines, newest first.  Callers pass counters inside
+    the geometry (the engine range-checks each activation first): the
+    sketch's slot table has an entry for those alone.
     """
 
     def __init__(self, bank: int, config: CacheConfig, geometry: DramGeometry):
@@ -106,13 +137,14 @@ class CounterCache:
         self._lfu = config.kind == "tinylfu"
         if self._lfu:
             # Row r of the count-min sketch is sketch[r * width:(r + 1) * width].
-            self._sketch = [0] * (config.sketch_width * config.sketch_rows)
-            self._seeds = [
-                (_SEED_BASE + r * _SEED_STEP) & _M64 for r in range(config.sketch_rows)
-            ]
-            self._slots: Dict[int, Tuple[int, ...]] = {}
+            self._sketch = bytearray(config.sketch_width * config.sketch_rows)
+            self._table = _slot_table(
+                config.sketch_width,
+                config.sketch_rows,
+                geometry.counter_rows_per_bank * self._cpc,
+            )
             self._halve_every = config.halving_period or 10 * config.entries
-            self._accesses = 0
+            self._until_halving = self._halve_every
 
     def access(self, row_id: int, byte_id: int) -> int:
         """Look up one activation's counter: a hit absorbs the increment and
@@ -120,12 +152,15 @@ class CounterCache:
         flat = row_id * self._cpc + byte_id
         if self._lfu:
             sketch = self._sketch
-            for i in self._slots.get(flat) or self._hash_slots(flat):
-                if sketch[i] < SKETCH_CAP:
-                    sketch[i] += 1
-            self._accesses += 1
-            if self._accesses % self._halve_every == 0:
-                self._sketch = [v >> 1 for v in sketch]
+            for slots in self._table:
+                i = slots[flat]
+                v = sketch[i]
+                if v < SKETCH_CAP:
+                    sketch[i] = v + 1
+            self._until_halving -= 1
+            if not self._until_halving:
+                self._sketch = sketch.translate(_HALVE)
+                self._until_halving = self._halve_every
         line = self._lines.get(flat)
         if line is None:
             self.misses += 1
@@ -201,19 +236,11 @@ class CounterCache:
     # Frequency sketch: small saturating counters, periodically halved so
     # stale popularity ages out.
 
-    def _hash_slots(self, flat: int) -> Tuple[int, ...]:
-        """The counter's sketch slot in each row, kept for its next access."""
-        width = self.config.sketch_width
-        if len(self._slots) == len(self._sketch):
-            # Keeping at most one counter per sketch slot bounds the memory
-            # of a run over many counters; a dropped counter is hashed again.
-            self._slots.clear()
-        key = flat * 0x9E3779B97F4A7C15
-        slots = self._slots[flat] = tuple(
-            r * width + _mix(key + seed) % width for r, seed in enumerate(self._seeds)
-        )
-        return slots
-
     def _estimate(self, flat: int) -> int:
         sketch = self._sketch
-        return min(sketch[i] for i in self._slots.get(flat) or self._hash_slots(flat))
+        estimate = SKETCH_CAP
+        for slots in self._table:
+            v = sketch[slots[flat]]
+            if v < estimate:
+                estimate = v
+        return estimate

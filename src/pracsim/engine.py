@@ -66,11 +66,7 @@ class Engine:
         """
         state = self._banks.get(bank)
         if state is None:
-            if not 0 <= bank < self.geometry.banks:
-                where = "" if slot is None else f"slot {slot}: "
-                raise TraceError(
-                    f"{where}bank {bank} out of range [0, {self.geometry.banks})"
-                )
+            self._check_bank(bank, slot)
             self.store.open_bank(bank)
             cache = None
             if self._cached:
@@ -78,9 +74,20 @@ class Engine:
             state = self._banks[bank] = (make_buffer(bank, self.config.buffer), cache)
         return state
 
+    def _check_bank(self, bank: int, slot: Optional[int] = None) -> None:
+        if not 0 <= bank < self.geometry.banks:
+            where = "" if slot is None else f"slot {slot}: "
+            raise TraceError(f"{where}bank {bank} out of range [0, {self.geometry.banks})")
+
     def cache(self, bank: int) -> Optional[CounterCache]:
-        """The bank's counter cache; None when the run has no cache."""
-        return self._bank(bank)[1]
+        """The counter cache of a bank the run has touched; None when the
+        run has no cache or never touched the bank.  A pure read: it makes
+        no bank state and opens no counter pages."""
+        state = self._banks.get(bank)
+        if state is None:
+            self._check_bank(bank)
+            return None
+        return state[1]
 
     def _reset_cached(self, bank: int, row_id: int, byte_id: int) -> None:
         """A mitigation zeroed this counter: drop every copy that could

@@ -1,12 +1,14 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legacy_cache
 from legacy_cache import CounterCache as ScanningCounterCache
-from pracsim.cache import ASSOC, CacheConfig, CounterCache
+from pracsim.cache import ASSOC, CacheConfig, CounterCache, _slot_table
 from pracsim.config import resolve
 from pracsim.engine import Engine
 from pracsim.errors import ConfigError
@@ -178,8 +180,8 @@ def test_tinylfu_rejects_cold_candidate(toy_geometry):
         cache.access(0, 0)
     for row in range(4):
         cache.fill_clean(row, 0, 0, no_sink)
-    cache.access(4, 0)
-    assert not cache.fill_clean(4, 0, 1, no_sink)
+    cache.access(0, 1)
+    assert not cache.fill_clean(0, 1, 1, no_sink)
     assert cache.admission_rejects == 1
     assert cache.access(0, 0)
 
@@ -191,11 +193,11 @@ def test_tinylfu_admits_hot_candidate(toy_geometry):
     for row in range(4):
         cache.fill_clean(row, 0, 0, no_sink)
     for _ in range(5):
-        cache.access(4, 0)
-    assert cache.fill_clean(4, 0, 1, no_sink)
+        cache.access(0, 1)
+    assert cache.fill_clean(0, 1, 1, no_sink)
     assert cache.admission_rejects == 0
     assert not cache.access(0, 0)
-    assert cache.access(4, 0)
+    assert cache.access(0, 1)
 
 
 def test_sketch_halves_on_schedule(toy_geometry):
@@ -208,17 +210,47 @@ def test_sketch_halves_on_schedule(toy_geometry):
     assert cache._estimate(flat) == 2
 
 
-def test_sketch_keeps_at_most_one_counter_per_slot(toy_geometry):
-    """A run over more counters than the sketch has slots keeps a bounded
-    set of hashed counters, and estimates the same after dropping them."""
-    cache = make_cache(toy_geometry, kind="tinylfu", sketch_width=3, sketch_rows=2)
-    ref = ScanningCounterCache(0, cache.config, toy_geometry)
-    for flat in list(range(16)) * 2:
-        cache.access(*divmod(flat, 4))
-        ref.access(*divmod(flat, 4))
-        assert len(cache._slots) <= 6
-    estimates = [cache._estimate(flat) for flat in range(16)]
-    assert estimates == [ref._estimate(flat) for flat in range(16)]
+def test_cache_memory_does_not_grow_with_the_counters_it_sees(geometry):
+    """A TinyLFU cache holds as much after accessing 20,000 distinct
+    counters as after accessing 100: no per-counter state is kept."""
+    config = CacheConfig(kind="tinylfu", entries=64)
+    CounterCache(0, config, geometry)  # builds the shared slot table
+    grown = {}
+    tracemalloc.start()
+    try:
+        for distinct in (100, 20_000):
+            cache = CounterCache(0, config, geometry)
+            before = tracemalloc.get_traced_memory()[0]
+            for flat in range(0, 3 * distinct, 3):
+                cache.access(*divmod(flat, geometry.counters_per_counter_row))
+            grown[distinct] = tracemalloc.get_traced_memory()[0] - before
+            del cache
+    finally:
+        tracemalloc.stop()
+    assert grown[20_000] <= grown[100] + 1024, grown
+
+
+@pytest.mark.parametrize(
+    "width, rows", [(1024, 2), (1000, 3), (1, 1), (65536, 1), (4096, 16)]
+)
+def test_slot_table_holds_the_hashed_slots(geometry, width, rows):
+    """Every counter of a default bank reads, in each sketch row, the slot
+    that hashing its flat index gives, from entries of the fewest bytes
+    that hold every slot; the table cannot be written."""
+    counters = geometry.counter_rows_per_bank * geometry.counters_per_counter_row
+    assert counters == 65536
+    table = _slot_table(width, rows, counters)
+    assert len(table) == rows
+    for r, slots in enumerate(table):
+        assert slots.itemsize == (1 if width * rows <= 256 else 2)
+        seed = (legacy_cache._SEED_BASE + r * legacy_cache._SEED_STEP) & legacy_cache._M64
+        want = [
+            r * width + legacy_cache._mix(flat * 0x9E3779B97F4A7C15 + seed) % width
+            for flat in range(counters)
+        ]
+        assert slots.tolist() == want
+        with pytest.raises(TypeError):
+            slots[0] = 0
 
 
 def test_sketch_counters_saturate(toy_geometry):

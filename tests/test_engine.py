@@ -430,6 +430,22 @@ def test_a_bank_outside_the_geometry_opens_nothing(monkeypatch, bank):
     assert opened == [3]
 
 
+@pytest.mark.parametrize("cache", ["none", "lru4way"])
+def test_reading_a_cache_opens_no_bank(monkeypatch, cache):
+    """``Engine.cache`` is a pure read, on a finalized engine too: a bank
+    the run never touched has no cache and opens nothing, and a bank
+    outside the geometry still raises."""
+    opened = _spy_open_bank(monkeypatch)
+    engine = Engine(resolve(overrides=sequential_overrides(10, **{"cache.kind": cache})))
+    engine.run()
+    assert (engine.cache(0) is None) == (cache == "none")
+    assert engine.cache(5) is None
+    with pytest.raises(TraceError, match="bank 64 out of range"):
+        engine.cache(64)
+    assert sorted(engine._banks) == [0]
+    assert opened == [0]
+
+
 def test_a_cached_run_at_k_limit_one_applies_one_increment_at_a_time():
     """With a cache, K = 1 and M = 1, a writeback holds its row full; the
     increments of that row's counters are served one per batch, where the
