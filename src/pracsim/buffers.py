@@ -30,6 +30,8 @@ increment entry, valued at its pending updates, and ``~byte_id`` (a
 negative key) for a cache writeback, valued at the absolute value to
 write.  A serviced batch's ``items`` is that dict itself, taken out of
 the buffer whole, oldest entry first; the baseline's is ``{byte_id: 1}``.
+The engine calls ``insert`` once per activation its cache missed and
+applies the batch it returns, if any, item by item.
 Only a row holding a writeback is rebuilt first (``_merge_items``), so
 that each byte appears once: a byte with a writeback keeps the key
 ``~byte_id`` and its value becomes ``(value, increments)``, the absolute
@@ -100,6 +102,12 @@ class ServiceBatch(NamedTuple):
     trigger: str
 
 
+# Builds a ServiceBatch from a 4-tuple without the Python-level
+# ``__new__`` that the named tuple's own constructor goes through:
+# ``_new_tuple(ServiceBatch, (bank, row_id, items, trigger))``.
+_new_tuple = tuple.__new__
+
+
 class ChronusBuffer:
     """Baseline: every activation's counter update is serviced on the spot."""
 
@@ -107,7 +115,7 @@ class ChronusBuffer:
         self.bank = bank
 
     def insert(self, row_id: int, byte_id: int) -> ServiceBatch:
-        return ServiceBatch(self.bank, row_id, {byte_id: 1}, TRIG_M_READY)
+        return _new_tuple(ServiceBatch, (self.bank, row_id, {byte_id: 1}, TRIG_M_READY))
 
     def drain(self) -> List[ServiceBatch]:
         return []
@@ -178,7 +186,9 @@ class _BufferedBase:
             # row unless the row's batch is full.  It goes with a queued
             # writeback of its byte, which would otherwise overwrite it.
             if row_id in self._full_rows and ~byte_id not in entries:
-                return ServiceBatch(self.bank, row_id, {byte_id: 1}, TRIG_K_LIMIT)
+                return _new_tuple(
+                    ServiceBatch, (self.bank, row_id, {byte_id: 1}, TRIG_K_LIMIT)
+                )
             self._allocate(row_id, byte_id, 1)
             return self._flush_row(row_id, TRIG_K_LIMIT)
         if row_id in self._full_rows:
@@ -190,7 +200,15 @@ class _BufferedBase:
             batch = self._flush_row(self._pick_victim(self), TRIG_BUFFER_FULL)
             self._allocate(row_id, byte_id, 1)
             return batch
-        count = self._allocate(row_id, byte_id, 1)
+        # ``_allocate`` inlined; a row it would mark full is flushed at once.
+        if entries is None:
+            entries = self._rows[row_id] = {}
+        entries[byte_id] = 1
+        self._total += 1
+        count = len(entries)
+        if count > self._meta_count:
+            self._meta_row = row_id
+            self._meta_count = count
         if count >= self._m_batch:
             return self._flush_row(row_id, TRIG_M_READY)
         if self._full_rows:
@@ -224,11 +242,14 @@ class _BufferedBase:
         batch per row."""
         wb_rows = self._wb_rows
         batches = [
-            ServiceBatch(
-                self.bank,
-                row_id,
-                _merge_items(entries) if row_id in wb_rows else entries,
-                TRIG_DRAIN,
+            _new_tuple(
+                ServiceBatch,
+                (
+                    self.bank,
+                    row_id,
+                    _merge_items(entries) if row_id in wb_rows else entries,
+                    TRIG_DRAIN,
+                ),
             )
             for row_id, entries in sorted(self._rows.items())
         ]
@@ -271,7 +292,7 @@ class _BufferedBase:
         if row_id in self._wb_rows:
             self._wb_rows.discard(row_id)
             entries = _merge_items(entries)
-        return ServiceBatch(self.bank, row_id, entries, trigger)
+        return _new_tuple(ServiceBatch, (self.bank, row_id, entries, trigger))
 
 
 def _merge_items(entries: Dict[int, int]) -> Dict[int, Union[int, Tuple[int, int]]]:

@@ -96,6 +96,8 @@ class CounterArray:
         self.values = np.frombuffer(self._cells, dtype=np.uint8).reshape(
             geometry.banks, self._counter_rows, self._cpc
         )
+        # The value at which a write alerts; no counter reaches it without n_bo.
+        self._alert_at = COUNTER_MAX + 1 if n_bo is None else n_bo
         self.alerts = 0
         self.mitigations = 0
         # Refresh bookkeeping, or None where no pick can happen.  Per bank:
@@ -149,21 +151,24 @@ class CounterArray:
         if increments < 0:
             raise ConfigError(f"increments must be non-negative, got {increments}")
         i = (bank * self._counter_rows + row_id) * self._cpc + byte_id
-        old = self._cells[i]
+        cells = self._cells
+        old = cells[i]
         value = old + increments
         if value > COUNTER_MAX:
             value = COUNTER_MAX
-        self._cells[i] = value
-        if self._hist is not None:
-            hist = self._hist[bank] or self._new_hist(bank)
+        cells[i] = value
+        hists = self._hist
+        if hists is not None:
+            hist = hists[bank] or self._new_hist(bank)
             hist[old] -= 1
             hist[value] += 1
-            if value > self._top[bank]:
+            top = self._top[bank]
+            if value > top:
                 self._top[bank] = value
                 self._from[bank] = i
-            elif value == self._top[bank] and i < self._from[bank]:
+            elif value == top and i < self._from[bank]:
                 self._from[bank] = i
-        if self.n_bo is not None and value >= self.n_bo:
+        if value >= self._alert_at:
             self._alert(bank, row_id, byte_id)
         return value
 
@@ -172,7 +177,7 @@ class CounterArray:
         if not 0 <= value <= COUNTER_MAX:
             raise ConfigError(f"writeback value {value} out of range [0, {COUNTER_MAX}]")
         self._set(bank, row_id, byte_id, value)
-        if self.n_bo is not None and value >= self.n_bo:
+        if value >= self._alert_at:
             self._alert(bank, row_id, byte_id)
         return value
 

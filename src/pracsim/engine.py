@@ -3,9 +3,15 @@
 Each activation event consults the optional cache, and otherwise
 inserts a counter request into its bank's buffer; a returned batch is
 serviced against the stored counters in the shadow of that same
-activation.  After the last event every buffer is drained, but dirty
-cache lines are not written back, so a cached run's final stored
-counters (``--dump-state``) lag the live values its cache still holds.
+activation.  That chain is ``Engine.step`` -> the buffer's ``insert``
+-> ``Engine._service`` -> ``CounterArray.apply_rmw``, each link called
+through its attribute: once per activation, per activation the cache
+missed, per batch, and per item with increments.  The ledger's
+``data_acts``, ``counter_acts`` and ``rmw_bytes`` are live after each
+step; ``finalize`` sets ``data_cols`` and ``mitigation_acts``.  After
+the last event every buffer is drained, but dirty cache lines are not
+written back, so a cached run's final stored counters (``--dump-state``)
+lag the live values its cache still holds.
 Workload shape is computed in one pass, by the same function that
 ``pracsim analyze`` calls, from the trace ``run`` steps; ``compare``
 computes it once for all designs and hands it to each run.
@@ -109,20 +115,20 @@ class Engine:
                 f"slot {slot}: data_row {data_row} out of range [0, {self._rows})"
             )
         buf, cache = self._banks.get(bank) or self._bank(bank, slot)
-        row_id, byte_id = divmod(data_row, self._cpc)
-        ledger = self.ledger
-        ledger.data_acts += 1
-        ledger.data_cols += 1
+        cpc = self._cpc
+        row_id = data_row // cpc
+        byte_id = data_row % cpc
+        self.ledger.data_acts += 1
 
-        live = 0 if cache is None else cache.access(row_id, byte_id)
-        if live:
-            if live >= self._n_bo:
-                self.store.external_alert(bank, row_id, byte_id)
-        else:
+        if cache is None or not (live := cache.access(row_id, byte_id)):
             batch = buf.insert(row_id, byte_id)
             if batch is not None:
                 self._service(batch, slot)
+        elif live >= self._n_bo:
+            self.store.external_alert(bank, row_id, byte_id)
 
+        # Keyed on the slot itself, so that a caller whose slots skip or
+        # restart still ticks exactly at each interval's last slot.
         interval = self._proactive
         if interval and (slot + 1) % interval == 0:
             self.store.proactive_tick()
@@ -130,28 +136,28 @@ class Engine:
     def _service(self, batch: ServiceBatch, slot: int) -> None:
         """Apply one batch; its items are as ``pracsim.buffers`` describes."""
         bank, row_id, items, trigger = batch
-        ledger = self.ledger
-        ledger.counter_acts += 1
         self.trigger_counts[trigger] += 1
         if self.batch_log is not None:
             # Only a cached run queues writebacks, whose keys are ~byte_id.
             byte_ids = [~k if k < 0 else k for k in items] if self._cached else items
             self.batch_log.append(slot, bank, row_id, trigger, byte_ids)
         store = self.store
-        buf, cache = self._banks[bank]
-        if self._finalized:
+        apply_rmw = store.apply_rmw
+        cache = None
+        if self._cached and not self._finalized:
             # No fills while draining: an eviction writeback enqueued after
             # drain() would never be serviced.
-            cache = None
+            buf, cache = self._banks[bank]
+        rmw_bytes = 0
         for byte_id, increments in items.items():
             if byte_id < 0:
                 byte_id = ~byte_id
                 wb_value, increments = increments
                 store.apply_writeback(bank, row_id, byte_id, wb_value)
-                ledger.rmw_bytes += 1
+                rmw_bytes += 1
             if increments:
-                store.apply_rmw(bank, row_id, byte_id, increments)
-                ledger.rmw_bytes += increments
+                apply_rmw(bank, row_id, byte_id, increments)
+                rmw_bytes += increments
                 if cache is not None:
                     cache.fill_clean(
                         row_id,
@@ -159,6 +165,9 @@ class Engine:
                         store.get(bank, row_id, byte_id),
                         buf.try_insert_writeback,
                     )
+        ledger = self.ledger
+        ledger.counter_acts += 1
+        ledger.rmw_bytes += rmw_bytes
 
     def finalize(self, shape: Optional[dict] = None) -> SimReport:
         """Drain all buffers and assemble the report.
@@ -179,6 +188,8 @@ class Engine:
         # store back to it, so that refcounting alone frees the engine and
         # its counter store once the caller lets go.
         self.store.on_mitigate = None
+        # Each activation reads one column; step counts only the activations.
+        self.ledger.data_cols = self.ledger.data_acts
         self.ledger.mitigation_acts = self.store.mitigations
 
         if shape is None or not self.config.metrics_enabled:

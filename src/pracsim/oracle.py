@@ -139,17 +139,19 @@ def read_log(stream) -> ServiceLog:
     """Parse a service-log CSV into a ServiceLog of array columns, blank
     lines and a ``slot,`` header on line 1 skipped; the first malformed
     line raises LogFormatError naming it."""
-    values, first, counts, triggers, lines, bad = split_decimal_csv(stream.read(), "slot,", 3)
+    values, first, counts, texts, lines, bad = split_decimal_csv(stream.read(), "slot,", 3)
     n = np.flatnonzero(counts[:bad] < 5).min(initial=bad)
     first, sizes = first[:n], counts[:n] - 5
-    codes = np.fromiter(map(_TRIGGER_CODE.get, triggers[:n], [-1] * n), np.int64, n)
+    raw, t0, width = texts
+    codes = _text_codes(raw, t0[:n], width[:n], TRIGGERS)
     slots, banks, row_ids, n_items = (values[first + k] for k in (0, 1, 2, 4))
     j = np.flatnonzero((codes < 0) | (n_items != sizes) | (slots < 0)).min(initial=n)
     if j < lines.size:
         if j == n:
             problem = "expected at least 5 fields" if counts[j] < 5 else "non-integer field"
         elif codes[j] < 0:
-            problem = f"unknown trigger {triggers[j]!r}"
+            trigger = raw[t0[j] : t0[j] + width[j]].tobytes().decode()
+            problem = f"unknown trigger {trigger!r}"
         elif n_items[j] != sizes[j]:
             problem = f"n_items {n_items[j]} but {sizes[j]} byte ids"
         else:
@@ -159,6 +161,22 @@ def read_log(stream) -> ServiceLog:
     for k in range(5):
         head[first + k] = True
     return ServiceLog(slots, banks, row_ids, codes, sizes, values[~head])
+
+
+def _text_codes(
+    buf: np.ndarray, start: np.ndarray, width: np.ndarray, names: Sequence[str]
+) -> np.ndarray:
+    """The index in ``names`` of each field ``buf[start[j] : start[j] +
+    width[j]]``, or -1.  Each name keeps the fields of its byte length,
+    then narrows them one byte position at a time."""
+    codes = np.full(start.size, -1, dtype=np.int64)
+    for code, name in enumerate(names):
+        pattern = name.encode()
+        j = np.flatnonzero(width == len(pattern))
+        for k, byte in enumerate(pattern):
+            j = j[buf[start[j] + k] == byte]
+        codes[j] = code
+    return codes
 
 
 def _fields(buf: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -171,7 +189,7 @@ def _fields(buf: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 def split_decimal_csv(
     text: str, header: str, text_column: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[str], np.ndarray, int]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[tuple], np.ndarray, int]:
     """Split lines of comma-separated decimal fields in array passes.
 
     Lines end at ``\\n`` and are stripped as ``str.strip`` strips them, a
@@ -185,9 +203,12 @@ def split_decimal_csv(
     the index ``bad`` of the first one holding a non-decimal field other
     than field ``text_column``, or no such field (``len(lines)`` if none).
     For the lines before it, ``values`` holds every field's value (field
-    ``text_column`` reads 0), ``first`` the index there of each line's
-    first field and ``texts`` its field ``text_column``.  ``values`` is
-    int64, or object if a field has more than 18 digits.
+    ``text_column`` reads 0) and ``first`` the index there of each line's
+    first field.  ``values`` is int64, or object if a field has more than
+    18 digits.  ``texts`` is None without a ``text_column``; with one it
+    is ``(raw, start, width)``, and line j's field ``text_column`` is the
+    UTF-8 bytes ``raw[start[j] : start[j] + width[j]]`` of the stripped
+    text, so that no line's text becomes a str unless a caller asks.
     """
     if not text.isascii() or any(map(text.__contains__, " \t\r\x0b\x0c\x1c\x1d\x1e\x1f")):
         text = "\n".join([line.strip() for line in text.split("\n")])
@@ -208,14 +229,14 @@ def split_decimal_csv(
         lines, buf = lines[~empty], np.delete(buf, seps[first[:-1][empty]])
         seps, starts, first = _fields(buf)
         lengths, counts, data = seps - starts[:-1], np.diff(first), buf.tobytes()
-    bad, texts = counts.size, []
+    bad, texts = counts.size, None
     if text_column is not None:
         bad = np.flatnonzero(counts <= text_column).min(initial=bad)
         t = first[:bad] + text_column
-        # Each text field's width[j] bytes from t0[j], read, then rewritten as zeros.
+        # Each text field's width[j] bytes from t0[j], kept, then rewritten as zeros.
         t0, width = starts[t], lengths[t]
         at = np.repeat(t0 - np.cumsum(width) + width, width) + np.arange(width.sum())
-        texts = np.insert(buf[at], np.cumsum(width), 10).tobytes().decode().split("\n")
+        texts = buf, t0, width
         buf = buf.copy()
         buf[at] = ord("0")
         data = buf.tobytes()
@@ -238,7 +259,9 @@ def split_decimal_csv(
         values = np.array([int(x) for x in chunk.split(b",")[:-1]], dtype=object)
     else:
         values = np.fromstring(chunk, dtype=np.int64, sep=",")
-    return values, first[:bad], counts, texts[:bad], lines, int(bad)
+    if texts is not None:
+        texts = texts[0], texts[1][:bad], texts[2][:bad]
+    return values, first[:bad], counts, texts, lines, int(bad)
 
 
 def _check_batch(

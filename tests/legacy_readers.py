@@ -12,6 +12,13 @@ The one edit: ``_read_state`` calls ``split_decimal_csv`` and
 reads through this module's copy.  The helpers they share with
 ``pracsim`` are imported from it.
 
+The reader of the next generation, from before ``read_log`` found each
+trigger's code from its field's bytes: ``read_log_by_str`` and
+``split_decimal_csv_to_str``, verbatim copies of ``oracle.read_log``
+and ``oracle.split_decimal_csv`` but for those names, split every
+line's trigger field into a str and looked each one up in a dict.
+``_fields`` is their own helper, copied with them.
+
 Tests run them beside ``pracsim`` as the reference for differential
 tests; nothing under ``src/`` imports this module.
 """
@@ -206,3 +213,111 @@ def _state_values(path: str, geometry) -> np.ndarray:
     state = np.frombuffer(cells, dtype=np.uint8)
     state[keys] = values[::-1][last]
     return state.reshape(shape)
+
+
+def read_log_by_str(stream) -> ServiceLog:
+    """Parse a service-log CSV into a ServiceLog of array columns, blank
+    lines and a ``slot,`` header on line 1 skipped; the first malformed
+    line raises LogFormatError naming it."""
+    values, first, counts, triggers, lines, bad = split_decimal_csv_to_str(
+        stream.read(), "slot,", 3
+    )
+    n = np.flatnonzero(counts[:bad] < 5).min(initial=bad)
+    first, sizes = first[:n], counts[:n] - 5
+    codes = np.fromiter(map(_TRIGGER_CODE.get, triggers[:n], [-1] * n), np.int64, n)
+    slots, banks, row_ids, n_items = (values[first + k] for k in (0, 1, 2, 4))
+    j = np.flatnonzero((codes < 0) | (n_items != sizes) | (slots < 0)).min(initial=n)
+    if j < lines.size:
+        if j == n:
+            problem = "expected at least 5 fields" if counts[j] < 5 else "non-integer field"
+        elif codes[j] < 0:
+            problem = f"unknown trigger {triggers[j]!r}"
+        elif n_items[j] != sizes[j]:
+            problem = f"n_items {n_items[j]} but {sizes[j]} byte ids"
+        else:
+            problem = f"negative slot {slots[j]}"
+        raise LogFormatError(f"line {lines[j]}: {problem}")
+    head = np.zeros(values.size, dtype=bool)
+    for k in range(5):
+        head[first + k] = True
+    return ServiceLog(slots, banks, row_ids, codes, sizes, values[~head])
+
+
+def _fields(buf: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Where ``buf``'s commas and newlines are, where each field starts and
+    each line's first field; the last two end with the byte and field count."""
+    seps = np.flatnonzero((buf == 44) | (buf == 10))
+    last = np.flatnonzero(buf[seps] == 10)
+    return seps, np.concatenate(([0], seps + 1)), np.concatenate(([0], last + 1))
+
+
+def split_decimal_csv_to_str(
+    text: str, header: str, text_column: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[str], np.ndarray, int]:
+    """Split lines of comma-separated decimal fields in array passes.
+
+    Lines end at ``\\n`` and are stripped as ``str.strip`` strips them, a
+    pass taken only if the text holds non-ASCII or the ASCII whitespace
+    ``str.strip`` strips but for ``\\n``.  Empty lines are skipped, and so
+    is line 1 if it starts with ``header``.  A decimal field is ASCII
+    digits after an optional ``-``.
+
+    Returns ``(values, first, counts, texts, lines, bad)``: each kept
+    line's 1-based number in ``lines`` and field count in ``counts``, and
+    the index ``bad`` of the first one holding a non-decimal field other
+    than field ``text_column``, or no such field (``len(lines)`` if none).
+    For the lines before it, ``values`` holds every field's value (field
+    ``text_column`` reads 0), ``first`` the index there of each line's
+    first field and ``texts`` its field ``text_column``.  ``values`` is
+    int64, or object if a field has more than 18 digits.
+    """
+    if not text.isascii() or any(map(text.__contains__, " \t\r\x0b\x0c\x1c\x1d\x1e\x1f")):
+        text = "\n".join([line.strip() for line in text.split("\n")])
+    skip = text.startswith(header)
+    body = text.partition("\n")[2] if skip else text
+    if body and not body.endswith("\n"):
+        body += "\n"
+    data = body.encode()
+    buf = np.frombuffer(data, dtype=np.uint8)
+    seps, starts, first = _fields(buf)
+    lengths, counts = seps - starts[:-1], np.diff(first)
+    lines = np.arange(1 + skip, 1 + skip + counts.size)
+    # A plain text has no empty field, so no empty line (a line of one empty
+    # field), and no field too long for int64.
+    plain = lengths.min(initial=1) >= 1 and lengths.max(initial=0) <= 18
+    empty = None if plain else (counts == 1) & (lengths[first[:-1]] == 0)
+    if empty is not None and empty.any():
+        lines, buf = lines[~empty], np.delete(buf, seps[first[:-1][empty]])
+        seps, starts, first = _fields(buf)
+        lengths, counts, data = seps - starts[:-1], np.diff(first), buf.tobytes()
+    bad, texts = counts.size, []
+    if text_column is not None:
+        bad = np.flatnonzero(counts <= text_column).min(initial=bad)
+        t = first[:bad] + text_column
+        # Each text field's width[j] bytes from t0[j], read, then rewritten as zeros.
+        t0, width = starts[t], lengths[t]
+        at = np.repeat(t0 - np.cumsum(width) + width, width) + np.arange(width.sum())
+        texts = np.insert(buf[at], np.cumsum(width), 10).tobytes().decode().split("\n")
+        buf = buf.copy()
+        buf[at] = ord("0")
+        data = buf.tobytes()
+        lengths[t] = 1  # A text field may be empty or long.
+    if not plain or data.translate(None, b"0123456789,\n"):
+        digit = (buf >= 48) & (buf <= 57)
+        odd = np.flatnonzero(~digit & (buf != 44) & (buf != 10))
+        field = np.searchsorted(seps, odd)
+        # A "-" is a sign if it opens its field and a digit follows.
+        sign = (buf[odd] == 45) & (odd == starts[field]) & digit[odd + 1]
+        lengths[field[sign]] -= 1
+        wrong = np.concatenate((field[~sign], np.flatnonzero(lengths < 1), first[-1:]))
+        bad = min(bad, np.searchsorted(first, wrong.min(), side="right") - 1)
+    long = not plain and lengths[: first[bad]].max(initial=0) > 18
+    chunk = data[: starts[first[bad]]].replace(b"\n", b",")
+    if not plain:
+        # Before the bad line only a text field can be empty; it reads 0 too.
+        chunk = chunk.replace(b",,", b",0,")
+    if long:
+        values = np.array([int(x) for x in chunk.split(b",")[:-1]], dtype=object)
+    else:
+        values = np.fromstring(chunk, dtype=np.int64, sep=",")
+    return values, first[:bad], counts, texts[:bad], lines, int(bad)

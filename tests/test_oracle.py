@@ -927,6 +927,43 @@ def test_read_log_matches_the_parent_reader(batches, header, data):
     assert _log_outcome(read_log, text) == want
 
 
+# Trigger fields one byte off a trigger's name, or of its length.
+NEAR_TRIGGERS = ["m_readx", "n_ready", "k_limi", "k_limitt", "buffer_fulL", "drain\x00",
+                 "\x00drain", "drai", "dr\u00e1in", "drains", "m_ready\u00e9"]  # fmt: skip
+
+
+def _log_columns(reader, text):
+    """A log reader's six columns with their dtypes, or the type and
+    message of its error."""
+    try:
+        log = reader(io.StringIO(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+    columns = [np.asarray(getattr(log, name)) for name in log.__slots__]
+    return "ok", [(c.dtype.name, c.tolist()) for c in columns]
+
+
+@settings(deadline=None, max_examples=300)
+@given(batches=st.lists(LOG_BATCH, max_size=25), header=st.booleans(), data=st.data())
+def test_read_log_matches_the_str_trigger_reader(batches, header, data):
+    """A valid log, mutated up to three times, trigger fields included:
+    the same columns as the reader that made a str of every trigger
+    field and looked it up, or the same error text."""
+    buf = io.StringIO()
+    write_log(make_log(*batches), buf)
+    text = buf.getvalue() if header else buf.getvalue().partition("\n")[2]
+    lines = text.split("\n")
+    for _ in range(data.draw(st.integers(0, 2))):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(",")
+        if len(fields) > 3:
+            fields[3] = data.draw(st.sampled_from(NEAR_TRIGGERS))
+            lines[k] = ",".join(fields)
+    text = _mutated_csv(data, "\n".join(lines))
+    want = _log_columns(legacy_readers.read_log_by_str, text)
+    assert _log_columns(read_log, text) == want
+
+
 @pytest.mark.parametrize(
     "text, header, text_column, want",
     [("slot,b\n1,2,m_ready,3\n4,5,drain,6\n", "slot,", 2,
@@ -953,6 +990,11 @@ def test_split_decimal_csv_numbers_kept_lines_and_finds_the_first_bad_one(
     values, first, counts, texts, lines, bad = oracle.split_decimal_csv(
         text, header, text_column
     )
+    if texts is None:
+        texts = []
+    else:
+        raw, start, width = texts
+        texts = [raw[a : a + w].tobytes().decode() for a, w in zip(start, width)]
     got = (values.tolist(), values.dtype.name, first.tolist(), counts.tolist(), texts)
     assert got + (lines.tolist(), bad) == want
 
