@@ -41,6 +41,7 @@ from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
+from . import csvout
 from .errors import ConfigError
 from .geometry import DramGeometry
 
@@ -253,20 +254,28 @@ class CounterArray:
 
         Only banks holding a nonzero value are scanned for positions;
         finding them reads the whole store, which costs no memory for
-        pages never written.
+        pages never written.  The positions' four columns are written in
+        array passes, a chunk of lines at a time (``csvout.write``).
         """
         size = self._bank_size
         cells = np.frombuffer(self._cells, dtype=np.uint8)
         written = np.flatnonzero(cells.reshape(-1, size).max(axis=1)).tolist()
+        # numpy finds a bool array's nonzeros several times faster than a
+        # uint8 array's.
         flat = np.concatenate(
-            [b * size + np.flatnonzero(cells[b * size : (b + 1) * size]) for b in written]
+            [
+                b * size + np.flatnonzero(cells[b * size : (b + 1) * size] != 0)
+                for b in written
+            ]
             or [np.zeros(0, dtype=np.intp)]
         )
         banks, offsets = np.divmod(flat, size)
         row_ids, byte_ids = np.divmod(offsets, self._cpc)
-        items = np.stack((banks, row_ids, byte_ids, cells[flat]), axis=1)
-        lines = "%d,%d,%d,%d\n" * len(items) % tuple(items.ravel().tolist())
-        stream.write("bank,row_id,byte_id,value\n" + lines)
+        csvout.write(
+            stream,
+            "bank,row_id,byte_id,value\n",
+            [banks, ",", row_ids, ",", byte_ids, ",", cells[flat]],
+        )
 
 
 def effective_backoff(design: str, k_limit: int) -> int:

@@ -45,6 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import csvout
 from .buffers import TRIG_DRAIN, TRIGGERS
 from .errors import ConfigError, LogFormatError
 from .geometry import DramGeometry
@@ -109,30 +110,21 @@ class Verdict:
 def write_log(log: ServiceLog, stream) -> None:
     """Write the service-log CSV: slot,bank,row_id,trigger,n_items,bytes...
 
-    A batch without byte ids ends at its ``n_items`` field, 0.  Each
-    batch's line is a format piece, made once per (trigger, size), and
-    the joined pieces take every batch's slot, bank, row id and byte ids
-    from one flat tuple in a single ``%`` pass.
+    A batch without byte ids ends at its ``n_items`` field, 0.  Written
+    in array passes, a chunk of lines at a time (``csvout.write``): the
+    trigger, with the commas around it, is a text column, and the byte
+    ids end each line as its items.
     """
-    pieces = {
-        (code, size): f"%d,%d,%d,{TRIGGERS[code]},{size}" + ",%d" * size + "\n"
-        for code, size in set(zip(log.triggers, log.sizes))
-    }
     sizes = np.asarray(log.sizes, dtype=np.int64)
-    # Batch j's fields start after j headers of three and the ids before it.
-    starts = 3 * np.arange(sizes.size)
-    starts[1:] += np.cumsum(sizes[:-1])
-    # Objects, not int64: a field of any size is written as it is.
-    fields = np.empty(3 * sizes.size + len(log.byte_ids), dtype=object)
-    is_id = np.ones(fields.size, dtype=bool)
-    for k, column in enumerate((log.slots, log.banks, log.row_ids)):
-        fields[starts + k] = column
-        is_id[starts + k] = False
-    fields[is_id] = log.byte_ids
-    text = "".join(map(pieces.__getitem__, zip(log.triggers, log.sizes)))
-    stream.write(
-        "slot,bank,row_id,trigger,n_items,byte_ids\n" + text % tuple(fields.tolist())
-    )
+    csvout.write(
+        stream,
+        "slot,bank,row_id,trigger,n_items,byte_ids\n",
+        [
+            log.slots, ",", log.banks, ",", log.row_ids,
+            (log.triggers, [f",{t}," for t in TRIGGERS]), sizes,
+        ],
+        items=(log.byte_ids, sizes),
+    )  # fmt: skip
 
 
 def read_log(stream) -> ServiceLog:

@@ -36,6 +36,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
+from . import csvout
 from .errors import ConfigError, TraceError, line_of
 from .geometry import DramGeometry
 
@@ -321,10 +322,9 @@ def _gen_roundrobin(spec, geometry, rng, rows, banks):
 
 
 def write_text(trace: Trace, stream) -> None:
-    """Write ``trace`` as text to a text-mode stream."""
-    fields = [None] * (2 * len(trace))
-    fields[::2], fields[1::2] = trace.banks, trace.rows
-    stream.write("%d %d\n" * len(trace) % tuple(fields))
+    """Write ``trace`` as text to a text-mode stream, its two columns in
+    array passes, a chunk of lines at a time (``csvout.write``)."""
+    csvout.write(stream, "", [trace.banks, " ", trace.rows])
 
 
 def _records(trace: Trace) -> np.ndarray:

@@ -532,8 +532,8 @@ def test_dump_bytes_match_the_per_counter_loop(banks, counter_rows, cpc, writes)
     ),
 )
 def test_dump_matches_the_per_counter_writer(banks, counter_rows, cpc, writes):
-    """One ``%`` pass over the scan's columns writes the bytes, and the
-    scan gives the items, of the per-counter f-strings and tuples."""
+    """The array-pass dump writes the bytes, and its scan gives the items,
+    of the per-counter f-strings and tuples."""
     geometry = DramGeometry(
         banks=banks,
         rows_per_bank=counter_rows * cpc,

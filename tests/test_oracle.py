@@ -798,7 +798,7 @@ WIDE_INT = st.one_of(
     )
 )  # fmt: skip
 def test_write_log_matches_the_per_batch_writer(pairs):
-    """The single ``%`` pass writes the per-batch f-strings' bytes for
+    """The array-pass writer writes the per-batch f-strings' bytes for
     fields of any size."""
     log = make_log(*((s, b, r, t, tuple(ids)) for s, b, r, t, ids in pairs))
     got, want = io.StringIO(), io.StringIO()

@@ -8,13 +8,14 @@ say they are, and the proactive refresh stays keyed on the slot.
 """
 
 import io
+import json
 import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legacy_chain import LegacyEngine
-from pracsim import buffers, cache
+from pracsim import buffers, cache, cli, oracle
 from pracsim.buffers import DESIGNS, K_TRIGGER_MODES
 from pracsim.config import resolve
 from pracsim.counters import CounterArray
@@ -230,3 +231,22 @@ def test_traced_boundaries_are_crossed_once_per_unit(monkeypatch):
     serviced = _serviced(batches, drains)
     assert len(serviced) == report.counter_acts
     assert len(rmws) == _rmw_items(serviced)
+
+
+def test_run_crosses_the_traced_writers_once(tmp_path, monkeypatch):
+    """``pracsim run --log --dump-state`` writes the log through
+    ``oracle.write_log`` and the state through ``CounterArray.dump``, one
+    call each, looked up where the tracer wraps them, so that
+    ``oracle.write_log_s`` and ``counters.dump_s`` time the whole of
+    each writer."""
+    logs, dumps = [], []
+    _count_calls(monkeypatch, oracle, "write_log", logs)
+    _count_calls(monkeypatch, CounterArray, "dump", dumps)
+    log, state, out = (tmp_path / name for name in ("log.csv", "state.csv", "r.json"))
+    argv = ["run", "--generator", "hotset", "--length", "3000", "--banks", "4"]
+    argv += ["--log", str(log), "--dump-state", str(state), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert len(logs) == len(dumps) == 1
+    report = json.loads(out.read_text())
+    assert len(log.read_text().splitlines()) == 1 + report["counter_acts"]
+    assert state.read_text().startswith("bank,row_id,byte_id,value\n")
