@@ -12,11 +12,12 @@ Two kinds are provided: plain 4-way set-associative LRU, and the same
 structure gated by a frequency-sketch admission filter that only evicts
 a line for a candidate that has been seen more often.
 
-A dict finds a counter's resident line by its flat index; each set's
-list keeps only the LRU order.  A counter's sketch slots come from one
-read-only table per sketch shape and bank size, built on the first
-TinyLFU cache of that shape and shared by every later one; a process
-keeps the tables of its four latest shapes.
+Each set is one dict from a resident counter's flat index to its line,
+oldest first: the dict is both the set's index and its LRU order.  A
+counter's sketch slots come from one read-only table per sketch shape
+and bank size, built on the first TinyLFU cache of that shape and
+shared by every later one; a process keeps the tables of its four
+latest shapes.
 """
 
 from dataclasses import dataclass
@@ -70,15 +71,6 @@ class CacheConfig:
             )
 
 
-class _Line:
-    __slots__ = ("flat", "value", "dirty")
-
-    def __init__(self, flat, value):
-        self.flat = flat
-        self.value = value
-        self.dirty = False
-
-
 @lru_cache(maxsize=4)
 def _slot_table(width: int, rows: int, counters: int) -> Tuple[memoryview, ...]:
     """One read-only view per sketch row: entry ``flat`` of view ``r`` is
@@ -113,22 +105,21 @@ class CounterCache:
 
     A hit returns the live value, so the caller can alert when it reaches
     the back-off threshold; the mitigation that follows resets the line
-    through ``reset``.  ``_lines`` maps a counter's flat index,
-    ``row_id * counters_per_counter_row + byte_id``, to its line; ``sets``
-    holds each set's lines, newest first.  Callers pass counters inside
-    the geometry (the engine range-checks each activation first): the
-    sketch's slot table has an entry for those alone.
+    through ``reset``.  ``sets[s]`` maps the flat index,
+    ``row_id * counters_per_counter_row + byte_id``, of each counter
+    resident in set ``s`` to its line, ``value << 1 | dirty``, in LRU
+    order with the oldest first.  Callers pass counters inside the
+    geometry (the engine range-checks each activation first): the sketch's
+    slot table has an entry for those alone.
     """
 
     def __init__(self, bank: int, config: CacheConfig, geometry: DramGeometry):
         if config.kind == "none":
             raise ConfigError("cannot instantiate a cache of kind 'none'")
         self.bank = bank
-        self.config = config
         self._cpc = geometry.counters_per_counter_row
         self.num_sets = config.entries // ASSOC
-        self.sets: List[List[_Line]] = [[] for _ in range(self.num_sets)]
-        self._lines: Dict[int, _Line] = {}
+        self.sets: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -161,19 +152,17 @@ class CounterCache:
             if not self._until_halving:
                 self._sketch = sketch.translate(_HALVE)
                 self._until_halving = self._halve_every
-        line = self._lines.get(flat)
+        ways = self.sets[flat % self.num_sets]
+        line = ways.pop(flat, None)
         if line is None:
             self.misses += 1
             return 0
         self.hits += 1
-        if line.value < COUNTER_MAX:
-            line.value += 1
-        line.dirty = True
-        ways = self.sets[flat % self.num_sets]
-        if ways[0] is not line:
-            ways.remove(line)
-            ways.insert(0, line)
-        return line.value
+        value = line >> 1
+        if value < COUNTER_MAX:
+            value += 1
+        ways[flat] = value << 1 | 1
+        return value
 
     def fill_clean(
         self,
@@ -184,34 +173,26 @@ class CounterCache:
     ) -> bool:
         """Install a clean copy of a just-serviced counter, best effort.
 
-        A dirty victim's value goes through ``wb_sink``; if the sink
-        refuses, the fill is abandoned and the victim stays put.
+        A resident copy is replaced.  Otherwise, in a full set, a dirty
+        victim's value goes through ``wb_sink``; if the sink refuses, the
+        fill is abandoned and the victim stays put.
         """
         flat = row_id * self._cpc + byte_id
         ways = self.sets[flat % self.num_sets]
-        line = self._lines.get(flat)
-        if line is not None:
-            line.value = value
-            line.dirty = False
-            if ways[0] is not line:
-                ways.remove(line)
-                ways.insert(0, line)
-            return True
+        ways.pop(flat, None)
         if len(ways) == ASSOC:
-            victim = ways[-1]
-            if self._lfu and self._estimate(flat) <= self._estimate(victim.flat):
+            victim = next(iter(ways))
+            if self._lfu and self._estimate(flat) <= self._estimate(victim):
                 self.admission_rejects += 1
                 return False
-            if victim.dirty:
-                vrow, vbyte = divmod(victim.flat, self._cpc)
-                if not wb_sink(vrow, vbyte, victim.value):
+            line = ways[victim]
+            if line & 1:
+                if not wb_sink(*divmod(victim, self._cpc), line >> 1):
                     self.fills_rejected += 1
                     return False
                 self.writebacks += 1
-            ways.pop()
-            del self._lines[victim.flat]
-        line = self._lines[flat] = _Line(flat, value)
-        ways.insert(0, line)
+            del ways[victim]
+        ways[flat] = value << 1
         return True
 
     def reset(self, row_id: int, byte_id: int) -> None:
@@ -220,17 +201,18 @@ class CounterCache:
         The line turns clean, so no later writeback restores the value
         the mitigation removed.  Its LRU position is kept.
         """
-        line = self._lines.get(row_id * self._cpc + byte_id)
-        if line is not None:
-            line.value = 0
-            line.dirty = False
+        flat = row_id * self._cpc + byte_id
+        ways = self.sets[flat % self.num_sets]
+        if flat in ways:
+            ways[flat] = 0
 
     def dirty_lines(self) -> List[tuple]:
         """All dirty lines as (row_id, byte_id, value), sorted by location."""
         return sorted(
-            (*divmod(flat, self._cpc), line.value)
-            for flat, line in self._lines.items()
-            if line.dirty
+            (*divmod(flat, self._cpc), line >> 1)
+            for ways in self.sets
+            for flat, line in ways.items()
+            if line & 1
         )
 
     # Frequency sketch: small saturating counters, periodically halved so

@@ -13,7 +13,6 @@ state dump).
 import argparse
 import io
 import json
-import mmap
 import sys
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
@@ -24,7 +23,7 @@ from . import config as config_mod
 from . import engine, metrics, oracle, trace
 from .buffers import DESIGNS, K_TRIGGER_MODES
 from .cache import CACHE_KINDS
-from .counters import COUNTER_MAX
+from .counters import COUNTER_MAX, CounterArray
 from .errors import ConfigError, SimError, line_of
 
 EXIT_OK = 0
@@ -231,7 +230,7 @@ def _cmd_gen(args) -> int:
         raise ConfigError("gen needs generator settings, not trace.path")
     events = trace.generate(cfg.trace_spec, cfg.geometry)
     if args.out:
-        trace.save(events, args.out, args.trace_format or "auto")
+        trace.save(events, args.out, cfg.trace_format)
     else:
         trace.write_text(events, sys.stdout)
     return EXIT_OK
@@ -306,6 +305,8 @@ def _read_report(path: str) -> Tuple[int, str, bool]:
         report = json.load(_open_text(path, "report"))
     except json.JSONDecodeError as exc:
         raise SimError(f"report {path} line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise SimError(f"report {path}: nested too deeply to read") from None
     if not isinstance(report, dict) or type(report.get("counter_acts")) is not int:
         raise SimError(f"report {path}: no integer counter_acts")
     config = report.get("config", {})
@@ -358,12 +359,9 @@ def _state_values(path: str, geometry) -> np.ndarray:
         # The first of each counter in reverse order is the last listed.
         keys, last = np.unique(keys[::-1], return_index=True)
         values = values[::-1][last]
-    # In a private anonymous mapping only the pages the dump writes take
-    # memory; np.zeros may reuse heap memory that it clears, all of it.
-    cells = mmap.mmap(-1, int(np.prod(shape)), flags=mmap.MAP_PRIVATE)
-    state = np.frombuffer(cells, dtype=np.uint8)
-    state[keys] = values
-    return state.reshape(shape)
+    state = CounterArray(geometry, refresh=False).values
+    state.reshape(-1)[keys] = values
+    return state
 
 
 def _cmd_verify(args) -> int:

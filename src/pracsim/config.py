@@ -6,6 +6,7 @@ what CLI flags and ``--set`` overrides map onto, and the resolved
 key/value map is echoed into every report for reproducibility.
 """
 
+import io
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -13,7 +14,7 @@ from .buffers import BufferConfig
 from .cache import CacheConfig
 from .counters import COUNTER_MAX, effective_backoff
 from .energy import EnergyParams
-from .errors import ConfigError
+from .errors import ConfigError, line_of
 from .geometry import DramGeometry
 from .metrics import WINDOW_MODES
 from .trace import GENERATOR_PARAMS, TraceSpec
@@ -98,22 +99,29 @@ def _coerce(key: str, raw: str):
 
 def parse_file(path: str) -> Dict[str, str]:
     """Read a config file into raw key -> value strings."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        where = f"{path}:{line_of(data, exc.start)}"
+        raise ConfigError(f"{where}: non-UTF-8 byte 0x{data[exc.start]:02x}") from None
     values: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = value
+    # Line breaks are read as in text mode.
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in SCHEMA:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = value
     return values
 
 

@@ -98,7 +98,7 @@ class CounterArray:
             geometry.banks, self._counter_rows, self._cpc
         )
         # The value at which a write alerts; no counter reaches it without n_bo.
-        self._alert_at = COUNTER_MAX + 1 if n_bo is None else n_bo
+        self.alert_at = COUNTER_MAX + 1 if n_bo is None else n_bo
         self.alerts = 0
         self.mitigations = 0
         # Refresh bookkeeping, or None where no pick can happen.  Per bank:
@@ -169,7 +169,7 @@ class CounterArray:
                 self._from[bank] = i
             elif value == top and i < self._from[bank]:
                 self._from[bank] = i
-        if value >= self._alert_at:
+        if value >= self.alert_at:
             self._alert(bank, row_id, byte_id)
         return value
 
@@ -178,7 +178,7 @@ class CounterArray:
         if not 0 <= value <= COUNTER_MAX:
             raise ConfigError(f"writeback value {value} out of range [0, {COUNTER_MAX}]")
         self._set(bank, row_id, byte_id, value)
-        if value >= self._alert_at:
+        if value >= self.alert_at:
             self._alert(bank, row_id, byte_id)
         return value
 

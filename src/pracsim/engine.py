@@ -24,7 +24,7 @@ import numpy as np
 from .buffers import TRIGGERS, ServiceBatch, make_buffer
 from .cache import CounterCache
 from .config import SimConfig
-from .counters import COUNTER_MAX, CounterArray
+from .counters import CounterArray
 from .energy import EnergyLedger, breakdown
 from .errors import ConfigError, TraceError
 from .metrics import (
@@ -56,8 +56,6 @@ class Engine:
         self.batch_log: Optional[ServiceLog] = ServiceLog() if collect_log else None
         # bank -> (buffer, cache or None), made on the bank's first activation.
         self._banks: Dict[int, Tuple] = {}
-        # A cached copy alerts at the store's threshold; never without mitigation.
-        self._n_bo = COUNTER_MAX + 1 if config.n_bo is None else config.n_bo
         self._cpc = config.geometry.counters_per_counter_row
         self._rows = config.geometry.rows_per_bank
         self._proactive = config.proactive_interval
@@ -124,7 +122,7 @@ class Engine:
             batch = buf.insert(row_id, byte_id)
             if batch is not None:
                 self._service(batch, slot)
-        elif live >= self._n_bo:
+        elif live >= self.store.alert_at:
             self.store.external_alert(bank, row_id, byte_id)
 
         # Keyed on the slot itself, so that a caller whose slots skip or

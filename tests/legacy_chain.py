@@ -154,6 +154,9 @@ class LegacyEngine(Engine):
             on_mitigate=self._reset_cached if self._cached else None,
             refresh=config.proactive_interval > 0,
         )
+        # The copied ``step`` reads the threshold here; ``Engine`` now
+        # reads the store's own.
+        self._n_bo = self.store.alert_at
 
     def _bank(self, bank: int, slot: Optional[int] = None):
         state = self._banks.get(bank)

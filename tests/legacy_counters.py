@@ -9,7 +9,8 @@ skipped clean banks.
 before it kept per-row bounds: every store kept a per-bank value
 histogram and bank bound on every write, a refresh pick searched its
 value from the bank's first byte, and the store was a shared mapping.
-It has a no-op ``open_bank``, so that an engine can run on it.
+It has a no-op ``open_bank`` and an ``alert_at``, the value at which an
+engine alerts a cached copy, so that an engine can run on it.
 
 ``PickListCounterArray`` is a verbatim copy, renamed, of the store from
 before an engine opened each bank's pages on its first activation: its
@@ -196,6 +197,7 @@ class HistogramCounterArray:
             raise ConfigError(f"rfms_per_alert must be positive, got {rfms_per_alert}")
         self.geometry = geometry
         self.n_bo = n_bo
+        self.alert_at = COUNTER_MAX + 1 if n_bo is None else n_bo
         self.rfms_per_alert = rfms_per_alert
         self.on_mitigate = on_mitigate
         self._counter_rows = geometry.counter_rows_per_bank

@@ -339,7 +339,9 @@ def test_cache_matches_the_scanning_cache(
 ):
     """Accesses, fills through a sink that refuses every few writebacks,
     and resets return, count, write back and hold the same as on the
-    cache that scanned its ways and rehashed its sketch slots."""
+    cache that scanned its ways and rehashed its sketch slots; after each
+    operation every set holds the same counters, values and dirty bits in
+    the same LRU order (the scanning cache's sets are newest first)."""
     geometry = DramGeometry(
         banks=1, rows_per_bank=16, counter_rows_per_bank=4, counters_per_counter_row=4
     )
@@ -382,6 +384,13 @@ def test_cache_matches_the_scanning_cache(
             getattr(ref, k) for k in CACHE_TOTALS
         ]
         assert cache.dirty_lines() == ref.dirty_lines()
+        assert [
+            [(flat, line >> 1, line & 1) for flat, line in ways.items()]
+            for ways in cache.sets
+        ] == [
+            [(line.flat, line.value, int(line.dirty)) for line in reversed(ways)]
+            for ways in ref.sets
+        ]
         if kind == "tinylfu":
             assert [cache._estimate(f) for f in touched] == [
                 ref._estimate(f) for f in touched

@@ -28,6 +28,24 @@ def test_gen_binary_file(tmp_path):
     assert out.stat().st_size == 5 * 6
 
 
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_gen_saves_in_the_configured_trace_format(tmp_path, source):
+    """trace.format from --set or --config picks the format gen saves in,
+    as --trace-format does."""
+    gen = ["gen", "--generator", "uniform", "--length", "3", "--out"]
+    flagged, configured = tmp_path / "flagged.dat", tmp_path / "configured.dat"
+    assert main(gen + [str(flagged), "--trace-format", "binary"]) == EXIT_OK
+    if source == "set":
+        extra = ["--set", "trace.format=binary"]
+    else:
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("trace.format = binary\n")
+        extra = ["--config", str(cfg)]
+    assert main(gen + [str(configured)] + extra) == EXIT_OK
+    assert flagged.stat().st_size == 3 * 6
+    assert configured.read_bytes() == flagged.read_bytes()
+
+
 def test_gen_is_seed_deterministic(capsys):
     argv = ["gen", "--generator", "uniform", "--length", "20", "--seed", "3"]
     main(argv)
@@ -450,6 +468,13 @@ def test_verify_refuses_the_final_state_of_a_mitigated_run(tmp_path, capsys):
         assert capsys.readouterr().err == refusal
 
 
+def test_verify_deeply_nested_report_is_runtime_error(tmp_path, capsys):
+    """A report too deeply nested for the JSON reader is one located error
+    object, not a traceback."""
+    message = verify_with_bad_file(tmp_path, capsys, "--report", "[" * 200_000)
+    assert message == f"report {tmp_path / 'bad'}: nested too deeply to read"
+
+
 def test_verify_truncated_report_is_runtime_error(tmp_path, capsys):
     message = verify_with_bad_file(tmp_path, capsys, "--report", '{"counter_acts": ')
     assert "line 1" in message
@@ -531,6 +556,20 @@ def test_dump_config_round_trips(tmp_path):
     assert resolve(file_values=values) == resolve(
         overrides={"buffer.capacity": "32", "buffer.design": "unified_sorted"}
     )
+
+
+def test_non_utf8_config_file_is_a_located_config_error(tmp_path, capsys):
+    """A config file's first non-UTF-8 byte is named with its line, line
+    breaks counted as text mode reads them, in one JSON error object."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 1\r\n# comment\rtrace.length = 5\xe9\n")
+    assert main(["run", "--machine", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "config",
+        "message": f"{cfg}:3: non-UTF-8 byte 0xe9",
+    }
 
 
 def test_config_file_drives_run(tmp_path, capsys):
