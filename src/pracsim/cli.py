@@ -305,6 +305,11 @@ def _read_report(path: str) -> Tuple[int, str, bool]:
         report = json.load(_open_text(path, "report"))
     except json.JSONDecodeError as exc:
         raise SimError(f"report {path} line {exc.lineno}: {exc.msg}") from None
+    except ValueError:
+        # JSONDecodeError is a ValueError too; what is left is an integer
+        # longer than ``int`` reads.
+        limit = sys.get_int_max_str_digits()
+        raise SimError(f"report {path}: an integer has more than {limit} digits") from None
     except RecursionError:
         raise SimError(f"report {path}: nested too deeply to read") from None
     if not isinstance(report, dict) or type(report.get("counter_acts")) is not int:

@@ -40,6 +40,7 @@ Logs that cannot be parsed at all, and activations outside the
 geometry, raise LogFormatError instead of producing a verdict.
 """
 
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -188,7 +189,8 @@ def split_decimal_csv(
     pass taken only if the text holds non-ASCII or the ASCII whitespace
     ``str.strip`` strips but for ``\\n``.  Empty lines are skipped, and so
     is line 1 if it starts with ``header``.  A decimal field is ASCII
-    digits after an optional ``-``.
+    digits after an optional ``-``, no more of them than ``int`` reads
+    (``sys.get_int_max_str_digits()``).
 
     Returns ``(values, first, counts, texts, lines, bad)``: each kept
     line's 1-based number in ``lines`` and field count in ``counts``, and
@@ -240,7 +242,13 @@ def split_decimal_csv(
         # A "-" is a sign if it opens its field and a digit follows.
         sign = (buf[odd] == 45) & (odd == starts[field]) & digit[odd + 1]
         lengths[field[sign]] -= 1
-        wrong = np.concatenate((field[~sign], np.flatnonzero(lengths < 1), first[-1:]))
+        # More digits than ``int`` reads is no decimal field; 0, or a Python
+        # older than the limit (before 3.10.7), sets none.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or np.inf
+        too_long = lengths > limit
+        wrong = np.concatenate(
+            (field[~sign], np.flatnonzero((lengths < 1) | too_long), first[-1:])
+        )
         bad = min(bad, np.searchsorted(first, wrong.min(), side="right") - 1)
     long = not plain and lengths[: first[bad]].max(initial=0) > 18
     chunk = data[: starts[first[bad]]].replace(b"\n", b",")

@@ -15,10 +15,13 @@ events in one inline loop, and draws each integer below n as CPython's
 drawn again while the result is at least n.  The zipf generator draws
 each event's bank and ``random()`` in that loop, then finds every rank
 in one ``np.searchsorted`` pass over the cumulative weights, which makes
-the IEEE comparisons of a ``bisect_left`` per event.  Its rank-to-row
-permutation depends only on the seed and the row count, so a process
-shuffles it once per (seed, rows) pair and shares it, as a tuple, with
-every zipf trace of that pair, whatever its exponent, length or banks.
+the IEEE comparisons of a ``bisect_left`` per event.  The pass searches
+the scaled draws in ascending order, so each search starts from the
+last one's rank, and scatters the ranks back to event order.  Its
+rank-to-row permutation depends only on the seed and the row count, so
+a process shuffles it once per (seed, rows) pair and shares it, as a
+read-only int64 array, with every zipf trace of that pair, whatever its
+exponent, length or banks; one indexing pass maps all the ranks to rows.
 That pays where one process generates a trace again, as ``Engine.run``
 and then ``Engine.load_events`` for ``verify`` do, or a sweep of configs
 on one seed; a ``pracsim`` command generates its trace once and shuffles
@@ -192,6 +195,12 @@ def _zipf_cumulative(rows: int, exponent: float) -> np.ndarray:
 
 
 def _gen_zipf(spec, geometry, rng, rows, banks):
+    """Draw each event's bank and ``random()`` in one loop, then find the
+    ranks in one sorted search and map them to rows in one indexing pass.
+
+    The draws are scaled by the total weight and argsorted; the sorted
+    keys are searched in ascending order and their ranks scattered back
+    to event order, and ``_zipf_rows`` maps every rank at once."""
     exponent = spec.params.get("exponent", 1.0)
     shuffle = spec.params.get("shuffle", True)
     cumulative = _zipf_cumulative(rows, exponent)
@@ -205,25 +214,31 @@ def _gen_zipf(spec, geometry, rng, rows, banks):
         draws.append(uniform())
     # Side "left" makes bisect_left's comparisons: the first rank whose
     # cumulative weight is at least the draw.
-    ranks = np.searchsorted(cumulative, np.array(draws) * cumulative[-1]).tolist()
+    keys = np.fromiter(draws, np.float64, spec.length) * cumulative[-1]
+    order = keys.argsort()
+    ranks = np.empty(order.size, dtype=np.intp)
+    ranks[order] = np.searchsorted(cumulative, keys[order])
     mapping = _zipf_rows(spec.seed if shuffle else None, rows)
-    return bank_col, list(map(mapping.__getitem__, ranks))
+    return bank_col, mapping[ranks].tolist()
 
 
 @lru_cache(maxsize=4)
-def _zipf_rows(seed: Optional[int], rows: int) -> tuple:
+def _zipf_rows(seed: Optional[int], rows: int) -> np.ndarray:
     """The row of each zipf rank 0..rows - 1, shuffled from ``seed``
     unless it is None, then the last rank's row again: a draw past the
     last cumulative weight (float rounding) is the last rank.
 
     A child generator keeps the rank stream identical with and without
     shuffling; only the rank-to-row renaming changes.  Shared by every
-    trace with this seed and row count, so it is a tuple."""
+    trace with this seed and row count, so it is a read-only int64 array,
+    which maps a whole array of ranks in one indexing pass."""
     mapping = list(range(rows))
     if seed is not None:
         _shuffle(mapping, random.Random(seed * 0x9E3779B97F4A7C15 + 1))
     mapping.append(mapping[-1])
-    return tuple(mapping)
+    table = np.array(mapping, dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def _shuffle(x: list, rng: random.Random) -> None:

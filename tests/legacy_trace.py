@@ -7,6 +7,14 @@ binary writers from when they wrote one event at a time.  The shape
 pass calls the metrics of ``legacy_metrics``.  Tests run it
 beside ``pracsim.trace`` and ``pracsim.engine`` as the reference for
 differential tests; nothing under ``src/`` imports it.
+
+``_gen_zipf_columns`` and ``_zipf_rows_tuple`` are verbatim copies, but
+for their names, of the column generator's zipf builder and its tuple
+permutation from before the post-draw pass searched sorted draws and
+mapped ranks through an int64 array: one unsorted ``np.searchsorted``
+and a per-rank tuple lookup.  ``gen_zipf_columns`` runs them on a spec;
+the draw loop and the helpers they share with ``pracsim.trace`` are
+unchanged.
 """
 
 import random
@@ -15,13 +23,21 @@ from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from legacy_metrics import footprint_percentiles, skew, window_maxima
 from pracsim.config import SimConfig
 from pracsim.errors import ConfigError, TraceError
 from pracsim.geometry import DramGeometry
-from pracsim.trace import ActivationEvent, TraceSpec
+from pracsim.trace import (
+    ActivationEvent,
+    TraceSpec,
+    _bank_bits,
+    _shuffle,
+    _zipf_cumulative as _column_cumulative,
+)
 
 _RECORD = struct.Struct("<HI")
 
@@ -89,6 +105,49 @@ def _gen_zipf(spec, geometry, rng, rows, banks):
             rank = rows - 1
         out.append(ActivationEvent(i, bank, mapping[rank]))
     return out
+
+
+def gen_zipf_columns(spec: TraceSpec, geometry: DramGeometry):
+    """A zipf spec's (bank, row) columns as the column generator made
+    them with its unsorted search and tuple permutation."""
+    p = spec.params
+    rows = p.get("rows", geometry.rows_per_bank)
+    return _gen_zipf_columns(spec, geometry, random.Random(spec.seed), rows, p.get("banks", 1))
+
+
+def _gen_zipf_columns(spec, geometry, rng, rows, banks):
+    exponent = spec.params.get("exponent", 1.0)
+    shuffle = spec.params.get("shuffle", True)
+    cumulative = _column_cumulative(rows, exponent)
+    getrandbits, k_bank, uniform = rng.getrandbits, _bank_bits(banks), rng.random
+    bank_col, draws = [], []
+    for _ in range(spec.length):
+        bank = getrandbits(k_bank)
+        while bank >= banks:
+            bank = getrandbits(k_bank)
+        bank_col.append(bank)
+        draws.append(uniform())
+    # Side "left" makes bisect_left's comparisons: the first rank whose
+    # cumulative weight is at least the draw.
+    ranks = np.searchsorted(cumulative, np.array(draws) * cumulative[-1]).tolist()
+    mapping = _zipf_rows_tuple(spec.seed if shuffle else None, rows)
+    return bank_col, list(map(mapping.__getitem__, ranks))
+
+
+@lru_cache(maxsize=4)
+def _zipf_rows_tuple(seed: Optional[int], rows: int) -> tuple:
+    """The row of each zipf rank 0..rows - 1, shuffled from ``seed``
+    unless it is None, then the last rank's row again: a draw past the
+    last cumulative weight (float rounding) is the last rank.
+
+    A child generator keeps the rank stream identical with and without
+    shuffling; only the rank-to-row renaming changes.  Shared by every
+    trace with this seed and row count, so it is a tuple."""
+    mapping = list(range(rows))
+    if seed is not None:
+        _shuffle(mapping, random.Random(seed * 0x9E3779B97F4A7C15 + 1))
+    mapping.append(mapping[-1])
+    return tuple(mapping)
 
 
 def _gen_sequential(spec, geometry, rng, rows, banks):

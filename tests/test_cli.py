@@ -475,6 +475,52 @@ def test_verify_deeply_nested_report_is_runtime_error(tmp_path, capsys):
     assert message == f"report {tmp_path / 'bad'}: nested too deeply to read"
 
 
+def test_verify_report_with_an_integer_longer_than_int_reads_is_runtime_error(
+    tmp_path, capsys
+):
+    """An integer of more than 4,300 digits in a report is one located
+    error object, not CPython's ValueError."""
+    content = '{"counter_acts": 1' + "0" * 4300 + "}"
+    message = verify_with_bad_file(tmp_path, capsys, "--report", content)
+    assert message == f"report {tmp_path / 'bad'}: an integer has more than 4300 digits"
+
+
+# A log and a state dump with one field of ``digits`` digits, and what
+# each makes: 4,301 digits is more than ``int`` reads, a located error;
+# 4,300 is read and then found out of range, as it was.
+LONG_FIELDS = [
+    ("--log", 4301, EXIT_RUNTIME, "line 2: non-integer field"),
+    ("--log", 4300, EXIT_VERIFY, "rule 2 violated at slot 1: byte_id 1" + "0" * 4299),
+    ("--state", 4301, EXIT_RUNTIME, "line 2: non-integer field"),
+    ("--state", 4300, EXIT_RUNTIME, "counter (0, 0, 0) holds 1" + "0" * 4299),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, digits, code, problem", LONG_FIELDS, ids=["log", "log_4300", "state", "state_4300"]
+)
+def test_verify_field_longer_than_int_reads_is_a_located_error(
+    tmp_path, capsys, flag, digits, code, problem
+):
+    """A log or state dump field of more than 4,300 digits is the reader's
+    located error on its line under ``--machine``, as a non-decimal field
+    is, not CPython's ValueError."""
+    trace_file = tmp_path / "t.txt"
+    trace_file.write_text("0 0\n")
+    log_file = tmp_path / "log.csv"
+    log_file.write_text("slot,bank,row_id,trigger,n_items,byte_ids\n")
+    field = "1" + "0" * (digits - 1)
+    bad = tmp_path / "bad"
+    if flag == "--log":
+        bad.write_text(f"slot,bank,row_id,trigger,n_items,byte_ids\n1,0,0,drain,1,{field}\n")
+    else:
+        bad.write_text(f"bank,row_id,byte_id,value\n0,0,0,{field}\n")
+    argv = ["verify", "--trace", str(trace_file), "--log", str(log_file), "--machine"]
+    assert main(argv + [flag, str(bad)]) == code
+    out, err = capsys.readouterr()
+    assert problem in (out if code == EXIT_VERIFY else json.loads(err)["message"])
+
+
 def test_verify_truncated_report_is_runtime_error(tmp_path, capsys):
     message = verify_with_bad_file(tmp_path, capsys, "--report", '{"counter_acts": ')
     assert "line 1" in message

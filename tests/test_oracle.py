@@ -1,5 +1,6 @@
 import io
 import re
+import sys
 from collections import defaultdict
 from dataclasses import astuple, replace
 from unittest import mock
@@ -997,6 +998,25 @@ def test_split_decimal_csv_numbers_kept_lines_and_finds_the_first_bad_one(
         texts = [raw[a : a + w].tobytes().decode() for a, w in zip(start, width)]
     got = (values.tolist(), values.dtype.name, first.tolist(), counts.tolist(), texts)
     assert got + (lines.tolist(), bad) == want
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_split_decimal_csv_finds_a_field_longer_than_int_reads(sign):
+    """A field of more digits than ``int`` reads, 4,300 by default, makes
+    its line the first bad one; a ``-`` is not a digit, and a raised limit
+    reads the same field."""
+    field = sign + "9" * 4301
+    text = f"1,2\n3,{field}\n4,5\n"
+    values, first, counts, _, lines, bad = oracle.split_decimal_csv(text, "bank,")
+    assert (values.tolist(), first.tolist(), counts.tolist(), bad) == ([1, 2], [0], [2, 2, 2], 1)
+    shorter = oracle.split_decimal_csv(text.replace(field, field[:-1]), "bank,")
+    assert shorter[0].tolist() == [1, 2, 3, int(field[:-1]), 4, 5] and shorter[-1] == 3
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4301)
+    try:
+        assert oracle.split_decimal_csv(text, "bank,")[-1] == 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 LOG_EDITS = ("blank", "crlf", "pad", "minus", "long")

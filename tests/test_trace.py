@@ -458,17 +458,25 @@ def test_zipf_weights_are_read_only(geometry):
 
 def test_zipf_permutation_is_read_only(geometry):
     """Every shuffled zipf trace with the same seed and rows shares one
-    rank-to-row permutation, a tuple, so a write to it is refused and
-    leaves the next trace as it was."""
+    rank-to-row permutation, a read-only int64 array of rows + 1 entries
+    whose guard entry repeats the last rank's row, so a write to it is
+    refused and leaves the next trace as it was."""
     spec, digest = TRACE_DIGESTS["design_sweep zipf"]
-    perm = _zipf_rows(spec.seed, geometry.rows_per_bank)
-    first = perm[0]
-    with pytest.raises(TypeError):
+    rows = geometry.rows_per_bank
+    perm = _zipf_rows(spec.seed, rows)
+    first = int(perm[0])
+    with pytest.raises(ValueError, match="read-only"):
         perm[0] = first + 1
-    with pytest.raises(AttributeError):
-        perm.reverse()
+    with pytest.raises(ValueError, match="read-only"):
+        perm += 1
+    with pytest.raises(ValueError, match="read-only"):
+        perm.sort()
     assert perm[0] == first
-    assert _zipf_rows(spec.seed, geometry.rows_per_bank) is perm
+    assert _zipf_rows(spec.seed, rows) is perm
+    assert perm.dtype == np.int64 and perm.shape == (rows + 1,)
+    assert sorted(perm[:-1].tolist()) == list(range(rows))
+    assert perm[-1] == perm[-2]
+    assert perm.nbytes == 8 * (rows + 1)
     assert _digest(generate(spec, geometry)) == digest
 
 
@@ -579,6 +587,29 @@ def test_zipf_ranks_match_the_legacy_bisect_on_plateaus_and_ties(
             patch.setattr(random.Random, "random", lambda self: next(draws))
             traces.append(list(gen(spec, geometry)))
     assert traces[0] == traces[1]
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 3000),
+    banks=st.sampled_from([1, 64]),
+    rows=st.one_of(st.sampled_from([1, 2, 3, 65536]), st.integers(4, 300)),
+    exponent=GEN_PARAMS["zipf"]["exponent"],
+    shuffle=st.booleans(),
+)
+def test_zipf_matches_the_unsorted_search_and_tuple_map(
+    seed, length, banks, rows, exponent, shuffle
+):
+    """Searching the draws in sorted order and mapping ranks through the
+    int64 permutation gives the columns of one unsorted search and a
+    per-rank tuple lookup."""
+    geometry = DramGeometry()
+    params = {"exponent": exponent, "rows": rows, "banks": banks, "shuffle": shuffle}
+    spec = TraceSpec("zipf", length, seed=seed, params=params)
+    trace = generate(spec, geometry)
+    assert (trace.banks, trace.rows) == legacy_trace.gen_zipf_columns(spec, geometry)
+    assert all(type(row) is int for row in trace.rows)
 
 
 @settings(deadline=None, max_examples=100)
