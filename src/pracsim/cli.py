@@ -344,7 +344,6 @@ def _state_values(path: str, geometry) -> np.ndarray:
     or a value outside [0, 255], raises SimError naming the counter."""
     g = geometry
     shape = (g.banks, g.counter_rows_per_bank, g.counters_per_counter_row)
-    # A field too large for int64 makes an object column; it compares exactly.
     *counter, values = _read_state(path)
     outside = np.zeros(values.size, dtype=bool)
     for column, limit in zip(counter, shape):
@@ -357,7 +356,7 @@ def _state_values(path: str, geometry) -> np.ndarray:
             problem = f"holds {values[i]}, outside [0, {COUNTER_MAX}]"
         where = tuple(int(column[i]) for column in counter)
         raise SimError(f"state dump {path}: counter {where} {problem}")
-    keys = np.ravel_multi_index([np.asarray(c, dtype=np.int64) for c in counter], shape)
+    keys = np.ravel_multi_index(counter, shape)
     # ``CounterArray.dump`` lists each counter once, in key order; any
     # other dump is put in that order first.
     if not (keys[1:] > keys[:-1]).all():

@@ -201,8 +201,8 @@ class CounterArray:
             self.on_mitigate(bank, row_id, byte_id)
         self.mitigations += 1
         if self.rfms_per_alert > 1:
-            # Once the bank is clean, its remaining refreshes find nothing.
-            self._refresh([bank] * (self.rfms_per_alert - 1))
+            # A bank, reset here, has fewer nonzero counters than its size.
+            self._refresh([bank] * min(self.rfms_per_alert - 1, self._bank_size - 1))
 
     def _refresh(self, banks: Iterable[int]) -> None:
         """Mitigate the largest counter of each bank of ``banks`` in turn,

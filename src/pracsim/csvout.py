@@ -13,10 +13,9 @@ once, one slice per chunk of lines; the whole int64 range is taken,
 ``-2**63`` included.
 
 Lines are formatted and written ``CHUNK`` fields at a time, so a writer
-holds one chunk's records and text, not the whole file's.  A column
-slice that does not fit int64 (Python ints past it, in a log that
-``read_log`` parsed from fields over 18 digits, or a hand-built trace) is
-written in that chunk as a text field, each value through ``str``.
+holds one chunk's records and text, not the whole file's.  Columns hold
+int64-range values only: a value past int64 raises OverflowError in its
+chunk, after the chunks before it are written.
 
 The chunk tables are built on first use, not at import.
 """
@@ -79,11 +78,7 @@ def _pieces(column, a: int, b: int) -> list:
     if isinstance(column, tuple):
         codes, names = column
         return [np.array(names, dtype="S").take(_int64(codes, a, b))]
-    try:
-        values = _int64(column, a, b)
-    except OverflowError:
-        return [np.array([str(v) for v in column[a:b]], dtype="S")]
-    return _digits(values)
+    return _digits(_int64(column, a, b))
 
 
 def _int64(column, a: int, b: int) -> np.ndarray:
@@ -155,10 +150,10 @@ def write(stream, header: str, parts: Sequence, items: Optional[tuple] = None) -
 
     ``parts`` lists a line's pieces in order: a str is written as it is,
     a ``(codes, names)`` pair as ``names[code]``, and any other sequence
-    as a column of ints, one decimal field per line; the first part is a
-    column.  ``items``, a pair ``(values, counts)``, ends line j with
-    ``counts[j]`` more fields, each after a comma, taken in turn from the
-    flat ``values``.  Every line ends with a newline.
+    as a column of int64-range ints, one decimal field per line; the
+    first part is a column.  ``items``, a pair ``(values, counts)``, ends
+    line j with ``counts[j]`` more fields, each after a comma, taken in
+    turn from the flat ``values``.  Every line ends with a newline.
     """
     stream.write(header)
     first = parts[0]

@@ -8,6 +8,7 @@ a full-width column access.  Mitigations are extra row activations and
 are charged at the counter-activation rate.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -23,17 +24,17 @@ class EnergyParams:
     e_extra_rmw: float = 0.0625
 
     def __post_init__(self):
-        if self.e_act <= 0:
-            raise ConfigError(f"e_act must be positive, got {self.e_act}")
-        if self.e_col <= 0:
-            raise ConfigError(f"e_col must be positive, got {self.e_col}")
+        if not 0 < self.e_act < math.inf:
+            raise ConfigError(f"e_act must be positive and finite, got {self.e_act}")
+        if not 0 < self.e_col < math.inf:
+            raise ConfigError(f"e_col must be positive and finite, got {self.e_col}")
         if not 0 < self.counter_act_factor < 1:
             raise ConfigError(
                 f"counter_act_factor must be in (0, 1), got {self.counter_act_factor}"
             )
-        if self.e_extra_rmw < 0:
+        if not 0 <= self.e_extra_rmw < math.inf:
             raise ConfigError(
-                f"e_extra_rmw must be non-negative, got {self.e_extra_rmw}"
+                f"e_extra_rmw must be non-negative and finite, got {self.e_extra_rmw}"
             )
 
 

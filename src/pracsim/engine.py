@@ -34,7 +34,7 @@ from .metrics import (
     window_maxima,
 )
 from .oracle import ServiceLog
-from .trace import Trace, generate, load
+from .trace import Trace, generate, int64_columns, load
 
 
 class Engine:
@@ -270,16 +270,7 @@ def workload_shape(trace: Trace, config: SimConfig) -> dict:
     outside the geometry raises TraceError naming its slot.
     """
     geometry = config.geometry
-    banks = np.array(trace.banks, dtype=np.int64)
-    rows = np.array(trace.rows, dtype=np.int64)
-    outside = (banks < 0) | (banks >= geometry.banks)
-    outside |= (rows < 0) | (rows >= geometry.rows_per_bank)
-    if outside.any():
-        slot = int(np.argmax(outside))
-        raise TraceError(
-            f"slot {slot}: bank {trace.banks[slot]}, data_row {trace.rows[slot]} "
-            "outside the geometry"
-        )
+    banks, rows = int64_columns(trace, geometry, TraceError)
     keys = banks * geometry.rows_per_bank + rows
     footprint = footprint_percentiles(np.unique(keys, return_counts=True)[1])
     row_ids = rows // geometry.counters_per_counter_row
@@ -307,7 +298,7 @@ def compare(config: SimConfig, policies) -> List[SimReport]:
     """Run several buffer designs over the identical trace and settings.
 
     The trace is materialized once and every design steps over that one
-    list; its workload shape, which depends on the trace alone, is
+    ``Trace``; its workload shape, which depends on the trace alone, is
     computed once too.  The immediate-service baseline is prepended if
     absent so normalized activation counts always have their denominator
     in the table.

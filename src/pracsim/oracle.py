@@ -36,11 +36,11 @@ one-at-a-time replay would make.  The final-state check looks for a
 nonzero counter the trace never activated only in the banks that hold
 a nonzero byte, found with one maximum per bank.
 
+Every int column is int64: a log or state field has at most 18 digits.
 Logs that cannot be parsed at all, and activations outside the
 geometry, raise LogFormatError instead of producing a verdict.
 """
 
-import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -50,12 +50,10 @@ from . import csvout
 from .buffers import TRIG_DRAIN, TRIGGERS
 from .errors import ConfigError, LogFormatError
 from .geometry import DramGeometry
-from .trace import Trace
+from .trace import Trace, int64_columns
 
 _TRIGGER_CODE = {t: i for i, t in enumerate(TRIGGERS)}
 _DRAIN = _TRIGGER_CODE[TRIG_DRAIN]
-# No field of a log or state dump is near it; larger values are clipped to it.
-_CLIP = 1 << 62
 
 
 class ServiceLog:
@@ -66,8 +64,7 @@ class ServiceLog:
     ``TRIGGERS[triggers[j]]``; its ``sizes[j]`` byte ids follow those of
     the batches before it in the flat ``byte_ids``.  ``len`` is the batch
     count.  A log built in memory holds lists; one that ``read_log``
-    parsed holds int64 arrays, but for object arrays of ints in the
-    columns taken from its fields if one has more than 18 digits.
+    parsed holds int64 arrays.  Either kind holds int64-range values only.
     """
 
     __slots__ = ("slots", "banks", "row_ids", "triggers", "sizes", "byte_ids")
@@ -188,21 +185,20 @@ def split_decimal_csv(
     Lines end at ``\\n`` and are stripped as ``str.strip`` strips them, a
     pass taken only if the text holds non-ASCII or the ASCII whitespace
     ``str.strip`` strips but for ``\\n``.  Empty lines are skipped, and so
-    is line 1 if it starts with ``header``.  A decimal field is ASCII
-    digits after an optional ``-``, no more of them than ``int`` reads
-    (``sys.get_int_max_str_digits()``).
+    is line 1 if it starts with ``header``.  A decimal field is 1 to 18
+    ASCII digits after an optional ``-``, so it fits int64.
 
     Returns ``(values, first, counts, texts, lines, bad)``: each kept
     line's 1-based number in ``lines`` and field count in ``counts``, and
     the index ``bad`` of the first one holding a non-decimal field other
     than field ``text_column``, or no such field (``len(lines)`` if none).
-    For the lines before it, ``values`` holds every field's value (field
-    ``text_column`` reads 0) and ``first`` the index there of each line's
-    first field.  ``values`` is int64, or object if a field has more than
-    18 digits.  ``texts`` is None without a ``text_column``; with one it
-    is ``(raw, start, width)``, and line j's field ``text_column`` is the
-    UTF-8 bytes ``raw[start[j] : start[j] + width[j]]`` of the stripped
-    text, so that no line's text becomes a str unless a caller asks.
+    For the lines before it, ``values`` holds every field's value as
+    int64 (field ``text_column`` reads 0) and ``first`` the index there
+    of each line's first field.  ``texts`` is None without a
+    ``text_column``; with one it is ``(raw, start, width)``, and line j's
+    field ``text_column`` is the UTF-8 bytes ``raw[start[j] : start[j] +
+    width[j]]`` of the stripped text, so that no line's text becomes a
+    str unless a caller asks.
     """
     if not text.isascii() or any(map(text.__contains__, " \t\r\x0b\x0c\x1c\x1d\x1e\x1f")):
         text = "\n".join([line.strip() for line in text.split("\n")])
@@ -242,23 +238,15 @@ def split_decimal_csv(
         # A "-" is a sign if it opens its field and a digit follows.
         sign = (buf[odd] == 45) & (odd == starts[field]) & digit[odd + 1]
         lengths[field[sign]] -= 1
-        # More digits than ``int`` reads is no decimal field; 0, or a Python
-        # older than the limit (before 3.10.7), sets none.
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or np.inf
-        too_long = lengths > limit
         wrong = np.concatenate(
-            (field[~sign], np.flatnonzero((lengths < 1) | too_long), first[-1:])
+            (field[~sign], np.flatnonzero((lengths < 1) | (lengths > 18)), first[-1:])
         )
         bad = min(bad, np.searchsorted(first, wrong.min(), side="right") - 1)
-    long = not plain and lengths[: first[bad]].max(initial=0) > 18
     chunk = data[: starts[first[bad]]].replace(b"\n", b",")
     if not plain:
         # Before the bad line only a text field can be empty; it reads 0 too.
         chunk = chunk.replace(b",,", b",0,")
-    if long:
-        values = np.array([int(x) for x in chunk.split(b",")[:-1]], dtype=object)
-    else:
-        values = np.fromstring(chunk, dtype=np.int64, sep=",")
+    values = np.fromstring(chunk, dtype=np.int64, sep=",")
     if texts is not None:
         texts = texts[0], texts[1][:bad], texts[2][:bad]
     return values, first[:bad], counts, texts, lines, int(bad)
@@ -302,15 +290,6 @@ def _shadow_problem(
     if problem:
         return 2, problem
     return 3, f"batch bank {log.banks[j]} but activation bank {bank}"
-
-
-def _int64(values) -> np.ndarray:
-    """``values`` as int64, any beyond +-2**62 clipped to it; such a value
-    is out of range for every field, so range checks read the same."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return np.array([min(max(v, -_CLIP), _CLIP) for v in values], dtype=np.int64)
 
 
 def _counter(key: int, shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
@@ -395,26 +374,16 @@ def verify(
     alert resets.
     """
     n = len(trace)
-    act_banks, act_rows = _int64(trace.banks), _int64(trace.rows)
-    outside = (act_banks < 0) | (act_banks >= geometry.banks)
-    outside |= (act_rows < 0) | (act_rows >= geometry.rows_per_bank)
-    if outside.any():
-        slot = int(np.argmax(outside))
-        raise LogFormatError(
-            f"slot {slot}: bank {trace.banks[slot]}, data_row {trace.rows[slot]} outside "
-            f"the geometry's {geometry.banks} banks of {geometry.rows_per_bank} rows"
-        )
-    slots = _int64(log.slots)
+    act_banks, act_rows = int64_columns(trace, geometry, LogFormatError)
+    slots, banks, row_ids, codes, sizes, byte_ids = (
+        np.asarray(getattr(log, name), dtype=np.int64) for name in ServiceLog.__slots__
+    )
     beyond = np.flatnonzero(slots > n)
     if beyond.size:
         raise LogFormatError(f"batch slot {log.slots[beyond[0]]} beyond drain slot {n}")
 
     cpc = geometry.counters_per_counter_row
     shape = (geometry.banks, geometry.counter_rows_per_bank, cpc)
-    banks, row_ids = _int64(log.banks), _int64(log.row_ids)
-    byte_ids = _int64(log.byte_ids)
-    codes = np.asarray(log.triggers, dtype=np.int64)
-    sizes = np.asarray(log.sizes, dtype=np.int64)
     item_batch = np.repeat(np.arange(len(log), dtype=np.int32), sizes)
     byte_ok = (byte_ids >= 0) & (byte_ids < cpc)
     placed = (banks >= 0) & (banks < geometry.banks) & (row_ids >= 0)

@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, count
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -336,10 +336,60 @@ def _gen_roundrobin(spec, geometry, rng, rows, banks):
     ]
 
 
+def int64_columns(
+    trace: Trace, geometry: DramGeometry, error: type
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``trace``'s banks and data rows as int64 arrays; the first
+    activation outside ``geometry``, a value past int64 among them,
+    raises ``error`` naming its slot."""
+    try:
+        banks, rows = np.asarray(trace.banks, np.int64), np.asarray(trace.rows, np.int64)
+    except OverflowError:
+        slot = _misfit(trace, range(geometry.banks), range(geometry.rows_per_bank))
+    else:
+        outside = (banks < 0) | (banks >= geometry.banks)
+        outside |= (rows < 0) | (rows >= geometry.rows_per_bank)
+        if not outside.any():
+            return banks, rows
+        slot = int(np.argmax(outside))
+    raise error(
+        f"slot {slot}: bank {trace.banks[slot]}, data_row {trace.rows[slot]} outside "
+        f"the geometry's {geometry.banks} banks of {geometry.rows_per_bank} rows"
+    )
+
+
+def _misfit(trace: Trace, banks: range, rows: range) -> int:
+    """The slot of the first activation outside ``banks`` x ``rows``, read
+    one Python int at a time, as columns that do not fit an array are."""
+    pairs = enumerate(zip(trace.banks, trace.rows))
+    return next(i for i, (b, r) in pairs if int(b) not in banks or int(r) not in rows)
+
+
+def _refuse(trace: Trace, banks: range, rows: range, fields: Tuple[str, str]) -> None:
+    """Raise TraceError naming the first line whose bank is outside
+    ``banks``, so does not fit ``fields[0]``, or data row outside ``rows``."""
+    i = _misfit(trace, banks, rows)
+    k = int(trace.banks[i]) in banks
+    name, value = ("data_row", trace.rows[i]) if k else ("bank", trace.banks[i])
+    raise TraceError(f"{name} {value} does not fit {fields[k]}", line=i + 1) from None
+
+
 def write_text(trace: Trace, stream) -> None:
     """Write ``trace`` as text to a text-mode stream, its two columns in
-    array passes, a chunk of lines at a time (``csvout.write``)."""
-    csvout.write(stream, "", [trace.banks, " ", trace.rows])
+    array passes, a chunk of lines at a time (``csvout.write``).  A bank
+    or data row past int64 raises TraceError naming the first such line
+    before anything is written."""
+    banks, rows = _text_columns(trace)
+    csvout.write(stream, "", [banks, " ", rows])
+
+
+def _text_columns(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
+    """``trace``'s columns as int64 arrays, or TraceError (``_refuse``)."""
+    try:
+        return np.asarray(trace.banks, np.int64), np.asarray(trace.rows, np.int64)
+    except OverflowError:
+        int64 = range(-(1 << 63), 1 << 63)
+        _refuse(trace, int64, int64, ("int64", "int64"))
 
 
 def _records(trace: Trace) -> np.ndarray:
@@ -350,17 +400,8 @@ def _records(trace: Trace) -> np.ndarray:
         records["bank"] = trace.banks
         records["row"] = trace.rows
     except OverflowError:
-        for i, (bank, data_row) in enumerate(zip(trace.banks, trace.rows), start=1):
-            if not 0 <= bank <= 0xFFFF:
-                raise TraceError(
-                    f"bank {bank} does not fit a binary record's u16 field", line=i
-                ) from None
-            if not 0 <= data_row <= 0xFFFFFFFF:
-                raise TraceError(
-                    f"data_row {data_row} does not fit a binary record's u32 field",
-                    line=i,
-                ) from None
-        raise
+        field = "a binary record's u{} field"
+        _refuse(trace, range(1 << 16), range(1 << 32), (field.format(16), field.format(32)))
     return records
 
 
@@ -449,7 +490,7 @@ def load(path: str, geometry: DramGeometry, fmt: str = "auto") -> Trace:
 def save(trace: Trace, path: str, fmt: str = "auto") -> None:
     """Write ``trace`` to a file in the chosen format (see :func:`load`).
 
-    A trace the binary format cannot hold raises TraceError before the
+    A trace the chosen format cannot hold raises TraceError before the
     file is opened, so an existing file is left as it was.
     """
     if _is_binary(path, fmt):
@@ -457,5 +498,6 @@ def save(trace: Trace, path: str, fmt: str = "auto") -> None:
         with open(path, "wb") as f:
             f.write(records.tobytes())
     else:
+        columns = Trace(*_text_columns(trace))
         with open(path, "w", encoding="ascii") as f:
-            write_text(trace, f)
+            write_text(columns, f)

@@ -3,8 +3,11 @@
 ``verify``, ``_replay`` and ``_stored_problem`` are verbatim copies from
 when ``_replay`` ranked the counter keys with ``np.unique`` before its
 argsort, ``verify`` found repeated byte ids with a sort of its own, and
-``_stored_problem`` counted the nonzero bytes of the whole store.  The
-helpers they share with ``pracsim.oracle`` are imported from it.
+``_stored_problem`` counted the nonzero bytes of the whole store.
+``_int64`` is a verbatim copy of the helper they called, which clipped
+values past +-2**62 where ``pracsim.oracle`` now reads int64 columns.
+The other helpers they share with ``pracsim.oracle`` are imported from
+it.
 
 Tests run it beside ``pracsim.oracle`` as a reference for differential
 tests; nothing under ``src/`` imports this module.
@@ -23,10 +26,21 @@ from pracsim.oracle import (
     Verdict,
     _check_batch,
     _counter,
-    _int64,
     _shadow_problem,
 )
 from pracsim.trace import Trace
+
+# No field of a log or state dump is near it; larger values are clipped to it.
+_CLIP = 1 << 62
+
+
+def _int64(values) -> np.ndarray:
+    """``values`` as int64, any beyond +-2**62 clipped to it; such a value
+    is out of range for every field, so range checks read the same."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([min(max(v, -_CLIP), _CLIP) for v in values], dtype=np.int64)
 
 
 def _replay(act_keys: np.ndarray, item_keys: np.ndarray, item_slots: np.ndarray):

@@ -12,6 +12,7 @@ from pracsim import cli
 from pracsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, _state_values, main
 from pracsim.config import parse_file, resolve
 from pracsim.engine import Engine
+from pracsim.errors import ConfigError
 
 
 def test_gen_writes_text_to_stdout(capsys):
@@ -356,30 +357,51 @@ def test_verify_state_with_non_integer_field_is_runtime_error(tmp_path, capsys):
      ("0,0,1024,300", "(0, 0, 1024) is outside the geometry's (64, 64, 1024) counters"),
      ("0,0,0,256", "(0, 0, 0) holds 256, outside [0, 255]"),
      ("1,0,0,-1", "(1, 0, 0) holds -1, outside [0, 255]"),
-     ("0,0,0,99999999999999999999", "(0, 0, 0) holds 99999999999999999999, outside [0, 255]")],
+     ("0,0,0,99999999999999999999", "line 3: non-integer field")],
     ids=["bank", "row_id", "byte_id", "byte_id_and_value", "value", "negative", "huge"],
 )  # fmt: skip
 def test_verify_state_outside_the_geometry_or_a_byte_is_runtime_error(
     tmp_path, capsys, line, problem
 ):
-    """Named by the first bad counter, not wrapped into the uint8 store."""
+    """Named by the first bad counter, not wrapped into the uint8 store; a
+    field of more than 18 digits is no decimal field, named by its line."""
     content = f"bank,row_id,byte_id,value\n0,0,3,1\n{line}\n65,0,0,1\n"
     message = verify_with_bad_file(tmp_path, capsys, "--state", content)
-    assert message == f"state dump {tmp_path / 'bad'}: counter {problem}"
+    separator = " " if problem.startswith("line") else ": counter "
+    assert message == f"state dump {tmp_path / 'bad'}{separator}{problem}"
+
+
+@pytest.mark.parametrize(
+    "line", ["9999999999999999999,0,1,1", "0,0,2,9999999999999999999"], ids=["bank", "value"]
+)
+def test_verify_state_names_a_19_digit_field_exactly(tmp_path, capsys, line):
+    """A field in [2**63, 2**64) is the reader's located error on its
+    line, not a value rounded through a float64 column to
+    10000000000000000000 or 1e+19."""
+    message = verify_with_bad_file(tmp_path, capsys, "--state", f"0,0,0,1\n{line}\n")
+    assert message == f"state dump {tmp_path / 'bad'} line 2: non-integer field"
 
 
 @pytest.mark.parametrize(
     "line, problem",
-    [("9999999999999999999,0,1,1",
-      "(9999999999999999999, 0, 1) is outside the geometry's (64, 64, 1024) counters"),
-     ("0,0,2,9999999999999999999", "(0, 0, 2) holds 9999999999999999999, outside [0, 255]")],
-    ids=["bank", "value"],
+    [("999999999999999999,0,1,1",
+      "counter (999999999999999999, 0, 1) is outside the geometry's (64, 64, 1024) counters"),
+     ("0,0,-999999999999999999,1",
+      "counter (0, 0, -999999999999999999) is outside the geometry's (64, 64, 1024) counters"),
+     ("0,0,2,-999999999999999999", "counter (0, 0, 2) holds -999999999999999999, outside [0, 255]"),
+     ("0,0,2,1000000000000000000", "line 3: non-integer field"),
+     ("-1000000000000000000,0,2,1", "line 3: non-integer field"),
+     ("0,0000000000000000000,2,1", "line 3: non-integer field")],
+    ids=["bank_18", "byte_18", "value_18", "value_19", "bank_19", "row_id_19"],
 )  # fmt: skip
-def test_verify_state_names_a_19_digit_field_exactly(tmp_path, capsys, line, problem):
-    """A field in [2**63, 2**64) is named as written, not rounded through a
-    float64 column to 10000000000000000000 or 1e+19."""
-    message = verify_with_bad_file(tmp_path, capsys, "--state", f"0,0,0,1\n{line}\n")
-    assert message == f"state dump {tmp_path / 'bad'}: counter {problem}"
+def test_verify_state_reads_18_digits_and_no_more(tmp_path, capsys, line, problem):
+    """A dump field of 18 digits after an optional ``-`` is read and then
+    named out of range; one of 19 is the located error on its line, 10**18
+    too, though it fits int64."""
+    content = f"bank,row_id,byte_id,value\n0,0,3,1\n{line}\n"
+    message = verify_with_bad_file(tmp_path, capsys, "--state", content)
+    separator = " " if problem.startswith("line") else ": "
+    assert message == f"state dump {tmp_path / 'bad'}{separator}{problem}"
 
 
 @pytest.mark.parametrize(
@@ -486,13 +508,13 @@ def test_verify_report_with_an_integer_longer_than_int_reads_is_runtime_error(
 
 
 # A log and a state dump with one field of ``digits`` digits, and what
-# each makes: 4,301 digits is more than ``int`` reads, a located error;
-# 4,300 is read and then found out of range, as it was.
+# each makes: more than 18 digits, 4,300 or more than ``int`` reads
+# among them, is a located error.
 LONG_FIELDS = [
     ("--log", 4301, EXIT_RUNTIME, "line 2: non-integer field"),
-    ("--log", 4300, EXIT_VERIFY, "rule 2 violated at slot 1: byte_id 1" + "0" * 4299),
+    ("--log", 4300, EXIT_RUNTIME, "line 2: non-integer field"),
     ("--state", 4301, EXIT_RUNTIME, "line 2: non-integer field"),
-    ("--state", 4300, EXIT_RUNTIME, "counter (0, 0, 0) holds 1" + "0" * 4299),
+    ("--state", 4300, EXIT_RUNTIME, "line 2: non-integer field"),
 ]
 
 
@@ -502,9 +524,10 @@ LONG_FIELDS = [
 def test_verify_field_longer_than_int_reads_is_a_located_error(
     tmp_path, capsys, flag, digits, code, problem
 ):
-    """A log or state dump field of more than 4,300 digits is the reader's
-    located error on its line under ``--machine``, as a non-decimal field
-    is, not CPython's ValueError."""
+    """A log or state dump field of more than 18 digits, 4,300 or more
+    than ``int`` reads included, is the reader's located error on its
+    line under ``--machine``, as a non-decimal field is, not CPython's
+    ValueError."""
     trace_file = tmp_path / "t.txt"
     trace_file.write_text("0 0\n")
     log_file = tmp_path / "log.csv"
@@ -558,6 +581,33 @@ def test_verify_malformed_report_is_runtime_error(tmp_path, capsys, content, pro
 def test_no_command_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def test_more_rfms_per_alert_than_a_bank_has_counters_runs(capsys):
+    """An alert's extra refreshes stop once its bank is clean, so 10**20
+    of them, past an index, give the report of 65,536, a bank's counter
+    count, but for the config echo."""
+    reports = []
+    for rfms in ("65536", str(10**20)):
+        argv = ["run", "--generator", "hammer", "--length", "2000"]
+        assert main(argv + ["--set", f"mitigation.rfms_per_alert={rfms}"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"].pop("mitigation.rfms_per_alert") == rfms
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert (reports[0]["alerts"], reports[0]["mitigations"]) == (35, 951)
+
+
+@pytest.mark.parametrize("key", ["e_act", "e_col", "e_extra_rmw"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_energy_parameter_is_a_config_error(capsys, key, value):
+    """A NaN or infinite energy cost is refused, not written into the
+    report as NaN or Infinity, which JSON has no word for."""
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        resolve(overrides={f"energy.{key}": value})
+    assert main(["run", "--machine", "--set", f"energy.{key}={value}"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "config"
 
 
 def test_malformed_set_flag(capsys):

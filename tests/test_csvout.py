@@ -10,6 +10,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ import legacy_writers
 from pracsim import csvout
 from pracsim.buffers import TRIGGERS
 from pracsim.counters import CounterArray
+from pracsim.errors import TraceError
 from pracsim.geometry import DramGeometry
 from pracsim.oracle import ServiceLog, write_log
 from pracsim.trace import Trace, write_text
@@ -30,7 +32,8 @@ INT64 = st.one_of(
     st.sampled_from(EDGES + [-x for x in EDGES] + [-(2**63)]),
     st.integers(-(2**63), 2**63 - 1),
 )
-# Any Python int: int64 most of the time, past it either way now and then.
+# Any Python int: int64 most of the time, past it either way now and then,
+# which no writer takes.
 WIDE = st.one_of(
     INT64,
     st.sampled_from([2**63, 2**64, 10**19, 2**70, -(2**63) - 1, -(2**64)]),
@@ -84,18 +87,18 @@ def test_write_takes_the_whole_int64_range(rows, arrays, chunk):
 )
 def test_write_log_matches_the_percent_pass(pairs, arrays, chunk):
     """Logs built in memory, or as ``read_log`` returns them (int64
-    columns, object ones past int64), with fields of any size and lines
-    that straddle the streaming chunk."""
+    columns), with lines that straddle the streaming chunk: the ``%``
+    bytes of every int64 field, and OverflowError for a log with a field
+    past int64."""
     log = make_log(*((s, b, r, t, tuple(ids)) for s, b, r, t, ids in pairs))
-    if arrays:
-        columns = []
-        for column in (getattr(log, name) for name in ServiceLog.__slots__):
-            try:
-                columns.append(np.array(column, dtype=np.int64))
-            except OverflowError:
-                columns.append(np.array(column, dtype=object))
-        log = ServiceLog(*columns)
+    fits = all(-(2**63) <= v < 2**63 for name in ServiceLog.__slots__ for v in getattr(log, name))
+    if arrays and fits:
+        log = ServiceLog(*(np.array(getattr(log, name), np.int64) for name in ServiceLog.__slots__))
     with mock.patch.object(csvout, "CHUNK", chunk):
+        if not fits:
+            with pytest.raises(OverflowError):
+                _text(write_log, log)
+            return
         got = _text(write_log, log)
     assert got == _text(legacy_writers.percent_write_log, log)
 
@@ -134,11 +137,20 @@ def test_dump_matches_the_percent_pass(banks, counter_rows, cpc, writes, chunk):
 @settings(deadline=None, max_examples=150)
 @given(pairs=st.lists(st.tuples(WIDE, WIDE), max_size=30), chunk=CHUNKS)
 def test_write_text_matches_the_percent_pass(pairs, chunk):
-    """Banks and rows of any size, negative or past int64 included."""
+    """Banks and rows of any int64 value, negative ones included; a
+    trace with one past int64 is a TraceError naming its line, and
+    nothing is written."""
     trace = Trace([b for b, _ in pairs], [r for _, r in pairs])
+    past = [i for i, pair in enumerate(pairs, 1) if any(not -(2**63) <= v < 2**63 for v in pair)]
+    out = io.StringIO()
     with mock.patch.object(csvout, "CHUNK", chunk):
-        got = _text(write_text, trace)
-    assert got == _text(legacy_writers.percent_write_text, trace)
+        if past:
+            with pytest.raises(TraceError, match=f"^line {past[0]}: ") as exc:
+                write_text(trace, out)
+            assert exc.value.line == past[0] and out.getvalue() == ""
+            return
+        write_text(trace, out)
+    assert out.getvalue() == _text(legacy_writers.percent_write_text, trace)
 
 
 def test_empty_outputs_are_the_header_alone(toy_geometry):

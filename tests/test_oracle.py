@@ -3,7 +3,6 @@ import re
 import sys
 from collections import defaultdict
 from dataclasses import astuple, replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +16,8 @@ import legacy_writers
 from pracsim import cli, oracle
 from pracsim.buffers import DESIGNS, K_TRIGGER_MODES, TRIGGERS
 from pracsim.config import resolve
-from pracsim.engine import Engine
-from pracsim.errors import ConfigError, LogFormatError, SimError
+from pracsim.engine import Engine, workload_shape
+from pracsim.errors import ConfigError, LogFormatError, SimError, TraceError
 from pracsim.geometry import DramGeometry
 from pracsim.oracle import Verdict, read_log, verify, write_log
 from pracsim.trace import GENERATORS, Trace
@@ -248,6 +247,56 @@ def test_read_log_keeps_the_minus_for_its_range_messages():
     assert str(exc.value) == "line 2: negative slot -4"
     log = read_log(io.StringIO("0,-1,1,m_ready,1,-5\n1,0,0,drain,0\n"))
     assert batches_of(log)[0] == (0, -1, 1, "m_ready", (-5,))
+
+
+@pytest.mark.parametrize(
+    "field", ["999999999999999999", "-999999999999999999", "000000000000000007"]
+)
+def test_read_log_reads_a_field_of_18_digits(field):
+    """18 digits after an optional ``-`` is the longest decimal field, in
+    every int column, a byte id included."""
+    slot = field.lstrip("-")
+    log = read_log(io.StringIO(f"0,0,1,m_ready,1,5\n{slot},{field},{field},drain,1,{field}\n"))
+    value = int(field)
+    assert batches_of(log)[1] == (int(slot), value, value, "drain", (value,))
+    assert all(getattr(log, name).dtype == np.int64 for name in log.__slots__)
+
+
+@pytest.mark.parametrize(
+    "field", ["1000000000000000000", "9999999999999999999", "-1000000000000000000",
+              "0000000000000000007", "9" * 4301],
+)  # fmt: skip
+@pytest.mark.parametrize("column", [0, 1, 2, 5])
+def test_read_log_refuses_a_field_of_19_digits(field, column):
+    """A field of 19 digits or more is the located error on its line, in
+    int64 (10**18) or not, in any int column."""
+    fields = ["3", "0", "1", "m_ready", "1", "5"]
+    fields[column] = field.lstrip("-") if column == 0 else field
+    text = "0,0,1,m_ready,1,5\n\n" + ",".join(fields) + "\n1,0,0,drain,0\n"
+    with pytest.raises(LogFormatError) as exc:
+        read_log(io.StringIO(text))
+    assert str(exc.value) == "line 3: non-integer field"
+
+
+@pytest.mark.parametrize(
+    "spot", [(-1, 40), (2, 0), (1, 16), (1, 2**70), (-(2**64), 3), (2**63, -(2**63) - 1)]
+)
+def test_workload_shape_and_verify_share_the_geometry_check(toy_geometry, spot):
+    """An activation outside the geometry, or past int64, is named by its
+    slot in one message, a TraceError from the shape pass and a
+    LogFormatError from the replay."""
+    config = resolve(overrides={
+        "geometry.banks": "2", "geometry.rows_per_bank": "16",
+        "geometry.counter_rows_per_bank": "4", "geometry.counters_per_counter_row": "4",
+    })  # fmt: skip
+    assert config.geometry == toy_geometry
+    events = events_for([(1, 2), (0, 9), spot, (2, 99)])
+    message = f"slot 2: bank {spot[0]}, data_row {spot[1]} outside the geometry's 2 banks of 16 rows"
+    with pytest.raises(TraceError) as shape_error:
+        workload_shape(events, config)
+    with pytest.raises(LogFormatError) as replay_error:
+        verify(events, make_log(), toy_geometry)
+    assert str(shape_error.value) == str(replay_error.value) == message
 
 
 def test_a_valid_log_with_int_only_fields_is_refused():
@@ -703,15 +752,17 @@ LOG_LINE = st.one_of(
 )  # fmt: skip
 
 
-DECIMAL = re.compile(r"-?[0-9]+")
+DECIMAL = re.compile(r"-?[0-9]{1,18}")
+LONG = re.compile(r"-?[0-9]{19,}")
 
 
-def _strict(text, skip="slot,", fields=5, text_column=3):
+def _strict(text, skip="slot,", fields=5, text_column=3, keep=DECIMAL.fullmatch):
     """``text`` as a legacy reader must read it to give the readers'
     outcome.  In every line it parses, a field that ``int`` takes but the
-    readers refuse (a ``+``, ``_``, spaces, non-ASCII digits) is replaced
-    by ``x``, so that it raises the same located "non-integer field"
-    error.  A line starting with ``skip`` is parsed unless it is line 1:
+    readers refuse (a ``+``, ``_``, spaces, non-ASCII digits, more than
+    18 digits) is replaced by ``x``, so that it raises the same located
+    "non-integer field" error; with ``keep``, each field it does not
+    keep.  A line starting with ``skip`` is parsed unless it is line 1:
     the readers skip a header there only, a legacy state reader anywhere."""
     out = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -719,13 +770,16 @@ def _strict(text, skip="slot,", fields=5, text_column=3):
         if line and not (lineno == 1 and line.startswith(skip)):
             parts = line.split(",")
             if len(parts) >= fields or line.startswith(skip):
-                parts = [
-                    p if k == text_column or DECIMAL.fullmatch(p) else "x"
-                    for k, p in enumerate(parts)
-                ]
+                parts = [p if k == text_column or keep(p) else "x" for k, p in enumerate(parts)]
                 raw = ",".join(parts)
         out.append(raw)
     return "\n".join(out)
+
+
+def _int64_fields(text, skip="slot,", fields=5, text_column=3):
+    """``text`` with only its fields of more than 18 digits refused, for
+    a reader that took them."""
+    return _strict(text, skip, fields, text_column, keep=lambda p: not LONG.fullmatch(p))
 
 
 def _read_batches(stream):
@@ -800,29 +854,29 @@ WIDE_INT = st.one_of(
 )  # fmt: skip
 def test_write_log_matches_the_per_batch_writer(pairs):
     """The array-pass writer writes the per-batch f-strings' bytes for
-    fields of any size."""
+    every int64 field, and refuses a log with a field past int64."""
     log = make_log(*((s, b, r, t, tuple(ids)) for s, b, r, t, ids in pairs))
     got, want = io.StringIO(), io.StringIO()
-    write_log(log, got)
-    legacy_writers.write_log(log, want)
-    assert got.getvalue() == want.getvalue()
+    if any(not -(2**63) <= v < 2**63 for s, b, r, _, ids in pairs for v in (s, b, r, *ids)):
+        with pytest.raises(OverflowError):
+            write_log(log, got)
+    else:
+        write_log(log, got)
+        legacy_writers.write_log(log, want)
+        assert got.getvalue() == want.getvalue()
 
 
-def test_write_log_takes_fields_beyond_int64():
-    """A slot of 2**70, a negative byte id and a bank of 2**64 are written
-    as the f-string writer wrote them, not refused by an int64 array."""
-    log = make_log(
-        (2**70, 2**64, 3, "m_ready", (-1, 2**65, 7)),
-        (5, -(2**64), 2**63, "drain", ()),
-    )
-    got, want = io.StringIO(), io.StringIO()
-    write_log(log, got)
-    legacy_writers.write_log(log, want)
-    assert got.getvalue() == want.getvalue()
-    assert got.getvalue().splitlines()[1:] == [
-        f"{2**70},{2**64},3,m_ready,3,-1,{2**65},7",
-        f"5,{-(2**64)},{2**63},drain,0",
-    ]
+def test_write_log_refuses_fields_beyond_int64():
+    """A slot of 2**70, a bank of 2**64 or one of -2**64 is refused, not
+    written as the f-string writer wrote it; -2**63 and 2**63 - 1 are
+    written."""
+    for batch in [(2**70, 2, 3, "m_ready", (1, 7)), (5, 2**64, 3, "drain", ()),
+                  (5, -(2**64), 3, "drain", ())]:  # fmt: skip
+        with pytest.raises(OverflowError):
+            write_log(make_log(batch), io.StringIO())
+    got = io.StringIO()
+    write_log(make_log((2**63 - 1, -(2**63), 3, "m_ready", (-1, 7))), got)
+    assert got.getvalue().splitlines()[1:] == [f"{2**63 - 1},{-(2**63)},3,m_ready,2,-1,7"]
 
 
 STATE_LINE = st.one_of(
@@ -924,7 +978,7 @@ def test_read_log_matches_the_parent_reader(batches, header, data):
     write_log(make_log(*batches), buf)
     text = buf.getvalue() if header else buf.getvalue().partition("\n")[2]
     text = _mutated_csv(data, text)
-    want = _log_outcome(legacy_readers.read_log, text)
+    want = _log_outcome(legacy_readers.read_log, _int64_fields(text))
     assert _log_outcome(read_log, text) == want
 
 
@@ -961,7 +1015,7 @@ def test_read_log_matches_the_str_trigger_reader(batches, header, data):
             fields[3] = data.draw(st.sampled_from(NEAR_TRIGGERS))
             lines[k] = ",".join(fields)
     text = _mutated_csv(data, "\n".join(lines))
-    want = _log_columns(legacy_readers.read_log_by_str, text)
+    want = _log_columns(legacy_readers.read_log_by_str, _int64_fields(text))
     assert _log_columns(read_log, text) == want
 
 
@@ -976,7 +1030,7 @@ def test_read_log_matches_the_str_trigger_reader(batches, header, data):
      ("1,2,é,3\n4,+5,b,6\n7,8,c,9", "slot,", 2,
       ([1, 2, 0, 3], "int64", [0], [4, 4, 4], ["é"], [1, 2, 3], 1)),
      ("1,2,a,99999999999999999999\n3,-,b,4\n", "slot,", 2,
-      ([1, 2, 0, 10**20 - 1], "object", [0], [4, 4], ["a"], [1, 2], 1)),
+      ([], "int64", [], [4, 4], [], [1, 2], 0)),
      ("\nbank,r\n5,6\n", "bank,", None, ([], "int64", [], [2, 2], [], [2, 3], 0)),
      ("bank,r\n\n5,6\n", "bank,", None, ([5, 6], "int64", [0], [2], [], [3], 1)),
      ("", "bank,", None, ([], "int64", [], [], [], [], 0))],
@@ -1002,21 +1056,24 @@ def test_split_decimal_csv_numbers_kept_lines_and_finds_the_first_bad_one(
 
 @pytest.mark.parametrize("sign", ["", "-"])
 def test_split_decimal_csv_finds_a_field_longer_than_int_reads(sign):
-    """A field of more digits than ``int`` reads, 4,300 by default, makes
-    its line the first bad one; a ``-`` is not a digit, and a raised limit
-    reads the same field."""
+    """A field of more digits than ``int`` reads, 4,300 by default, or of
+    4,300, makes its line the first bad one, as any field of more than 18
+    digits does; a ``-`` is not a digit, and the interpreter's limit no
+    longer matters."""
     field = sign + "9" * 4301
     text = f"1,2\n3,{field}\n4,5\n"
-    values, first, counts, _, lines, bad = oracle.split_decimal_csv(text, "bank,")
-    assert (values.tolist(), first.tolist(), counts.tolist(), bad) == ([1, 2], [0], [2, 2, 2], 1)
-    shorter = oracle.split_decimal_csv(text.replace(field, field[:-1]), "bank,")
-    assert shorter[0].tolist() == [1, 2, 3, int(field[:-1]), 4, 5] and shorter[-1] == 3
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4301)
-    try:
-        assert oracle.split_decimal_csv(text, "bank,")[-1] == 3
-    finally:
-        sys.set_int_max_str_digits(limit)
+    for digits in (4300, 4301):
+        for max_digits in (limit, 4301, 0):
+            sys.set_int_max_str_digits(max_digits)
+            try:
+                got = oracle.split_decimal_csv(text.replace(field, field[: len(sign) + digits]), "bank,")
+            finally:
+                sys.set_int_max_str_digits(limit)
+            values, first, counts, _, lines, bad = got
+            assert (values.tolist(), values.dtype, first.tolist(), counts.tolist(), bad) == (
+                [1, 2], np.int64, [0], [2, 2, 2], 1
+            )
 
 
 LOG_EDITS = ("blank", "crlf", "pad", "minus", "long")
@@ -1026,9 +1083,9 @@ LOG_EDITS = ("blank", "crlf", "pad", "minus", "long")
 @given(batches=st.lists(LOG_BATCH, min_size=1, max_size=20), data=st.data())
 def test_every_log_read_log_takes_has_array_columns(batches, data):
     """A valid log with blank lines, CRLF endings, padded lines, ``-`` fields
-    and fields of 19 digits drawn in: whenever ``read_log`` takes it, its
-    columns are arrays, int64 or, only if a field has more than 18 digits,
-    objects, and it holds the batches the line loop reads."""
+    and fields of 18 or 19 digits drawn in: whenever ``read_log`` takes it,
+    its columns are int64 arrays, and it holds the batches the line loop
+    reads."""
     buf = io.StringIO()
     write_log(make_log(*batches), buf)
     lines = buf.getvalue().split("\n")[:-1]
@@ -1046,7 +1103,8 @@ def test_every_log_read_log_takes_has_array_columns(batches, data):
             pads = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x1c", "\xa0", "\u2028"])
             line = data.draw(pads) + line + data.draw(pads)
         elif edit in ("minus", "long"):
-            fields[at] = "-" + fields[at] if edit == "minus" else "9" * 19
+            long = "9" * data.draw(st.sampled_from([18, 19]))
+            fields[at] = "-" + fields[at] if edit == "minus" else long
             line = ",".join(fields)
         out.append(line)
     text = "\n".join(out) + data.draw(st.sampled_from(["", "\n", "\r\n"]))
@@ -1054,11 +1112,9 @@ def test_every_log_read_log_takes_has_array_columns(batches, data):
         log = read_log(io.StringIO(text))
     except LogFormatError:
         return
-    long = "9" * 19 in text
     for name in log.__slots__:
         column = getattr(log, name)
-        assert isinstance(column, np.ndarray)
-        assert column.dtype == np.int64 or (long and column.dtype == object)
+        assert isinstance(column, np.ndarray) and column.dtype == np.int64
     assert batches_of(log) == batches_of(legacy_readers._read_log_lines(text))
 
 
@@ -1136,8 +1192,7 @@ def test_state_values_match_the_parent_reader(tmp_path_factory, counters, order,
     one outside the geometry or a byte, mutated up to three times: the
     store, or the error, of the reader that sorted every dump.  That
     reader is given the dump as ``_strict`` rewrites it for the header
-    rule, and reads its columns as exact ints: it made a column holding a
-    field in [2**63, 2**64) float64, and so named a rounded value."""
+    rule and the 18-digit one."""
     items = sorted((*counter, value) for counter, value in counters.items())
     if order == "shuffled":
         items = data.draw(st.permutations(items))
@@ -1153,12 +1208,6 @@ def test_state_values_match_the_parent_reader(tmp_path_factory, counters, order,
     # Line breaks as text mode reads them, so that ``_strict`` sees its lines.
     lines = text.replace("\r\n", "\n").replace("\r", "\n")
     path.write_bytes(_strict(lines, "bank,", 4, None).encode("utf-8"))
-    with mock.patch.object(legacy_readers, "_read_state", _exact_columns):
-        want = _state_outcome(legacy_readers._state_values, str(path))
+    want = _state_outcome(legacy_readers._state_values, str(path))
     path.write_bytes(text.encode("utf-8"))
     assert _state_outcome(cli._state_values, str(path)) == want
-
-
-def _exact_columns(path, read_state=legacy_readers._read_state):
-    """The parent's state columns as object arrays of exact ints."""
-    return tuple(np.array([int(x) for x in c], dtype=object) for c in read_state(path))

@@ -714,14 +714,31 @@ def test_writers_match_the_legacy_writers(tmp_path_factory, pairs):
     assert path.read_bytes() == want.getvalue()
 
 
-def test_write_text_takes_fields_beyond_int64():
-    """Banks and rows past int64, or negative, are written as the
-    event-at-a-time writer wrote them, not refused by an int64 array."""
-    trace = Trace([2**64, -3, 0], [-1, 2**70, 2**63])
+def test_write_text_refuses_fields_beyond_int64(tmp_path):
+    """A bank or data row past int64 is a TraceError naming the first such
+    line and field, before anything is written; a text save refuses it
+    before it opens the file.  Negative values in int64 are written as
+    the event-at-a-time writer wrote them."""
+    for banks, rows, message in [
+        ([2**64, -3, 0], [2**70, 2**70, 2**63], f"line 1: bank {2**64} does not fit int64"),
+        ([0, -3, 0], [-1, 2**70, 2**63], f"line 2: data_row {2**70} does not fit int64"),
+        ([0, -3, 0], [-1, 5, 2**63], f"line 3: data_row {2**63} does not fit int64"),
+        ([0, -(2**63) - 1], [0, 0], f"line 2: bank {-(2**63) - 1} does not fit int64"),
+    ]:
+        trace, out = Trace(banks, rows), io.StringIO()
+        with pytest.raises(TraceError) as exc:
+            write_text(trace, out)
+        assert (str(exc.value), out.getvalue()) == (message, "")
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"kept")
+        with pytest.raises(TraceError) as exc:
+            save(trace, str(path))
+        assert (str(exc.value), path.read_bytes()) == (message, b"kept")
+    fits = Trace([-(2**63), -3], [-1, 2**63 - 1])
     got, want = io.StringIO(), io.StringIO()
-    write_text(trace, got)
-    legacy_trace.write_text(list(trace), want)
-    assert got.getvalue() == want.getvalue() == f"{2**64} -1\n-3 {2**70}\n0 {2**63}\n"
+    write_text(fits, got)
+    legacy_trace.write_text(list(fits), want)
+    assert got.getvalue() == want.getvalue() == f"{-(2**63)} -1\n-3 {2**63 - 1}\n"
 
 
 @settings(deadline=None, max_examples=150)
