@@ -265,8 +265,6 @@ def _cmd_compare(args) -> int:
 def _cmd_analyze(args) -> int:
     cfg = _resolve(args)
     events = engine.load_trace(cfg)
-    if not events:
-        raise ConfigError("cannot analyze an empty trace")
     shape = engine.workload_shape(events, cfg)
     skew_by_bank = shape["skew_by_bank"]
     out = {

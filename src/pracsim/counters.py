@@ -16,9 +16,10 @@ Servicing a counter request applies its pending increments in one
 read-modify-write; a value crossing the back-off threshold raises an
 alert, which mitigates (and resets) that counter.  Additional refreshes
 granted per alert always target the currently largest counter in the
-bank, modeling an ideal mitigation queue.  So does the periodic
-proactive refresh: one ``proactive_tick`` per interval refreshes every
-bank once, in ascending bank order, skipping clean banks.
+bank, modeling an ideal mitigation queue, and stop once the bank is
+clean.  So does the periodic proactive refresh: one ``proactive_tick``
+per interval refreshes every bank once, in ascending bank order,
+skipping clean banks.
 
 Only a store that can pick a largest counter, one built with
 ``refresh`` or with an alert threshold and more than one refresh per
@@ -201,8 +202,10 @@ class CounterArray:
             self.on_mitigate(bank, row_id, byte_id)
         self.mitigations += 1
         if self.rfms_per_alert > 1:
-            # A bank, reset here, has fewer nonzero counters than its size.
-            self._refresh([bank] * min(self.rfms_per_alert - 1, self._bank_size - 1))
+            # Each pick clears one nonzero counter, so the picks stop where
+            # the bank is clean.
+            nonzero = self._bank_size - self._hist[bank][0]
+            self._refresh([bank] * min(self.rfms_per_alert - 1, nonzero))
 
     def _refresh(self, banks: Iterable[int]) -> None:
         """Mitigate the largest counter of each bank of ``banks`` in turn,

@@ -248,25 +248,30 @@ class Engine:
         step = self.step
         for slot, (bank, data_row) in enumerate(zip(trace.banks, trace.rows)):
             step(slot, bank, data_row)
-        # An empty trace is left to finalize, which names the problem.
         if shape is None and self.config.metrics_enabled and trace:
             shape = workload_shape(trace, self.config)
         return self.finalize(shape)
 
 
 def load_trace(config: SimConfig) -> Trace:
-    """The configured trace: read from ``trace.path``, else generated."""
+    """The configured trace: read from ``trace.path``, else generated.
+    No command simulates, analyzes or verifies an empty trace, so an
+    empty one raises TraceError here."""
     if config.trace_path is not None:
-        return load(config.trace_path, config.geometry, config.trace_format)
-    return generate(config.trace_spec, config.geometry)
+        events = load(config.trace_path, config.geometry, config.trace_format)
+    else:
+        events = generate(config.trace_spec, config.geometry)
+    if not events:
+        raise TraceError("cannot simulate, analyze or verify an empty trace")
+    return events
 
 
 def workload_shape(trace: Trace, config: SimConfig) -> dict:
     """Skew per bank and its mean, window locality, and footprint of a trace.
 
     Banks are visited in ascending order; window maxima are taken within
-    each bank's own stream of counter rows and pooled across banks.  An
-    empty trace has no footprint and raises ConfigError; an activation
+    each bank's own stream of counter rows and pooled across banks.  The
+    trace is not empty (``load_trace`` refuses one); an activation
     outside the geometry raises TraceError naming its slot.
     """
     geometry = config.geometry
@@ -309,10 +314,7 @@ def compare(config: SimConfig, policies) -> List[SimReport]:
     if "chronus" not in policies:
         policies = ["chronus"] + policies
     events = load_trace(config)
-    # An empty trace is left to Engine.finalize, which names the problem.
-    shape = None
-    if config.metrics_enabled and events:
-        shape = workload_shape(events, config)
+    shape = workload_shape(events, config) if config.metrics_enabled else None
     reports = []
     for policy in policies:
         overrides = {"buffer.design": policy}

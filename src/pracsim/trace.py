@@ -12,8 +12,12 @@ private random.Random instance, so a (spec, geometry) pair always
 produces the same trace on any platform.  Each generator draws its
 events in one inline loop, and draws each integer below n as CPython's
 ``randrange(n)`` and ``shuffle`` do: ``getrandbits(n.bit_length())``,
-drawn again while the result is at least n.  The zipf generator draws
-each event's bank and ``random()`` in that loop, then finds every rank
+drawn again while the result is at least n.  A bank draw over one
+bank is ``getrandbits(0)``, which is 0 and takes no word from the
+stream, so the hotset generator draws a single-bank trace's rows alone,
+in a loop of its own beside an all-zero bank column, and gives the rows
+a loop drawing both would.  The zipf generator draws each event's bank
+and ``random()`` in that loop, then finds every rank
 in one ``np.searchsorted`` pass over the cumulative weights, which makes
 the IEEE comparisons of a ``bisect_left`` per event.  The pass searches
 the scaled draws in ascending order, so each search starts from the
@@ -275,6 +279,20 @@ def _gen_hotset(spec, geometry, rng, rows, banks):
     hot = rng.sample(range(rows), hot_rows)
     getrandbits, k_bank, uniform = rng.getrandbits, _bank_bits(banks), rng.random
     k_hot, k_rows = hot_rows.bit_length(), rows.bit_length()
+    if banks == 1:
+        row_col = []
+        for _ in range(spec.length):
+            if uniform() < hot_fraction:
+                r = getrandbits(k_hot)
+                while r >= hot_rows:
+                    r = getrandbits(k_hot)
+                r = hot[r]
+            else:
+                r = getrandbits(k_rows)
+                while r >= rows:
+                    r = getrandbits(k_rows)
+            row_col.append(r)
+        return [0] * spec.length, row_col
     bank_col, row_col = [], []
     for _ in range(spec.length):
         bank = getrandbits(k_bank)

@@ -13,6 +13,7 @@ from pracsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, _state_v
 from pracsim.config import parse_file, resolve
 from pracsim.engine import Engine
 from pracsim.errors import ConfigError
+from pracsim.oracle import ServiceLog, write_log
 
 
 def test_gen_writes_text_to_stdout(capsys):
@@ -624,6 +625,26 @@ def test_machine_errors_are_json(capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert "nosuch.key" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "analyze", "verify"])
+def test_an_empty_trace_is_a_trace_error_in_every_command(tmp_path, capsys, command):
+    """No command simulates, analyzes or verifies an empty trace: each
+    refuses it with the same error class and exit code, ``verify`` even
+    against a log with no batches, which no run can write."""
+    empty = tmp_path / "e.txt"
+    empty.write_text("")
+    log = tmp_path / "header.csv"
+    with open(log, "w", encoding="utf-8") as f:
+        write_log(ServiceLog(), f)
+    argv = [command, "--trace", str(empty), "--machine"]
+    if command == "verify":
+        argv += ["--log", str(log)]
+    assert main(argv) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "trace" and "empty trace" in err["message"], err
 
 
 def test_missing_trace_file_is_runtime_error(capsys):

@@ -147,6 +147,36 @@ def test_alert_fires_on_threshold_crossing():
     assert report.mitigations == 25
 
 
+def test_an_alerts_extra_refreshes_stop_at_a_clean_bank(monkeypatch):
+    """An alert's extra refreshes visit its bank once per counter they
+    clear, however many the config grants: granting more than the bank
+    holds changes neither the reports nor the visits."""
+    visits = []
+    refresh = CounterArray._refresh
+
+    def spy(self, banks):
+        banks = list(banks)
+        visits.append(len(banks))
+        refresh(self, banks)
+
+    monkeypatch.setattr(CounterArray, "_refresh", spy)
+    seen = set()
+    for rfms in (64, 65536, 10**20):
+        visits.clear()
+        config = resolve(
+            overrides={
+                "trace.generator": "hammer",
+                "trace.length": "2000",
+                "mitigation.rfms_per_alert": str(rfms),
+                "mitigation.proactive_interval": "0",
+            }
+        )
+        report = run(config)
+        assert sum(visits) == report.mitigations - report.alerts, rfms
+        seen.add((report.alerts, report.mitigations, report.counter_acts))
+    assert len(seen) == 1 and min(seen)[0] > 0, seen
+
+
 def test_cache_cuts_counter_traffic():
     common = {
         "trace.generator": "hotset",

@@ -334,9 +334,11 @@ SEEDS = (0, 1, 4242, 2**32 - 1)
 
 def _boundary_params(generator, geometry):
     """Parameter sets for the boundary test.  ``uniform`` crosses every
-    bank count with every row count.  The bank draw is the same loop for
-    all three generators, so ``zipf`` and ``hotset`` sweep their own row
-    parameters under one bank and under a drawing bank count."""
+    bank count with every row count.  ``uniform`` and ``zipf`` draw one
+    bank as a zero-bit draw in their only loop, and ``hotset`` draws a
+    single-bank trace in a rows-only loop of its own, so ``zipf`` and
+    ``hotset`` sweep their own row parameters under one bank and under a
+    drawing bank count: both of hotset's loops."""
     banks_all = [b for b in DRAW_SIZES if b <= geometry.banks]
     if generator == "uniform":
         return [{"rows": r, "banks": b} for r in DRAW_SIZES for b in banks_all]
@@ -411,8 +413,8 @@ def test_benchmark_traces_keep_their_pinned_prefixes(name, geometry):
 
 
 # sha256 of the whole bank column then the whole row column, each as
-# little-endian u32, of three benchmark traces.  Like the prefixes above,
-# only literals catch a changed draw.
+# little-endian u32, of three benchmark traces and two single-bank ones.
+# Like the prefixes above, only literals catch a changed draw.
 TRACE_DIGESTS = {
     "design_sweep zipf": (
         PINNED_PREFIXES["design_sweep zipf"][0],
@@ -428,6 +430,19 @@ TRACE_DIGESTS = {
     "hot_cache hotset": (
         PINNED_PREFIXES["hot_cache hotset"][0],
         "36dd76135790b8a6f5423e0fa4df3700c022d04ea36e6785ac23d5363a87ef7d",
+    ),
+    # The trace a default ``pracsim run`` simulates: one bank, whose
+    # zero-bit bank draws take no word from the stream.
+    "pracsim run default zipf": (
+        TraceSpec(
+            "zipf", 10000, seed=1,
+            params={"exponent": 1.0, "shuffle": True, "rows": 65536, "banks": 1},
+        ),
+        "13ec0bb4913d586be373c6a921a4443209b59a41ccd50371d82c0fd3ab4f3b7f",
+    ),
+    "single-bank uniform": (
+        TraceSpec("uniform", 10000, seed=1, params={"rows": 65536, "banks": 1}),
+        "cc7e4519e44519b5d85e582889acadc634dac121da0aedb5081be1fac94b1123",
     ),
 }  # fmt: skip
 
