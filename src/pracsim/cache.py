@@ -22,7 +22,7 @@ latest shapes.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +38,8 @@ _SEED_BASE = 0xA0761D6478BD642F
 _SEED_STEP = 0xE7037ED1A0B428DB
 _HALVE = bytes(v >> 1 for v in range(256))
 _CHUNK = 4096
+# The counts every CounterCache keeps, which ``totals`` sums over banks.
+TALLIES = ("hits", "misses", "writebacks", "admission_rejects", "fills_rejected")
 
 
 @dataclass(frozen=True)
@@ -120,11 +122,8 @@ class CounterCache:
         self._cpc = geometry.counters_per_counter_row
         self.num_sets = config.entries // ASSOC
         self.sets: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
-        self.admission_rejects = 0
-        self.fills_rejected = 0
+        for name in TALLIES:
+            setattr(self, name, 0)
         self._lfu = config.kind == "tinylfu"
         if self._lfu:
             # Row r of the count-min sketch is sketch[r * width:(r + 1) * width].
@@ -226,3 +225,12 @@ class CounterCache:
             if v < estimate:
                 estimate = v
         return estimate
+
+
+def totals(caches: Sequence[CounterCache]) -> dict:
+    """Each tally summed over ``caches``, and the hit rate of their
+    accesses (None if there were none)."""
+    out = {name: sum(getattr(c, name) for c in caches) for name in TALLIES}
+    accesses = out["hits"] + out["misses"]
+    out["hit_rate"] = out["hits"] / accesses if accesses else None
+    return out

@@ -24,7 +24,7 @@ from . import engine, metrics, oracle, trace
 from .buffers import DESIGNS, K_TRIGGER_MODES
 from .cache import CACHE_KINDS
 from .counters import COUNTER_MAX, CounterArray
-from .errors import ConfigError, SimError, line_of
+from .errors import ConfigError, LogFormatError, SimError, line_of
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -377,7 +377,11 @@ def _cmd_verify(args) -> int:
             "the service log, so replay would see stored counters lag"
         )
     events = engine.load_trace(cfg)
-    batches = oracle.read_log(_open_text(args.log, "service log"))
+    log_text = _open_text(args.log, "service log")
+    try:
+        batches = oracle.read_log(log_text)
+    except LogFormatError as exc:
+        raise LogFormatError(f"service log {args.log} {exc}") from None
     final_values = _state_values(args.state, cfg.geometry) if args.state else None
     if final_values is not None and (mitigated or cfg.n_bo is not None):
         raise ConfigError(

@@ -7,7 +7,7 @@ key/value map is echoed into every report for reproducibility.
 """
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 from .buffers import BufferConfig
@@ -19,50 +19,49 @@ from .geometry import DramGeometry
 from .metrics import WINDOW_MODES
 from .trace import GENERATOR_PARAMS, TraceSpec
 
-# key -> (type tag, default). The n_bo default "auto" resolves against
-# the buffer design: full threshold for the immediate-service baseline,
-# lowered by k_limit for buffered designs.
+
+def _section(name: str, settings) -> dict:
+    """The SCHEMA entries of a settings dataclass: ``name.field`` for each
+    field, in field order, typed by its default's type (not its annotation)."""
+    return {f"{name}.{f.name}": (type(f.default), f.default) for f in fields(settings)}
+
+
+def _settings(name: str, settings, v: dict):
+    """An instance of ``settings`` from the coerced values of its section."""
+    return settings(**{f.name: v[f"{name}.{f.name}"] for f in fields(settings)})
+
+
+# key -> (type, default). The geometry, buffer, cache and energy keys are
+# the fields of their settings classes. The n_bo default "auto" resolves
+# against the buffer design: full threshold for the immediate-service
+# baseline, lowered by k_limit for buffered designs.
 SCHEMA = {
-    "geometry.banks": ("int", 64),
-    "geometry.rows_per_bank": ("int", 65536),
-    "geometry.counter_rows_per_bank": ("int", 64),
-    "geometry.counters_per_counter_row": ("int", 1024),
-    "trace.path": ("str", ""),
-    "trace.format": ("str", "auto"),
-    "trace.generator": ("str", "zipf"),
-    "trace.length": ("int", 10000),
-    "trace.bank": ("int", 0),
-    "trace.banks": ("int", 1),
-    "trace.rows": ("int", 0),
-    "trace.start_row": ("int", 0),
-    "trace.zipf_exponent": ("float", 1.0),
-    "trace.zipf_shuffle": ("bool", True),
-    "trace.hot_rows": ("int", 64),
-    "trace.hot_fraction": ("float", 0.9),
-    "trace.hammer_row": ("int", 0),
-    "trace.hammer_gap": ("int", 1),
-    "buffer.design": ("str", "unified_approxmax"),
-    "buffer.capacity": ("int", 64),
-    "buffer.m_batch": ("int", 4),
-    "buffer.k_limit": ("int", 4),
-    "buffer.k_trigger": ("str", "pending"),
-    "cache.kind": ("str", "none"),
-    "cache.entries": ("int", 64),
-    "cache.sketch_width": ("int", 1024),
-    "cache.sketch_rows": ("int", 2),
-    "cache.halving_period": ("int", 0),
-    "mitigation.enabled": ("bool", True),
-    "mitigation.n_bo": ("str", "auto"),
-    "mitigation.rfms_per_alert": ("int", 1),
-    "mitigation.proactive_interval": ("int", 168),
-    "energy.e_act": ("float", 1.0),
-    "energy.e_col": ("float", 0.5),
-    "energy.counter_act_factor": ("float", 0.19),
-    "energy.e_extra_rmw": ("float", 0.0625),
-    "metrics.enabled": ("bool", True),
-    "metrics.window": ("int", 64),
-    "metrics.window_mode": ("str", "tumbling"),
-    "seed": ("int", 1),
+    **_section("geometry", DramGeometry),
+    "trace.path": (str, ""),
+    "trace.format": (str, "auto"),
+    "trace.generator": (str, "zipf"),
+    "trace.length": (int, 10000),
+    "trace.bank": (int, 0),
+    "trace.banks": (int, 1),
+    "trace.rows": (int, 0),
+    "trace.start_row": (int, 0),
+    "trace.zipf_exponent": (float, 1.0),
+    "trace.zipf_shuffle": (bool, True),
+    "trace.hot_rows": (int, 64),
+    "trace.hot_fraction": (float, 0.9),
+    "trace.hammer_row": (int, 0),
+    "trace.hammer_gap": (int, 1),
+    **_section("buffer", BufferConfig),
+    **_section("cache", CacheConfig),
+    "mitigation.enabled": (bool, True),
+    "mitigation.n_bo": (str, "auto"),
+    "mitigation.rfms_per_alert": (int, 1),
+    "mitigation.proactive_interval": (int, 168),
+    **_section("energy", EnergyParams),
+    "metrics.enabled": (bool, True),
+    "metrics.window": (int, 64),
+    "metrics.window_mode": (str, "tumbling"),
+    "seed": (int, 1),
 }
 
 _TRUE = ("true", "yes", "on", "1")
@@ -81,20 +80,18 @@ def _coerce(key: str, raw: str):
     kind, _ = SCHEMA[key]
     raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(raw)
-        return raw
+        if kind is not bool:
+            return kind(raw)
+        low = raw.lower()
+        if low in _TRUE:
+            return True
+        if low in _FALSE:
+            return False
+        raise ValueError(raw)
     except ValueError:
-        raise ConfigError(f"bad value {raw!r} for {key} (expected {kind})") from None
+        raise ConfigError(
+            f"bad value {raw!r} for {key} (expected {kind.__name__})"
+        ) from None
 
 
 def parse_file(path: str) -> Dict[str, str]:
@@ -194,26 +191,9 @@ def resolve(
             raw[key] = value.strip() if isinstance(value, str) else format_value(value)
     v = {key: _coerce(key, raw[key]) for key in SCHEMA}
 
-    geometry = DramGeometry(
-        banks=v["geometry.banks"],
-        rows_per_bank=v["geometry.rows_per_bank"],
-        counter_rows_per_bank=v["geometry.counter_rows_per_bank"],
-        counters_per_counter_row=v["geometry.counters_per_counter_row"],
-    )
-    buffer = BufferConfig(
-        design=v["buffer.design"],
-        capacity=v["buffer.capacity"],
-        m_batch=v["buffer.m_batch"],
-        k_limit=v["buffer.k_limit"],
-        k_trigger=v["buffer.k_trigger"],
-    )
-    cache = CacheConfig(
-        kind=v["cache.kind"],
-        entries=v["cache.entries"],
-        sketch_width=v["cache.sketch_width"],
-        sketch_rows=v["cache.sketch_rows"],
-        halving_period=v["cache.halving_period"],
-    )
+    geometry = _settings("geometry", DramGeometry, v)
+    buffer = _settings("buffer", BufferConfig, v)
+    cache = _settings("cache", CacheConfig, v)
     if cache.kind != "none" and buffer.design == "chronus":
         raise ConfigError(
             "the immediate-service baseline cannot take cache writebacks; "
@@ -253,12 +233,7 @@ def resolve(
     # mitigation.enabled is the master switch: alerts and proactive
     # refreshes both stop when it is off.
     proactive = v["mitigation.proactive_interval"] if v["mitigation.enabled"] else 0
-    energy = EnergyParams(
-        e_act=v["energy.e_act"],
-        e_col=v["energy.e_col"],
-        counter_act_factor=v["energy.counter_act_factor"],
-        e_extra_rmw=v["energy.e_extra_rmw"],
-    )
+    energy = _settings("energy", EnergyParams, v)
     if v["metrics.window"] < 1:
         raise ConfigError("metrics.window must be positive")
     if v["metrics.window_mode"] not in WINDOW_MODES:

@@ -9,7 +9,7 @@ are charged at the counter-activation rate.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
 
@@ -64,14 +64,8 @@ class EnergyBreakdown:
 
     def to_dict(self) -> dict:
         """The terms, their total, and the total's share of the baseline."""
-        return {
-            "baseline": self.baseline,
-            "activation_term": self.activation_term,
-            "extra_rmw_term": self.extra_rmw_term,
-            "mitigation_term": self.mitigation_term,
-            "extra_total": self.extra_total,
-            "overhead": self.extra_total / self.baseline,
-        }
+        extra = self.extra_total
+        return dict(asdict(self), extra_total=extra, overhead=extra / self.baseline)
 
 
 def breakdown(ledger: EnergyLedger, params: EnergyParams) -> EnergyBreakdown:

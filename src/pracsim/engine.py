@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .buffers import TRIGGERS, ServiceBatch, make_buffer
-from .cache import CounterCache
+from .cache import CounterCache, totals as cache_totals
 from .config import SimConfig
 from .counters import CounterArray
 from .energy import EnergyLedger, breakdown
@@ -200,22 +200,8 @@ class Engine:
                 footprint=dict(shape["footprint"]),
             )
 
-        cache_stats = None
-        if self._cached:
-            totals = {
-                "hits": 0,
-                "misses": 0,
-                "writebacks": 0,
-                "admission_rejects": 0,
-                "fills_rejected": 0,
-            }
-            for bank in sorted(self._banks):
-                c = self._banks[bank][1]
-                for key in totals:
-                    totals[key] += getattr(c, key)
-            accesses = totals["hits"] + totals["misses"]
-            totals["hit_rate"] = totals["hits"] / accesses if accesses else None
-            cache_stats = totals
+        caches = [cache for _, cache in self._banks.values()]
+        cache_stats = cache_totals(caches) if self._cached else None
 
         return SimReport(
             policy=self.config.buffer.design,

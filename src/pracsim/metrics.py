@@ -10,7 +10,7 @@ carry a given share of all activations.
 import json
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -132,24 +132,11 @@ class SimReport:
     schema_version: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "policy": self.policy,
-            "data_acts": self.data_acts,
-            "counter_acts": self.counter_acts,
-            "normalized_acts": self.normalized_acts,
-            "rmw_bytes": self.rmw_bytes,
-            "alerts": self.alerts,
-            "mitigations": self.mitigations,
-            "batch_triggers": dict(sorted(self.batch_triggers.items())),
-            "energy": self.energy,
-            "cache": self.cache,
-            "skew_by_bank": {str(k): v for k, v in sorted(self.skew_by_bank.items())},
-            "skew_mean": self.skew_mean,
-            "window_locality": self.window_locality,
-            "footprint": {str(k): v for k, v in sorted(self.footprint.items())},
-            "config": dict(sorted(self.config.items())),
-        }
+        """The fields, each dict sorted by key and its keys made strings."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("batch_triggers", "skew_by_bank", "footprint", "config"):
+            out[name] = {str(k): v for k, v in sorted(out[name].items())}
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -167,16 +154,10 @@ def compare_csv(reports: Sequence[SimReport]) -> str:
     """Side-by-side comparison table with a frozen column set."""
     lines = [",".join(COMPARE_COLUMNS)]
     for r in reports:
-        row = {
-            "policy": r.policy,
-            "data_acts": r.data_acts,
-            "counter_acts": r.counter_acts,
-            "normalized_acts": r.normalized_acts,
-            "rmw_bytes": r.rmw_bytes,
-            "alerts": r.alerts,
-            "mitigations": r.mitigations,
+        derived = {
             "cache_hit_rate": (r.cache or {}).get("hit_rate"),
             "energy_overhead": r.energy.get("overhead"),
         }
-        lines.append(",".join(_csv_cell(row[c]) for c in COMPARE_COLUMNS))
+        cells = (derived[c] if c in derived else getattr(r, c) for c in COMPARE_COLUMNS)
+        lines.append(",".join(map(_csv_cell, cells)))
     return "\n".join(lines) + "\n"

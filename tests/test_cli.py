@@ -313,6 +313,33 @@ def test_verify_unparseable_log_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_malformed_log_error_names_the_file(tmp_path, capsys):
+    """A log the reader refuses is named as a non-UTF-8 one is, with the
+    reader's own line and problem after it."""
+    log_file = tmp_path / "bad.csv"
+    log_file.write_text("slot,bank,row_id,trigger,n_items,byte_ids\n0,0,0,bogus,1,0\n")
+    argv = ["verify", "--generator", "hammer", "--length", "10"]
+    assert main(argv + ["--log", str(log_file), "--machine"]) == EXIT_RUNTIME
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "log-format",
+        "message": f"service log {log_file} line 2: unknown trigger 'bogus'",
+    }
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--generator", "hammer", "--bank", "64"], "bank param 64 out of range [0, 64)"),
+     (["--generator", "sequential", "--start-row", "65536"],
+      "start_row 65536 out of range [0, 65536)"),
+     (["--set", "trace.path=t.txt"], "gen needs generator settings, not trace.path")],
+    ids=["bank", "start_row", "trace_path"],
+)  # fmt: skip
+def test_gen_refuses_settings_outside_the_geometry_or_a_trace_path(capsys, args, message):
+    assert main(["gen", "--length", "5", *args, "--machine"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert (out, json.loads(err)) == ("", {"error": "config", "message": message})
+
+
 def test_verify_refuses_a_geometry_whose_keys_overflow_int64(tmp_path, capsys):
     """2**58 banks of 65,536 rows are 2**74 counters: a located geometry
     error, not a traceback from the replay's key arithmetic."""

@@ -1,7 +1,13 @@
+from dataclasses import fields
+
 import pytest
 
+from pracsim.buffers import BufferConfig
+from pracsim.cache import CacheConfig
 from pracsim.config import SCHEMA, dump, format_value, parse_file, resolve
+from pracsim.energy import EnergyParams
 from pracsim.errors import ConfigError
+from pracsim.geometry import DramGeometry
 
 
 def test_defaults_resolve():
@@ -23,6 +29,24 @@ def test_defaults_resolve():
 def test_flat_echo_covers_every_key():
     config = resolve()
     assert set(config.flat) == set(SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "section, settings",
+    [("geometry", DramGeometry), ("buffer", BufferConfig), ("cache", CacheConfig),
+     ("energy", EnergyParams)],
+)  # fmt: skip
+def test_a_settings_section_is_its_class(section, settings):
+    """The keys under a section are its settings class's fields, in field
+    order, each typed and defaulted by the field's default, and the
+    resolved defaults are the class's default instance."""
+    default = settings()
+    names = [f.name for f in fields(settings)]
+    keys = [key for key in SCHEMA if key.startswith(f"{section}.")]
+    assert keys == [f"{section}.{name}" for name in names]
+    values = [getattr(default, name) for name in names]
+    assert [SCHEMA[key] for key in keys] == [(type(v), v) for v in values]
+    assert getattr(resolve(), section) == default
 
 
 def test_n_bo_auto_tracks_design():
